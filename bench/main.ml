@@ -78,7 +78,7 @@ let micro_tests () =
              { Interp.Machine.stop = Interp.Machine.Finished None; steps = 100;
                cycles = 100; valchk_failures = 0; failed_check_uids = [];
                injection = None; recovered = None; rollback_denied = false;
-               checkpoints = 0; taint = None }
+               checkpoints = 0; taint = None; rejoined_at = None }
            ~identical:(fun () -> false)
            ~acceptable:(fun () -> true)));
     (* Figure 10: the static transformation itself. *)

@@ -176,6 +176,11 @@ let run_one name technique_name trials seed domains checkpoint taint
         (Faults.Classify.name outcome)
         (Faults.Campaign.percent summary outcome))
     Faults.Classify.all;
+  (match !stats with
+   | Some (rs : Faults.Campaign.run_stats) ->
+     Printf.printf "  rejoined golden run  : %d trials, %d steps skipped\n"
+       rs.rejoined rs.steps_skipped
+   | None -> ());
   (match journal with
    | Some path ->
      let manifest =

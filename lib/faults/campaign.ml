@@ -256,13 +256,20 @@ type worker_ctx = {
   wc_arena : Interp.Machine.arena;
 }
 
+(* Rejoin tallies of one campaign ({!run_stats}), bumped from any worker
+   domain.  Sums, so their final values do not depend on scheduling. *)
+type rejoins = { rj_trials : int Atomic.t; rj_steps : int Atomic.t }
+
+let rejoins () = { rj_trials = Atomic.make 0; rj_steps = Atomic.make 0 }
+
 (* The arena/fork trial runner: bit-identical to {!run_trial} by the
    determinism argument of DESIGN.md §12 — the snapshot restores exactly
-   the state a from-scratch run holds at the fork step, and the arena and
-   image reset are observation-free. *)
+   the state a from-scratch run holds at the fork step, the arena and
+   image reset are observation-free, and a trial that rejoins the golden
+   run returns exactly what its full run would have. *)
 let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
-    ~taint_trace ~(ctx : worker_ctx) ~snaps subject ~(golden : golden)
-    ~disabled ~hw_window ~seed =
+    ~taint_trace ~(ctx : worker_ctx) ~golden_fork ~rejoins subject
+    ~(golden : golden) ~disabled ~hw_window ~seed =
   let at_step, fault =
     match plan with
     | Some p -> p
@@ -270,8 +277,8 @@ let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
   in
   let state = ctx.wc_state in
   let resume =
-    match snaps with
-    | Some arr -> Interp.Fork.best arr ~at_step
+    match golden_fork with
+    | Some (snaps, _) -> Interp.Fork.best snaps ~at_step
     | None -> None
   in
   (* A resumed run restores memory from its snapshot; a from-scratch run
@@ -284,9 +291,15 @@ let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
       ~taint_trace ~golden
   in
   let result =
-    Interp.Machine.run_compiled ~config ~arena:ctx.wc_arena ?resume compiled
-      ~entry:subject.entry ~args:state.args ~mem:state.mem
+    Interp.Machine.run_compiled ~config ~arena:ctx.wc_arena ?resume
+      ?rejoin:golden_fork compiled ~entry:subject.entry ~args:state.args
+      ~mem:state.mem
   in
+  (match result.rejoined_at with
+   | Some step ->
+     Atomic.incr rejoins.rj_trials;
+     ignore (Atomic.fetch_and_add rejoins.rj_steps (result.steps - step))
+   | None -> ());
   finish_trial subject ~golden ~hw_window ~seed ~at_step ~state result
 
 (** All trial seeds, derived from the master RNG *before* any trial runs.
@@ -316,9 +329,10 @@ let derive_seeds ~seed ~trials =
 
 (* Golden-prefix snapshot capture (DESIGN.md §12): one extra fault-free
    pass records resumable snapshots every [stride] steps, so trials skip
-   their fault-free prefix.  Shared by the uniform and adaptive
-   schedulers.  Skipped when profiling — a profiled trial must observe
-   its whole execution, not just the post-fork suffix. *)
+   their fault-free prefix, plus the golden end state, so trials whose
+   state rejoins the golden run at a snapshot skip their suffix too.
+   Shared by the uniform and adaptive schedulers.  Skipped when profiling
+   — a profiled trial must observe its whole execution. *)
 let capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
     ~trials ~checkpoint_interval ~compiled subject ~(golden : golden) =
   if (not fork) || profile <> None || trials = 0 || golden.steps <= 1 then
@@ -349,7 +363,9 @@ let capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
       when r.Interp.Machine.steps = golden.steps
            && r.Interp.Machine.cycles = golden.cycles ->
       let snaps = Interp.Fork.finalize plan in
-      if Array.length snaps = 0 then None else Some snaps
+      (match plan.Interp.Fork.fp_final with
+       | Some final when Array.length snaps > 0 -> Some (snaps, final)
+       | Some _ | None -> None)
     | _ -> None)
 
 (* Per-domain trial contexts, created lazily on first use and keyed by
@@ -389,6 +405,8 @@ type run_stats = {
   wall_sec : float;      (** whole campaign, entry to exit *)
   domains : int;         (** worker domains the campaign was asked to use *)
   pool : Pool.stats option;  (** per-domain breakdown of the trial phase *)
+  rejoined : int;        (** trials that rejoined the golden run *)
+  steps_skipped : int;   (** golden-suffix steps those trials did not run *)
 }
 
 (** Run a whole campaign: one golden run plus [trials] injections.
@@ -440,11 +458,12 @@ let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
   List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
   let seeds = derive_seeds ~seed ~trials in
   let compiled = Interp.Compiled.cached subject.prog in
-  let fork_snaps =
+  let golden_fork =
     capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
       ~trials ~checkpoint_interval ~compiled subject ~golden
   in
   let get_ctx = ctx_table subject in
+  let rejoins = rejoins () in
   let t_trials = Unix.gettimeofday () in
   (* Each trial profiles into its own instance; the merge below runs in
      trial order on the calling domain, so the aggregate is deterministic
@@ -464,7 +483,7 @@ let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
         let t =
           if Array.length trial_profiles = 0 then
             run_trial_in ~fault_kind ~compiled ~checkpoint_interval
-              ~taint_trace ~ctx:(get_ctx ()) ~snaps:fork_snaps subject
+              ~taint_trace ~ctx:(get_ctx ()) ~golden_fork ~rejoins subject
               ~golden ~disabled ~hw_window ~seed:seeds.(i)
           else
             run_trial ~fault_kind ~compiled ~profile:trial_profiles.(i)
@@ -493,7 +512,9 @@ let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
       trials_sec = t_end -. t_trials;
       wall_sec = t_end -. t_start;
       domains = max 1 domains;
-      pool = !pool_stats }
+      pool = !pool_stats;
+      rejoined = Atomic.get rejoins.rj_trials;
+      steps_skipped = Atomic.get rejoins.rj_steps }
   in
   (match stats_out with Some r -> r := Some stats | None -> ());
   let counts =
@@ -737,12 +758,13 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
       ~window:(golden.steps - 1) cum
   in
   let nstrata = Array.length plan.sp_strata in
-  let fork_snaps =
+  let golden_fork =
     capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride
       ~profile:None ~trials:max_trials ~checkpoint_interval ~compiled
       subject ~golden
   in
   let get_ctx = ctx_table subject in
+  let rejoins = rejoins () in
   let progress =
     match progress_for with
     | Some f when nstrata > 0 -> Some (f ~nstrata ~total:max_trials)
@@ -817,7 +839,7 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
               run_trial_in ~plan:tp
                 ~fault_kind:Interp.Machine.Register_bit ~compiled
                 ~checkpoint_interval ~taint_trace ~ctx:(get_ctx ())
-                ~snaps:fork_snaps subject ~golden ~disabled ~hw_window
+                ~golden_fork ~rejoins subject ~golden ~disabled ~hw_window
                 ~seed:tseed
             in
             let t = { t with stratum = Some sid } in
@@ -930,7 +952,9 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
       trials_sec = t_end -. t_trials;
       wall_sec = t_end -. t_start;
       domains = max 1 domains;
-      pool = !pool_stats }
+      pool = !pool_stats;
+      rejoined = Atomic.get rejoins.rj_trials;
+      steps_skipped = Atomic.get rejoins.rj_steps }
   in
   (match stats_out with Some r -> r := Some stats | None -> ());
   let sum_counts =

@@ -127,6 +127,10 @@ type run_stats = {
   wall_sec : float;      (** whole campaign, entry to exit *)
   domains : int;         (** worker domains the campaign was asked to use *)
   pool : Pool.stats option;  (** per-domain breakdown of the trial phase *)
+  rejoined : int;        (** trials whose state rejoined the golden run at
+                             a fork snapshot and stopped there (DESIGN.md
+                             §12); deterministic at any [domains] *)
+  steps_skipped : int;   (** the golden-suffix steps those trials skipped *)
 }
 
 (** Run a whole campaign: one golden run plus [trials] injections, all

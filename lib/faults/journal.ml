@@ -137,7 +137,9 @@ let stats_json (rs : Campaign.run_stats) =
        ("setup_sec", Json.Float rs.setup_sec);
        ("trials_sec", Json.Float rs.trials_sec);
        ("wall_sec", Json.Float rs.wall_sec);
-       ("domains", Json.Int rs.domains) ]
+       ("domains", Json.Int rs.domains);
+       ("rejoined", Json.Int rs.rejoined);
+       ("steps_skipped", Json.Int rs.steps_skipped) ]
      @ opt_field "pool" pool_stats_json rs.pool)
 
 (* Final per-outcome statistics for the v4 manifest: count, estimate, and

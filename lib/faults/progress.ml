@@ -68,7 +68,15 @@ let create ?(interval = 0.5) ?(sinks = []) ?(strata = 0) ~total () =
     last_emit = 0.0 }
 
 let snapshot ?(final = false) t =
-  let done_ = Atomic.get t.completed in
+  (* [done] is the sum of the outcome counts read here, not [completed]:
+     {!note} bumps an outcome before [completed], so a snapshot taken
+     between the two would otherwise report counts summing to done + 1.
+     Each count only grows, so the sum stays monotone across snapshots
+     and never exceeds the notes made. *)
+  let counts = List.mapi (fun i o -> (o, Atomic.get t.counts.(i))) Classify.all in
+  let done_ = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
+  (* [completed] only locates the window-ring slots already stamped. *)
+  let completed = Atomic.get t.completed in
   let elapsed = Unix.gettimeofday () -. t.t0 in
   let rate = if elapsed > 0.0 then float_of_int done_ /. elapsed else 0.0 in
   (* Rate over the last [min done_ window_size] completions.  The all-time
@@ -82,10 +90,10 @@ let snapshot ?(final = false) t =
        very next write target, so an in-flight completion may be
        overwriting it while we read — the classic torn read right at the
        wrap boundary. *)
-    let retained = min done_ (window_size - 1) in
+    let retained = min completed (window_size - 1) in
     if retained < 2 then rate
     else begin
-      let oldest_us = t.window.((done_ - retained) mod window_size) in
+      let oldest_us = t.window.((completed - retained) mod window_size) in
       let span = elapsed -. (float_of_int oldest_us /. 1e6) in
       (* A torn slot or sub-µs span would yield an [inf] rate (and a
          non-finite JSONL heartbeat); fall back to the all-time rate on a
@@ -101,8 +109,7 @@ let snapshot ?(final = false) t =
   in
   { pg_done = done_;
     pg_total = t.total;
-    pg_counts =
-      List.mapi (fun i o -> (o, Atomic.get t.counts.(i))) Classify.all;
+    pg_counts = counts;
     pg_elapsed = elapsed;
     pg_rate = rate;
     pg_window_rate = window_rate;

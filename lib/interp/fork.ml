@@ -44,18 +44,33 @@ type snap = {
   fk_ckpt : ckpt option;    (** [Some] iff the capture run checkpointed *)
 }
 
+(** The golden run's end state: what a trial that rejoins the golden run
+    at a snapshot returns instead of executing the golden suffix
+    (DESIGN.md §12, "Rejoining the golden run"). *)
+type final = {
+  fe_steps : int;
+  fe_cycles : int;
+  fe_valchk_failures : int;
+  fe_failed_uids : int list;      (** sorted *)
+  fe_checkpoints : int;
+  fe_ret : Ir.Value.t option;     (** the entry function's return value *)
+  fe_mem : Memory.image;          (** the final memory *)
+}
+
 (** A capture in progress: {!Machine.run_compiled} appends a snapshot
     whenever the step counter crosses the next stride boundary (at a loop
     head — or, when checkpointing, exactly at a checkpoint event, so the
-    capture point is a consistent resume position either way). *)
+    capture point is a consistent resume position either way), and records
+    the end state when the run finishes. *)
 type plan = {
   fp_stride : int;
   mutable fp_snaps : snap list;   (** newest first during capture *)
+  mutable fp_final : final option;(** [Some] once the run has finished *)
 }
 
 let plan ~stride =
   if stride <= 0 then invalid_arg "Fork.plan: stride must be positive";
-  { fp_stride = stride; fp_snaps = [] }
+  { fp_stride = stride; fp_snaps = []; fp_final = None }
 
 (** Captured snapshots in ascending step order; a stride larger than the
     run's step count yields [[||]] (callers then fall back to

@@ -79,6 +79,9 @@ type result = {
   checkpoints : int;              (** checkpoints taken during the run *)
   taint : Taint.summary option;   (** propagation summary; [Some] iff the
                                       run was configured with [taint_trace] *)
+  rejoined_at : int option;       (** the step at which the run's state
+                                      matched a golden snapshot and the run
+                                      returned the golden end state *)
 }
 
 type valchk_mode =
@@ -237,6 +240,13 @@ type state = {
   fork : Fork.plan option;        (** golden-prefix capture plan, if any *)
   mutable next_fork : int;        (** step of the next fork capture;
                                       [max_int] when not capturing *)
+  rejoin_snaps : Fork.snap array; (** golden snapshots a faulted run may
+                                      rejoin at; [[||]] when rejoining is off *)
+  rejoin_final : Fork.final option;   (** the golden end state to return *)
+  mutable rejoin_idx : int;       (** no candidate before it is left *)
+  mutable next_rejoin : int;      (** step of the next rejoin check;
+                                      [max_int] when none is left *)
+  mutable rejoined_at : int option;
 }
 
 (** The modelled architectural register file holds the 16 most recently
@@ -862,6 +872,13 @@ let restore_frame st (fs : Snapshot.frame_snap) : frame =
   fr.prev_block <- fs.fs_prev_block;
   fr
 
+(* Regions unchanged since the newest snapshot (read-only inputs, mostly)
+   share that snapshot's arrays instead of being copied again. *)
+let capture_mem st (plan : Fork.plan) =
+  match plan.Fork.fp_snaps with
+  | newest :: _ -> Memory.capture ~like:newest.Fork.fk_mem st.mem
+  | [] -> Memory.capture st.mem
+
 (* Capture one golden-prefix fork snapshot ({!Fork}): the current loop
    head is a consistent resume position (same argument as checkpoints:
    the fast path retires whole blocks, so the head only ever sees block
@@ -877,7 +894,7 @@ let capture_fork st ~ckpt =
       { Fork.fk_step = st.steps;
         fk_cycles = st.cycles;
         fk_frames = List.map snap_frame st.stack;
-        fk_mem = Memory.capture st.mem;
+        fk_mem = capture_mem st plan;
         fk_valchk_failures = st.valchk_failures;
         fk_failed_uids =
           Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
@@ -987,8 +1004,103 @@ let try_recover st (d : detection) =
          st.next_checkpoint <- st.steps + st.config.checkpoint_interval;
          true)
 
+(* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
+
+(* Does the live frame stack equal a snapshot's?  Registers are compared
+   only where defined: every read is gated on the defined bit, so the
+   stale contents of an undefined register are never observed.  The
+   recent-register ring is not compared — only fault injection reads it,
+   and the fault has already landed. *)
+let frame_matches (fr : frame) (fs : Snapshot.frame_snap) =
+  fr.cfunc == fs.fs_cfunc
+  && fr.cblock.Compiled.cb_index = fs.fs_block
+  && fr.idx = fs.fs_idx
+  && fr.prev_block = fs.fs_prev_block
+  && Option.equal Int.equal fr.ret_dest fs.fs_ret_dest
+  && begin
+    let defined = fr.defined and values = fr.values in
+    let n = Array.length defined in
+    n = Array.length fs.fs_defined
+    && begin
+      let same = ref true and r = ref 0 in
+      while !same && !r < n do
+        let d = Array.unsafe_get defined !r in
+        if d <> Array.unsafe_get fs.fs_defined !r
+           || (d && not (Value.equal (Array.unsafe_get values !r)
+                           (Array.unsafe_get fs.fs_values !r)))
+        then same := false;
+        incr r
+      done;
+      !same
+    end
+  end
+
+let rec frames_match frames snaps =
+  match frames, snaps with
+  | [], [] -> true
+  | fr :: frames, fs :: snaps -> frame_matches fr fs && frames_match frames snaps
+  | [], _ :: _ | _ :: _, [] -> false
+
+(* The whole machine state against a golden snapshot taken at this very
+   step, cheapest comparisons first. *)
+let state_matches st (s : Fork.snap) =
+  st.cycles = s.Fork.fk_cycles
+  && st.slack_credit = s.Fork.fk_slack_credit
+  && st.valchk_failures = s.Fork.fk_valchk_failures
+  && Hashtbl.length st.failed_uids = List.length s.Fork.fk_failed_uids
+  && List.for_all (Hashtbl.mem st.failed_uids) s.Fork.fk_failed_uids
+  && (match s.Fork.fk_ckpt with
+      | None -> st.config.checkpoint_interval = 0
+      | Some ck ->
+        (* The checkpoint just taken at this loop head: the next one's
+           dirty-word count — hence its cost — starts from here in both
+           runs, so the history before this step no longer matters. *)
+        st.ckpt_count = ck.Fork.fc_count
+        && st.next_checkpoint = s.Fork.fk_step + st.config.checkpoint_interval)
+  && frames_match st.stack s.Fork.fk_frames
+  && Memory.equal_image st.mem s.Fork.fk_mem
+
+(** At a loop head at or past [next_rejoin]: if the run sits exactly on a
+    golden snapshot's step, its fault has landed, and its whole state
+    equals the snapshot's, the rest of the run would replay the golden
+    suffix instruction for instruction.  Skip it: install the golden end
+    state and report true.  Otherwise advance to the next candidate. *)
+let try_rejoin st =
+  let snaps = st.rejoin_snaps in
+  let n = Array.length snaps in
+  let i = ref st.rejoin_idx in
+  while !i < n && snaps.(!i).Fork.fk_step < st.steps do incr i done;
+  let here = !i < n && snaps.(!i).Fork.fk_step = st.steps in
+  (* The fault has landed and no rollback happened: a recovered run's
+     counters include the wasted segment, so it cannot be on the golden
+     path any more. *)
+  let eligible () =
+    Option.is_some st.injection && Option.is_none st.fault_pending
+    && Option.is_none st.branch_fault_armed
+    && Option.is_none st.recovered && not st.rollback_denied
+  in
+  match st.rejoin_final with
+  | Some fin when here && eligible () && state_matches st snaps.(!i) ->
+    Memory.restore_image st.mem fin.Fork.fe_mem;
+    st.rejoined_at <- Some st.steps;
+    st.steps <- fin.Fork.fe_steps;
+    st.cycles <- fin.Fork.fe_cycles;
+    st.valchk_failures <- fin.Fork.fe_valchk_failures;
+    Hashtbl.reset st.failed_uids;
+    List.iter (fun uid -> Hashtbl.replace st.failed_uids uid ())
+      fin.Fork.fe_failed_uids;
+    st.ckpt_count <- fin.Fork.fe_checkpoints;
+    true
+  | _ ->
+    let next = if here then !i + 1 else !i in
+    st.rejoin_idx <- next;
+    st.next_rejoin <-
+      (if next < n && Option.is_none st.recovered then snaps.(next).Fork.fk_step
+       else max_int);
+    false
+
 let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
-    compiled ~entry ~args ~mem =
+    ?rejoin compiled ~entry ~args ~mem =
   (* Phi scratch and the frame pool come from the arena when one is
      attached; a width change (different program) drops the pool. *)
   let nphi = max 1 compiled.Compiled.max_phis in
@@ -1009,6 +1121,24 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
        a.ar_width <- compiled.Compiled.next_reg
      end
    | None -> ());
+  (* Rejoining skips the golden suffix, so a run that observes its
+     execution (taint, profile, [on_def], ring occupancy) or captures
+     snapshots itself never rejoins.  The end state is only the right
+     answer if the suffix runs as it did in the capture run: every check
+     the golden fails must be ignored here too, and the fuel must not run
+     out before the golden end.  The first check waits for the fault. *)
+  let rejoin_snaps, rejoin_final, next_rejoin =
+    match rejoin, config.fault with
+    | Some (snaps, (fin : Fork.final)), Some p
+      when (not config.taint_trace) && Option.is_none config.profile
+           && Option.is_none config.on_def && Option.is_none config.obs
+           && Option.is_none fork_capture && fin.Fork.fe_steps < config.fuel
+           && (config.mode = Record
+               || List.for_all (Hashtbl.mem config.disabled_checks)
+                    fin.Fork.fe_failed_uids) ->
+      (snaps, Some fin, p.at_step)
+    | _ -> ([||], None, max_int)
+  in
   let st =
     { compiled; imms = compiled.Compiled.imms; on_def = config.on_def;
       profile = config.profile;
@@ -1035,21 +1165,36 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
       next_fork =
         (match fork_capture with
          | Some p -> p.Fork.fp_stride
-         | None -> max_int) }
+         | None -> max_int);
+      rejoin_snaps; rejoin_final; rejoin_idx = 0; next_rejoin;
+      rejoined_at = None }
   in
   let finish stop =
     (* Frames still on the stack feed the next trial's allocations. *)
     List.iter (recycle_frame st) st.stack;
     st.stack <- [];
+    let failed_check_uids =
+      Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
+      |> List.sort compare
+    in
+    (match st.fork, stop with
+     | Some plan, Finished ret ->
+       plan.Fork.fp_final <-
+         Some
+           { Fork.fe_steps = st.steps; fe_cycles = st.cycles;
+             fe_valchk_failures = st.valchk_failures;
+             fe_failed_uids = failed_check_uids;
+             fe_checkpoints = st.ckpt_count; fe_ret = ret;
+             fe_mem = capture_mem st plan }
+     | _ -> ());
     { stop; steps = st.steps; cycles = st.cycles;
       valchk_failures = st.valchk_failures;
-      failed_check_uids =
-        Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
-        |> List.sort compare;
+      failed_check_uids;
       injection = st.injection;
       recovered = st.recovered; rollback_denied = st.rollback_denied;
       checkpoints = st.ckpt_count;
-      taint = Option.map (fun tr -> Taint.summarize tr ~end_step:st.steps) st.trace }
+      taint = Option.map (fun tr -> Taint.summarize tr ~end_step:st.steps) st.trace;
+      rejoined_at = st.rejoined_at }
   in
   let exec_loop () =
     let result = ref None in
@@ -1063,7 +1208,12 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
          is [max_int] outside capture runs, so trials pay one compare. *)
       if st.steps >= st.next_fork && config.checkpoint_interval = 0 then
         capture_fork st ~ckpt:None;
-      if st.steps >= config.fuel then result := Some Out_of_fuel
+      (* Rejoin candidates sit where the golden captured its snapshots:
+         here, after any checkpoint this loop head took.  [next_rejoin] is
+         [max_int] when rejoining is off. *)
+      if st.steps >= st.next_rejoin && try_rejoin st then
+        result := Some (Finished (Option.get st.rejoin_final).Fork.fe_ret)
+      else if st.steps >= config.fuel then result := Some Out_of_fuel
       else begin
         match st.stack with
         | [] -> assert false

@@ -73,6 +73,11 @@ type result = {
   checkpoints : int;            (** checkpoints taken during the run *)
   taint : Taint.summary option; (** propagation summary; [Some] iff the run
                                     was configured with [taint_trace] *)
+  rejoined_at : int option;     (** [Some s]: at step [s] the run's state
+                                    equalled a golden snapshot's, and the
+                                    run returned the golden end state
+                                    instead of executing the rest (see
+                                    [rejoin] in {!run_compiled}) *)
 }
 
 type valchk_mode =
@@ -186,7 +191,8 @@ val arena : unit -> arena
     [fork_capture] (golden runs only) appends a resumable {!Fork.snap} to
     the plan every time the step counter crosses a stride boundary — at a
     loop head, or exactly at a checkpoint event when [checkpoint_interval]
-    is on.  Capture is observation-free for the capturing run itself.
+    is on, and records the run's end state in [fp_final] when it
+    finishes.  Capture is observation-free for the capturing run itself.
 
     [resume] starts the run from a previously captured fork snapshot
     instead of the program entry: memory, frames, and the step/cycle/check
@@ -196,12 +202,27 @@ val arena : unit -> arena
     after the snapshot's step; violations raise [Invalid_argument]).
     [args] and [entry] are ignored on resume.  Runs that profile or hook
     [on_def] observe only the post-fork suffix, so campaigns fall back to
-    from-scratch execution for profiled trials. *)
+    from-scratch execution for profiled trials.
+
+    [rejoin] (faulted runs only) takes the snapshots and end state of a
+    capture run ({!Fork.finalize}, [fp_final]) with the same program
+    and [checkpoint_interval].  At a loop head on a snapshot's step, once
+    the fault has landed and if no rollback happened, the run compares
+    its whole state with the snapshot: counters, check bookkeeping,
+    checkpoint schedule, frames and memory.  On a match the remaining
+    run would replay the golden suffix, so it stops there: memory gets the
+    golden final image, the counters the golden end values, and the stop
+    is [Finished] with the golden return value; [rejoined_at] records the
+    step.  Every other field of the result, and the final memory, are
+    exactly those of the full run.  Runs with [taint_trace], [profile],
+    [on_def] or [obs], capture runs, and runs whose fuel or disabled
+    checks would make the golden suffix behave differently never rejoin. *)
 val run_compiled :
   ?config:config ->
   ?arena:arena ->
   ?fork_capture:Fork.plan ->
   ?resume:Fork.snap ->
+  ?rejoin:Fork.snap array * Fork.final ->
   Compiled.t ->
   entry:string ->
   args:Ir.Value.t list ->

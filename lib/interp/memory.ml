@@ -192,9 +192,38 @@ type image = {
   im_next_base : int;
 }
 
-let capture t =
+let cells_equal a b =
+  Array.length a = Array.length b
+  && begin
+    let same = ref true and j = ref 0 in
+    while !same && !j < Array.length a do
+      (* Values are immutable, so a shared cell (an interned small
+         integer, an untouched input) needs no bit comparison. *)
+      let x = Array.unsafe_get a !j and y = Array.unsafe_get b !j in
+      if not (x == y || Value.equal x y) then same := false;
+      incr j
+    done;
+    !same
+  end
+
+let region_equal a b =
+  a.base = b.base && a.size = b.size && cells_equal a.cells b.cells
+
+(** [like]: an earlier image of the same memory.  A region still equal to
+    that image's region at the same index shares it instead of being
+    copied — images are immutable, so the sharing is unobservable — which
+    keeps regions a run only reads out of the copy. *)
+let capture ?like t =
   { im_regions =
-      Array.map (fun r -> { r with cells = Array.copy r.cells }) t.regions;
+      Array.mapi
+        (fun i r ->
+          match like with
+          | Some im
+            when i < Array.length im.im_regions
+                 && region_equal im.im_regions.(i) r ->
+            im.im_regions.(i)
+          | Some _ | None -> { r with cells = Array.copy r.cells })
+        t.regions;
     im_next_base = t.next_base }
 
 (** Overwrite [t]'s entire contents with [im], reusing [t]'s existing cell
@@ -223,6 +252,13 @@ let restore_image t (im : image) =
   t.undo_on <- false;
   t.undo_len <- 0;
   t.undo_off <- 0
+
+(** Does [t] hold exactly [im]: the same region layout, allocation cursor
+    and cell bits?  Stops at the first difference. *)
+let equal_image t (im : image) =
+  t.next_base = im.im_next_base
+  && Array.length t.regions = Array.length im.im_regions
+  && Array.for_all2 region_equal t.regions im.im_regions
 
 (** Words an image pins (diagnostics / capture budgeting). *)
 let image_words (im : image) =

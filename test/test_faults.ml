@@ -43,7 +43,8 @@ let mk_result stop ~steps ~inj_step : Interp.Machine.result =
       Some { Interp.Machine.inj_step; inj_kind = Interp.Machine.Register_bit;
              inj_reg = 0; inj_bit = 3;
              before = Value.of_int 0; after = Value.of_int 8 };
-    recovered = None; rollback_denied = false; checkpoints = 0; taint = None }
+    recovered = None; rollback_denied = false; checkpoints = 0; taint = None;
+    rejoined_at = None }
 
 let classify ?(identical = false) ?(acceptable = false) result =
   Faults.Classify.classify ~hw_window:1000 ~result
@@ -502,6 +503,74 @@ let test_fork_parallel_identical () =
   Alcotest.(check bool) "trial lists bit-identical" true
     (Faults.Campaign.trials_equal t1 t4)
 
+(* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
+
+let campaign_stats ?(domains = 1) ?(fork = true) ?(checkpoint_interval = 0)
+    ?(fault_kind = Interp.Machine.Register_bit) ?(taint_trace = false)
+    ?profile subject ~trials =
+  let stats = ref None in
+  let summary, results =
+    Faults.Campaign.run subject ~trials ~seed:0xC0FFEE ~domains ~fork
+      ~checkpoint_interval ~fault_kind ~taint_trace ?profile ~stats_out:stats
+  in
+  (summary, results, Option.get !stats)
+
+let dupval name =
+  Softft.subject
+    (Softft.protect (Workloads.Registry.find name) Softft.Dup_valchk)
+    ~role:Workloads.Workload.Test
+
+let test_rejoin_campaign_identical () =
+  (* Campaigns whose trials rejoin (forking on, 1 and 2 domains) match
+     the from-scratch campaign trial for trial, and their rejoin tallies
+     do not depend on the worker count. *)
+  let rejoined = ref 0 in
+  List.iter
+    (fun name ->
+      let subject = dupval name in
+      List.iter
+        (fun (checkpoint_interval, fault_kind) ->
+          let run domains fork =
+            campaign_stats ~domains ~fork ~checkpoint_interval ~fault_kind
+              subject ~trials:8
+          in
+          let _, reference, _ = run 1 false in
+          let _, t1, s1 = run 1 true in
+          let _, t2, s2 = run 2 true in
+          Alcotest.(check bool) (name ^ ": 1 domain bit-identical") true
+            (Faults.Campaign.trials_equal reference t1);
+          Alcotest.(check bool) (name ^ ": 2 domains bit-identical") true
+            (Faults.Campaign.trials_equal reference t2);
+          Alcotest.(check (pair int int))
+            (name ^ ": tallies independent of domains")
+            (s1.rejoined, s1.steps_skipped) (s2.rejoined, s2.steps_skipped);
+          rejoined := !rejoined + s1.rejoined)
+        [ (0, Interp.Machine.Register_bit); (1000, Interp.Machine.Register_bit);
+          (0, Interp.Machine.Branch_target);
+          (1000, Interp.Machine.Branch_target) ])
+    [ "kmeans"; "jpegdec"; "tiff2bw"; "g721enc" ];
+  Alcotest.(check bool) "some trials rejoined" true (!rejoined > 0)
+
+let test_rejoin_guard () =
+  (* Guards the speed-up against being switched off silently: on kmeans
+     under Dup + val chks most Masked trials end by rejoining. *)
+  let summary, _, stats = campaign_stats (dupval "kmeans") ~trials:120 in
+  let masked = Faults.Campaign.count summary Faults.Classify.Masked in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d Masked trials rejoined" stats.rejoined masked)
+    true
+    (stats.rejoined * 2 >= masked && stats.rejoined <= masked);
+  Alcotest.(check bool) "skipped steps counted" true (stats.steps_skipped > 0)
+
+let test_rejoin_never_when_observing () =
+  let subject = dupval "kmeans" in
+  let _, _, traced = campaign_stats ~taint_trace:true subject ~trials:30 in
+  let _, _, profiled =
+    campaign_stats ~profile:(Interp.Profile.create ()) subject ~trials:30
+  in
+  Alcotest.(check int) "taint-traced campaign" 0 traced.rejoined;
+  Alcotest.(check int) "profiled campaign" 0 profiled.rejoined
+
 (* ----- Adaptive stratified campaigns (DESIGN.md §14) ----- *)
 
 (* The stratification inputs for a protected subject, from the static
@@ -660,6 +729,12 @@ let tests =
       test_fork_stride_beyond_run_degrades;
     Alcotest.test_case "fork: parallel identical" `Quick
       test_fork_parallel_identical;
+    Alcotest.test_case "rejoin: campaigns identical at 1 and 2 domains" `Quick
+      test_rejoin_campaign_identical;
+    Alcotest.test_case "rejoin: most masked kmeans trials rejoin" `Quick
+      test_rejoin_guard;
+    Alcotest.test_case "rejoin: never in observing campaigns" `Quick
+      test_rejoin_never_when_observing;
     Alcotest.test_case "adaptive: deterministic across reruns and domains"
       `Quick test_adaptive_deterministic;
     Alcotest.test_case "adaptive: masses and tallies account for everything"

@@ -209,6 +209,248 @@ let test_cost_model_sanity () =
   Alcotest.(check bool) "table II is non-empty" true
     (List.length (Interp.Cost.describe ()) > 5)
 
+(* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
+
+(* The golden run of a subject and its capture pass at the campaign's
+   stride: the snapshots and end state a campaign hands every trial. *)
+let golden_fork (subject : Faults.Campaign.subject) ~checkpoint_interval =
+  let golden = Faults.Campaign.golden_run ~checkpoint_interval subject in
+  let plan = Interp.Fork.plan ~stride:(max 1 (golden.steps / 32)) in
+  let st = subject.fresh_state () in
+  let config =
+    { Interp.Machine.default_config with
+      mode = Interp.Machine.Record; checkpoint_interval }
+  in
+  ignore
+    (Interp.Machine.run_compiled ~config ~fork_capture:plan
+       (Interp.Compiled.cached subject.prog)
+       ~entry:subject.entry ~args:st.args ~mem:st.mem);
+  match plan.Interp.Fork.fp_final with
+  | Some final -> (golden, Interp.Fork.finalize plan, final)
+  | None -> Alcotest.fail (subject.label ^ ": capture run did not finish")
+
+(* One faulted run resumed from its fork snapshot, with or without the
+   rejoin argument.  The fault is drawn from [seed] as a campaign trial's
+   is, afresh for every run (its generator is consumed by the flip). *)
+let faulted_run ?(taint_trace = false) ?profile (subject : Faults.Campaign.subject)
+    (golden : Faults.Campaign.golden) ~snaps ~rejoin ~checkpoint_interval
+    ~kind ~seed =
+  let rng = Rng.create seed in
+  let at_step = 1 + Rng.int rng (max 1 (golden.steps - 1)) in
+  let disabled = Hashtbl.create 8 in
+  List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
+  let config =
+    { Interp.Machine.default_config with
+      fuel = (golden.steps * 8) + 10_000;
+      mode = Interp.Machine.Detect;
+      fault =
+        Some { Interp.Machine.at_step; fault_rng = Rng.split rng; kind;
+               restrict = None };
+      disabled_checks = disabled; checkpoint_interval; taint_trace; profile }
+  in
+  let st = subject.fresh_state () in
+  let r =
+    Interp.Machine.run_compiled ~config ~arena:(Interp.Machine.arena ())
+      ?resume:(Interp.Fork.best snaps ~at_step) ?rejoin
+      (Interp.Compiled.cached subject.prog)
+      ~entry:subject.entry ~args:st.args ~mem:st.mem
+  in
+  (r, st)
+
+(* Every result field but [rejoined_at], bit-exact: values by their
+   register bits (a flipped float may be NaN). *)
+let results_equal (a : Interp.Machine.result) (b : Interp.Machine.result) =
+  let inj_equal (x : Interp.Machine.injection) (y : Interp.Machine.injection) =
+    x.inj_step = y.inj_step && x.inj_kind = y.inj_kind && x.inj_reg = y.inj_reg
+    && x.inj_bit = y.inj_bit && Value.equal x.before y.before
+    && Value.equal x.after y.after
+  in
+  (match a.stop, b.stop with
+   | Interp.Machine.Finished x, Interp.Machine.Finished y ->
+     Option.equal Value.equal x y
+   | x, y -> x = y)
+  && a.steps = b.steps && a.cycles = b.cycles
+  && a.valchk_failures = b.valchk_failures
+  && a.failed_check_uids = b.failed_check_uids
+  && Option.equal inj_equal a.injection b.injection
+  && a.recovered = b.recovered && a.rollback_denied = b.rollback_denied
+  && a.checkpoints = b.checkpoints && a.taint = b.taint
+
+let rejoin_workloads = [ "kmeans"; "jpegdec"; "tiff2bw"; "g721enc" ]
+
+let test_rejoin_identical () =
+  (* A rejoined run must leave exactly what the full run leaves: every
+     result field and the final memory, bit for bit.  Trials run through
+     the worker pool at 1 and 2 domains (snapshots and end state are
+     shared read-only); every check happens on the main domain. *)
+  let rejoined = ref 0 in
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.find name in
+      List.iter
+        (fun technique ->
+          let subject =
+            Softft.subject (Softft.protect w technique)
+              ~role:Workloads.Workload.Test
+          in
+          List.iter
+            (fun checkpoint_interval ->
+              let golden, snaps, final =
+                golden_fork subject ~checkpoint_interval
+              in
+              List.iter
+                (fun (kind, kind_name) ->
+                  List.iter
+                    (fun domains ->
+                      let pairs =
+                        Faults.Pool.map ~domains
+                          (fun i ->
+                            let run rejoin =
+                              faulted_run subject golden ~snaps ~rejoin
+                                ~checkpoint_interval ~kind ~seed:(500 + i)
+                            in
+                            (run (Some (snaps, final)), run None))
+                          6
+                      in
+                      Array.iteri
+                        (fun i ((a, (sa : Faults.Campaign.run_state)),
+                                (b, (sb : Faults.Campaign.run_state))) ->
+                          let tag =
+                            Printf.sprintf "%s/%s/k=%d/%s/d=%d/#%d" name
+                              (Softft.technique_name technique)
+                              checkpoint_interval kind_name domains i
+                          in
+                          Alcotest.(check bool) (tag ^ ": result") true
+                            (results_equal a b);
+                          Alcotest.(check bool) (tag ^ ": final memory") true
+                            (Interp.Memory.equal_image sa.mem
+                               (Interp.Memory.capture sb.mem));
+                          Alcotest.(check bool) (tag ^ ": full run rejoins nothing")
+                            true (b.rejoined_at = None);
+                          match a.rejoined_at with
+                          | None -> ()
+                          | Some _ ->
+                            incr rejoined;
+                            (* A rejoined trial returned the golden
+                               output and never rolled back: Masked. *)
+                            let output =
+                              match a.stop with
+                              | Interp.Machine.Finished ret -> sa.read_output ret
+                              | _ -> [||]
+                            in
+                            Alcotest.(check bool) (tag ^ ": no recovery") true
+                              (a.recovered = None);
+                            Alcotest.(check string) (tag ^ ": Masked") "Masked"
+                              (Faults.Classify.name
+                                 (Faults.Classify.classify
+                                    ~hw_window:Faults.Classify.default_hw_window
+                                    ~result:a
+                                    ~identical:(fun () ->
+                                      Fidelity.Metric.identical
+                                        ~reference:golden.output output)
+                                    ~acceptable:(fun () ->
+                                      Fidelity.Metric.acceptable subject.metric
+                                        ~reference:golden.output output))))
+                        pairs)
+                    [ 1; 2 ])
+                [ (Interp.Machine.Register_bit, "reg");
+                  (Interp.Machine.Branch_target, "branch") ])
+            [ 0; 1000 ])
+        Softft.all_techniques)
+    rejoin_workloads;
+  Alcotest.(check bool)
+    (Printf.sprintf "some runs rejoined (%d)" !rejoined)
+    true (!rejoined > 0)
+
+let test_rejoin_needs_equal_state () =
+  (* Each compared part of the state on its own blocks a rejoin: the same
+     trials that rejoin against the true snapshots never rejoin against
+     snapshots altered in just that part. *)
+  let subject =
+    Softft.subject
+      (Softft.protect (Workloads.Registry.find "kmeans") Softft.Dup_valchk)
+      ~role:Workloads.Workload.Test
+  in
+  let checkpoint_interval = 1000 in
+  let golden, snaps, final = golden_fork subject ~checkpoint_interval in
+  (* Runs resume from the true snapshots and compare with [targets]. *)
+  let rejoins targets =
+    let n = ref 0 in
+    for seed = 1 to 20 do
+      let r, _ =
+        faulted_run subject golden ~snaps ~rejoin:(Some (targets, final))
+          ~checkpoint_interval ~kind:Interp.Machine.Register_bit ~seed
+      in
+      if r.rejoined_at <> None then incr n
+    done;
+    !n
+  in
+  Alcotest.(check bool) "true snapshots are rejoined" true (rejoins snaps > 0);
+  let alter name f =
+    Alcotest.(check int) (name ^ " blocks every rejoin") 0
+      (rejoins (Array.map f snaps))
+  in
+  alter "cycles" (fun s -> { s with Interp.Fork.fk_cycles = s.fk_cycles + 1 });
+  alter "slack credit" (fun s ->
+    { s with Interp.Fork.fk_slack_credit = s.fk_slack_credit + 1 });
+  alter "check failure count" (fun s ->
+    { s with Interp.Fork.fk_valchk_failures = s.fk_valchk_failures + 1 });
+  alter "failed check uids" (fun s ->
+    { s with Interp.Fork.fk_failed_uids = -1 :: s.fk_failed_uids });
+  alter "checkpoint count" (fun s ->
+    { s with
+      Interp.Fork.fk_ckpt =
+        Option.map
+          (fun (c : Interp.Fork.ckpt) -> { c with fc_count = c.fc_count + 1 })
+          s.fk_ckpt });
+  alter "a register" (fun s ->
+    match s.Interp.Fork.fk_frames with
+    | [] -> s
+    | fs :: rest ->
+      let values = Array.copy fs.Interp.Snapshot.fs_values in
+      Array.iteri
+        (fun r d ->
+          if d then values.(r) <- Value.flip_bit values.(r) 0)
+        fs.fs_defined;
+      { s with fk_frames = { fs with fs_values = values } :: rest });
+  alter "a memory cell" (fun s ->
+    let im = s.Interp.Fork.fk_mem in
+    let regions =
+      Array.map
+        (fun (r : Interp.Memory.region) -> { r with cells = Array.copy r.cells })
+        im.Interp.Memory.im_regions
+    in
+    let r = regions.(Array.length regions - 1) in
+    r.cells.(0) <- Value.flip_bit r.cells.(0) 0;
+    { s with fk_mem = { im with im_regions = regions } })
+
+let test_rejoin_never_when_observing () =
+  (* Taint-traced and profiled runs observe their whole execution, so
+     they must run it: the same trials rejoin without the observer. *)
+  let subject =
+    Softft.subject
+      (Softft.protect (Workloads.Registry.find "kmeans") Softft.Dup_valchk)
+      ~role:Workloads.Workload.Test
+  in
+  let golden, snaps, final = golden_fork subject ~checkpoint_interval:0 in
+  let count ?taint_trace ?profile () =
+    let n = ref 0 in
+    for seed = 1 to 20 do
+      let r, _ =
+        faulted_run ?taint_trace ?profile subject golden ~snaps
+          ~rejoin:(Some (snaps, final)) ~checkpoint_interval:0
+          ~kind:Interp.Machine.Register_bit ~seed
+      in
+      if r.rejoined_at <> None then incr n
+    done;
+    !n
+  in
+  Alcotest.(check bool) "plain runs rejoin" true (count () > 0);
+  Alcotest.(check int) "taint-traced runs never rejoin" 0
+    (count ~taint_trace:true ());
+  Alcotest.(check int) "profiled runs never rejoin" 0
+    (count ~profile:(Interp.Profile.create ()) ())
+
 let tests =
   [ Alcotest.test_case "memory: roundtrip" `Quick test_memory_roundtrip;
     Alcotest.test_case "memory: bounds" `Quick test_memory_bounds;
@@ -231,4 +473,10 @@ let tests =
       test_injection_can_corrupt_result;
     Alcotest.test_case "inject: absent without plan" `Quick test_no_fault_no_injection;
     Alcotest.test_case "cost: model sanity" `Quick test_cost_model_sanity;
+    Alcotest.test_case "rejoin: identical result and memory" `Quick
+      test_rejoin_identical;
+    Alcotest.test_case "rejoin: needs every compared part equal" `Quick
+      test_rejoin_needs_equal_state;
+    Alcotest.test_case "rejoin: never when observing" `Quick
+      test_rejoin_never_when_observing;
   ]
