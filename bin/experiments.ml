@@ -130,90 +130,6 @@ let crossval_cmd =
     (Cmd.info "crossval" ~doc)
     Term.(const run_crossval $ trials_arg $ seed_arg $ domains_arg $ quiet_arg)
 
-let run_one name technique_name trials seed domains checkpoint taint
-    progress progress_jsonl journal timeline profile_flag quiet log_json =
-  let log = logger_of quiet log_json in
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
-  let p = Softft.protect w technique in
-  let golden =
-    Softft.golden p ~checkpoint_interval:checkpoint
-      ~role:Workloads.Workload.Test
-  in
-  Printf.printf "%s / %s\n" w.name (Softft.technique_name technique);
-  Printf.printf "  static instrs (orig) : %d\n" p.static_stats.original_instrs;
-  Printf.printf "  state variables      : %d\n" p.static_stats.state_vars;
-  Printf.printf "  duplicated instrs    : %d\n" p.static_stats.duplicated_instrs;
-  Printf.printf "  value checks         : %d\n" p.static_stats.value_checks;
-  Printf.printf "  golden steps/cycles  : %d / %d\n" golden.steps golden.cycles;
-  Printf.printf "  false positives      : %d\n" golden.false_positives;
-  let profile =
-    if profile_flag then Some (Interp.Profile.create ()) else None
-  in
-  let stats = ref None in
-  let progress_oc = Option.map open_out progress_jsonl in
-  let sinks =
-    (if progress then [ Faults.Progress.stderr_sink () ] else [])
-    @ (match progress_oc with
-       | Some oc -> [ Faults.Progress.jsonl_sink oc ]
-       | None -> [])
-  in
-  let pg =
-    match sinks with
-    | [] -> None
-    | _ :: _ -> Some (Faults.Progress.create ~sinks ~total:trials ())
-  in
-  let trace = Option.map (fun _ -> Obs.Trace.recorder ()) timeline in
-  let summary, results =
-    Softft.campaign p ~role:Workloads.Workload.Test ~trials ~seed ~domains
-      ~checkpoint_interval:checkpoint ~taint_trace:taint ?profile
-      ~stats_out:stats ?progress:pg ?trace
-  in
-  (match progress_oc with Some oc -> close_out oc | None -> ());
-  List.iter
-    (fun outcome ->
-      Printf.printf "  %-13s : %5.1f%%\n"
-        (Faults.Classify.name outcome)
-        (Faults.Campaign.percent summary outcome))
-    Faults.Classify.all;
-  (match !stats with
-   | Some (rs : Faults.Campaign.run_stats) ->
-     Printf.printf "  rejoined golden run  : %d trials, %d steps skipped\n"
-       rs.rejoined rs.steps_skipped
-   | None -> ());
-  (match journal with
-   | Some path ->
-     let manifest =
-       Faults.Journal.manifest_record
-         ~technique:(Softft.technique_name technique)
-         ?stats:!stats ~counts:summary.Faults.Campaign.counts
-         ~label:(Printf.sprintf "%s/%s/test" w.name
-                   (Softft.technique_name technique))
-         ~trials ~seed ~domains ~checkpoint_interval:checkpoint
-         ~taint_trace:taint ~hw_window:Faults.Classify.default_hw_window
-         ~fault_kind:"register_bit"
-         ~golden:summary.Faults.Campaign.golden_info ()
-     in
-     Faults.Journal.write ?trace ~path ~manifest ~trials:results ();
-     Obs.Log.info log
-       ~fields:
-         [ ("path", Obs.Json.Str path);
-           ("trials", Obs.Json.Int (List.length results)) ]
-       "journal written"
-   | None -> ());
-  (match timeline, trace with
-   | Some path, Some r ->
-     Obs.Trace.write_chrome r ~path;
-     Obs.Log.info log
-       ~fields:
-         [ ("path", Obs.Json.Str path);
-           ("spans", Obs.Json.Int (List.length (Obs.Trace.durs r))) ]
-       "timeline written"
-   | _, _ -> ());
-  match profile with
-  | Some prof -> Softft.Experiments.print_profile prof
-  | None -> ()
-
 let name_arg =
   let doc = "Benchmark name (see `table1')." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc)
@@ -279,25 +195,20 @@ let timeline_arg =
     value & opt (some string) None
     & info [ "trace-timeline" ] ~docv:"FILE" ~doc)
 
-let one_cmd =
-  let doc = "Protect one benchmark and run a campaign against it." in
-  Cmd.v
-    (Cmd.info "one" ~doc)
-    Term.(
-      const run_one $ name_arg $ technique_arg $ trials_arg $ seed_arg
-      $ domains_arg $ checkpoint_arg $ taint_arg $ progress_arg
-      $ progress_jsonl_arg $ journal_arg $ timeline_arg $ profile_arg
-      $ quiet_arg $ log_json_arg)
-
-(* `campaign` generalizes `one`: the uniform path is the same
-   [Softft.campaign] call (trials and journals are bit-identical to
-   `one`'s at any --domains), and --adaptive switches to the stratified
-   scheduler of DESIGN.md §14 — static-coverage × ring-residency strata,
-   Neyman allocation, per-stratum early stopping, mass-reweighted
-   whole-program rates. *)
+(* `campaign` runs a uniform campaign ([Softft.campaign]) by default, and
+   --adaptive switches to the stratified scheduler of DESIGN.md §14 —
+   static-coverage × ring-residency strata, Neyman allocation,
+   per-stratum early stopping, mass-reweighted whole-program rates.  Both
+   print the static stats and the golden run the campaign itself made. *)
 let run_campaign name technique_name adaptive ci trials max_trials bands
-    seed domains checkpoint progress progress_jsonl journal warehouse
-    timeline quiet log_json =
+    seed domains checkpoint taint progress progress_jsonl journal warehouse
+    timeline profile_flag quiet log_json =
+  if adaptive && profile_flag then begin
+    prerr_endline
+      "experiments campaign: --profile applies to uniform campaigns, not \
+       --adaptive";
+    exit Cmd.Exit.cli_error
+  end;
   let log = logger_of quiet log_json in
   let w = Workloads.Registry.find name in
   let technique = technique_of_string technique_name in
@@ -307,6 +218,13 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
     (if adaptive then
        Printf.sprintf "  (adaptive, target SDC half-width %.4f)" ci
      else "");
+  Printf.printf "  static instrs (orig) : %d\n" p.static_stats.original_instrs;
+  Printf.printf "  state variables      : %d\n" p.static_stats.state_vars;
+  Printf.printf "  duplicated instrs    : %d\n" p.static_stats.duplicated_instrs;
+  Printf.printf "  value checks         : %d\n" p.static_stats.value_checks;
+  let profile =
+    if profile_flag then Some (Interp.Profile.create ()) else None
+  in
   let stats = ref None in
   let progress_oc = Option.map open_out progress_jsonl in
   let sinks =
@@ -316,28 +234,26 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
        | None -> [])
   in
   let trace = Option.map (fun _ -> Obs.Trace.recorder ()) timeline in
-  (* The warehouse sink rebuilds the same manifest the --journal block
-     writes — the run key hashes it, so a run filed as it finishes and the
-     same journal ingested later land on the same key. *)
-  let file_in dir ?adaptive (summary : Faults.Campaign.summary) results
-      run_stats =
-    let manifest =
-      Faults.Journal.manifest_record
-        ~technique:(Softft.technique_name technique)
-        ?stats:run_stats ~counts:summary.Faults.Campaign.counts ?adaptive
-        ~label:(Printf.sprintf "%s/%s/test" w.name
-                  (Softft.technique_name technique))
-        ~trials:summary.Faults.Campaign.trials ~seed ~domains
-        ~checkpoint_interval:checkpoint
-        ~hw_window:Faults.Classify.default_hw_window
-        ~fault_kind:"register_bit"
-        ~golden:summary.Faults.Campaign.golden_info ()
-    in
+  (* The journal and the warehouse sink share one manifest — the run key
+     hashes it, so a run filed as it finishes and the same journal
+     ingested later land on the same key. *)
+  let manifest ?adaptive run_stats (summary : Faults.Campaign.summary) =
+    Faults.Journal.manifest_record
+      ~technique:(Softft.technique_name technique)
+      ?stats:run_stats ~counts:summary.counts ?adaptive
+      ~label:(Printf.sprintf "%s/%s/test" w.name
+                (Softft.technique_name technique))
+      ~trials:summary.trials ~seed ~domains ~checkpoint_interval:checkpoint
+      ~taint_trace:taint ~hw_window:Faults.Classify.default_hw_window
+      ~fault_kind:"register_bit" ~golden:summary.golden_info ()
+  in
+  let file_in dir ?adaptive summary results run_stats =
     let verdict, (entry : Warehouse.Store.entry) =
       match
         Warehouse.Store.file_run
           ~prog_digest:(Warehouse.Store.prog_digest p.Softft.prog) ~dir
-          ~manifest ~trials:results ()
+          ~manifest:(manifest ?adaptive run_stats summary)
+          ~trials:results ()
       with
       | `Ingested e -> ("filed", e)
       | `Duplicate e -> ("already filed (duplicate)", e)
@@ -357,7 +273,8 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
       in
       let summary, results =
         Softft.campaign p ~role:Workloads.Workload.Test ~trials ~seed
-          ~domains ~checkpoint_interval:checkpoint ~stats_out:stats
+          ~domains ~checkpoint_interval:checkpoint ~taint_trace:taint
+          ?profile ~stats_out:stats
           ?warehouse:
             (Option.map
                (fun dir summary results run_stats ->
@@ -382,7 +299,7 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
       in
       let summary, results, ad =
         Faults.Campaign.run_adaptive ~seed ~domains
-          ~checkpoint_interval:checkpoint ~stats_out:stats
+          ~checkpoint_interval:checkpoint ~taint_trace:taint ~stats_out:stats
           ?warehouse:
             (Option.map
                (fun dir summary results run_stats ad ->
@@ -395,12 +312,20 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
     end
   in
   (match progress_oc with Some oc -> close_out oc | None -> ());
+  let golden = summary.golden_info in
+  Printf.printf "  golden steps/cycles  : %d / %d\n" golden.steps golden.cycles;
+  Printf.printf "  false positives      : %d\n" golden.false_positives;
   List.iter
     (fun outcome ->
       Printf.printf "  %-13s : %5.1f%%\n"
         (Faults.Classify.name outcome)
         (Faults.Campaign.percent summary outcome))
     Faults.Classify.all;
+  (match !stats with
+   | Some (rs : Faults.Campaign.run_stats) ->
+     Printf.printf "  rejoined golden run  : %d trials, %d steps skipped\n"
+       rs.rejoined rs.steps_skipped
+   | None -> ());
   (match adaptive_out with
    | Some (ad : Faults.Campaign.adaptive) ->
      Printf.printf "  strata               : %d (+ empty-ring mass %.4f)\n"
@@ -432,35 +357,27 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
    | None -> ());
   (match journal with
    | Some path ->
-     let manifest =
-       Faults.Journal.manifest_record
-         ~technique:(Softft.technique_name technique)
-         ?stats:!stats ~counts:summary.Faults.Campaign.counts
-         ?adaptive:adaptive_out
-         ~label:(Printf.sprintf "%s/%s/test" w.name
-                   (Softft.technique_name technique))
-         ~trials:summary.Faults.Campaign.trials ~seed ~domains
-         ~checkpoint_interval:checkpoint
-         ~hw_window:Faults.Classify.default_hw_window
-         ~fault_kind:"register_bit"
-         ~golden:summary.Faults.Campaign.golden_info ()
-     in
-     Faults.Journal.write ?trace ~path ~manifest ~trials:results ();
+     Faults.Journal.write ?trace ~path
+       ~manifest:(manifest ?adaptive:adaptive_out !stats summary)
+       ~trials:results ();
      Obs.Log.info log
        ~fields:
          [ ("path", Obs.Json.Str path);
            ("trials", Obs.Json.Int (List.length results)) ]
        "journal written"
    | None -> ());
-  match timeline, trace with
-  | Some path, Some r ->
-    Obs.Trace.write_chrome r ~path;
-    Obs.Log.info log
-      ~fields:
-        [ ("path", Obs.Json.Str path);
-          ("spans", Obs.Json.Int (List.length (Obs.Trace.durs r))) ]
-      "timeline written"
-  | _, _ -> ()
+  (match timeline, trace with
+   | Some path, Some r ->
+     Obs.Trace.write_chrome r ~path;
+     Obs.Log.info log
+       ~fields:
+         [ ("path", Obs.Json.Str path);
+           ("spans", Obs.Json.Int (List.length (Obs.Trace.durs r))) ]
+       "timeline written"
+   | _, _ -> ());
+  match profile with
+  | Some prof -> Softft.Experiments.print_profile prof
+  | None -> ()
 
 let adaptive_arg =
   let doc =
@@ -505,8 +422,9 @@ let campaign_cmd =
     Term.(
       const run_campaign $ name_arg $ technique_arg $ adaptive_arg $ ci_arg
       $ trials_arg $ max_trials_arg $ bands_arg $ seed_arg $ domains_arg
-      $ checkpoint_arg $ progress_arg $ progress_jsonl_arg $ journal_arg
-      $ warehouse_sink_arg $ timeline_arg $ quiet_arg $ log_json_arg)
+      $ checkpoint_arg $ taint_arg $ progress_arg $ progress_jsonl_arg
+      $ journal_arg $ warehouse_sink_arg $ timeline_arg $ profile_arg
+      $ quiet_arg $ log_json_arg)
 
 let run_coverage name technique_name dynamic csv regs_csv journal =
   let w = Workloads.Registry.find name in
@@ -568,8 +486,8 @@ let regs_csv_arg =
 let coverage_journal_arg =
   let doc =
     "Validate the static prediction against a trial journal (produced by \
-     `one --journal' for the same benchmark and technique): buckets every \
-     injected trial by the protection status of the register it hit."
+     `campaign --journal' for the same benchmark and technique): buckets \
+     every injected trial by the protection status of the register it hit."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
@@ -950,7 +868,7 @@ let run_report path strata csv =
 
 let journal_path_arg =
   let doc =
-    "Trial journal produced by `one --journal', or a directory of such \
+    "Trial journal produced by `campaign --journal', or a directory of such \
      journals (reported one section per distinct run, grouped by \
      warehouse run key — never merged)."
   in
@@ -1593,7 +1511,10 @@ let run_trace_fault name technique_name seed trial_index =
         Interp.Taint.event_limit
 
 let trial_index_arg =
-  let doc = "Campaign trial index to replay (same seed discipline as `one')." in
+  let doc =
+    "Campaign trial index to replay (same seed discipline as a uniform \
+     `campaign')."
+  in
   Arg.(value & opt int 0 & info [ "trial"; "i" ] ~docv:"INDEX" ~doc)
 
 let trace_fault_cmd =
@@ -1614,7 +1535,7 @@ let main_cmd =
   in
   Cmd.group
     (Cmd.info "experiments" ~version:"1.0.0" ~doc)
-    [ all_cmd; crossval_cmd; one_cmd; campaign_cmd; coverage_cmd;
+    [ all_cmd; crossval_cmd; campaign_cmd; coverage_cmd;
       optimize_cmd; lint_cmd;
       report_cmd; bench_diff_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
       regress_cmd; heatmap_cmd; table1_cmd; dump_cmd; trace_cmd;

@@ -430,12 +430,6 @@ let validate ?(seed = 42) ?domains ?(ci = 0.03) ?max_trials
     (fun (pt : point) ->
       let p = Api.protect_plan ~lint:true w pt.op_plan in
       let ck = pt.op_plan.Plan.checkpoint in
-      let g = Api.golden ~checkpoint_interval:ck p ~role in
-      let measured_overhead =
-        (float_of_int g.Faults.Campaign.cycles
-        /. float_of_int baseline.Faults.Campaign.cycles)
-        -. 1.0
-      in
       let cov = Analysis.Coverage.analyze p.Api.prog in
       let groups = Analysis.Strata.reg_groups p.Api.prog cov in
       let priors = Analysis.Strata.priors cov in
@@ -451,6 +445,14 @@ let validate ?(seed = 42) ?domains ?(ci = 0.03) ?max_trials
         Faults.Campaign.run_adaptive ~seed ?domains ~checkpoint_interval:ck
           ~stats_out ?max_trials ~groups
           ~group_names:Analysis.Strata.group_names ~priors ~ci subj
+      in
+      (* The campaign's golden run is the plan's fault-free run at its
+         checkpoint interval — the cycles the overhead is measured on. *)
+      let g = summary.Faults.Campaign.golden_info in
+      let measured_overhead =
+        (float_of_int g.Faults.Campaign.cycles
+        /. float_of_int baseline.Faults.Campaign.cycles)
+        -. 1.0
       in
       let v =
         { vl_point = pt;

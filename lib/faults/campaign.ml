@@ -266,15 +266,11 @@ let rejoins () = { rj_trials = Atomic.make 0; rj_steps = Atomic.make 0 }
    determinism argument of DESIGN.md §12 — the snapshot restores exactly
    the state a from-scratch run holds at the fork step, the arena and
    image reset are observation-free, and a trial that rejoins the golden
-   run returns exactly what its full run would have. *)
-let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
-    ~taint_trace ~(ctx : worker_ctx) ~golden_fork ~rejoins subject
-    ~(golden : golden) ~disabled ~hw_window ~seed =
-  let at_step, fault =
-    match plan with
-    | Some p -> p
-    | None -> trial_plan ~fault_kind ~golden ~seed
-  in
+   run returns exactly what its full run would have.  A profiled campaign
+   captures no snapshots, so its trials all run from the pristine image. *)
+let run_trial_in ?profile ~plan:(at_step, fault) ~compiled
+    ~checkpoint_interval ~taint_trace ~(ctx : worker_ctx) ~golden_fork
+    ~rejoins subject ~(golden : golden) ~disabled ~hw_window ~seed =
   let state = ctx.wc_state in
   let resume =
     match golden_fork with
@@ -287,8 +283,8 @@ let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
    | Some _ -> ()
    | None -> Interp.Memory.restore_image state.mem ctx.wc_image0);
   let config =
-    trial_config ~fault ~disabled ~profile:None ~checkpoint_interval
-      ~taint_trace ~golden
+    trial_config ~fault ~disabled ~profile ~checkpoint_interval ~taint_trace
+      ~golden
   in
   let result =
     Interp.Machine.run_compiled ~config ~arena:ctx.wc_arena ?resume
@@ -330,11 +326,11 @@ let derive_seeds ~seed ~trials =
 (* Golden-prefix snapshot capture (DESIGN.md §12): one extra fault-free
    pass records resumable snapshots every [stride] steps, so trials skip
    their fault-free prefix, plus the golden end state, so trials whose
-   state rejoins the golden run at a snapshot skip their suffix too.
-   Shared by the uniform and adaptive schedulers.  Skipped when profiling
-   — a profiled trial must observe its whole execution. *)
-let capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
-    ~trials ~checkpoint_interval ~compiled subject ~(golden : golden) =
+   state rejoins the golden run at a snapshot skip their suffix too.  The
+   default stride aims for 32 snapshots.  Skipped when profiling — a
+   profiled trial must observe its whole execution. *)
+let capture_fork_snaps ?trace ~fork ~fork_stride ~profile ~trials
+    ~checkpoint_interval ~compiled subject ~(golden : golden) =
   if (not fork) || profile <> None || trials = 0 || golden.steps <= 1 then
     None
   else
@@ -342,7 +338,7 @@ let capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
     let stride =
       match fork_stride with
       | Some s -> max 1 s
-      | None -> max 1 (golden.steps / max 1 fork_snapshots)
+      | None -> max 1 (golden.steps / 32)
     in
     let plan = Interp.Fork.plan ~stride in
     let state = subject.fresh_state () in
@@ -409,9 +405,110 @@ type run_stats = {
   steps_skipped : int;   (** golden-suffix steps those trials did not run *)
 }
 
+(* The one campaign engine behind {!run} and {!run_adaptive}: the golden
+   run, check disabling, fork capture, the per-domain trial contexts, the
+   traced parallel batch runner and the epilogue (hooks, stats, summary,
+   warehouse filing).  A front-end supplies only how trials are drawn.
+   [draw ~golden ~compiled] does its own set-up and returns the progress
+   heartbeat and the trial loop; the loop runs batches through
+   [batch n spec], where [spec i] is trial [i]'s (seed, fault plan,
+   stratum) — evaluated on the worker — and returns every trial in order
+   plus the front-end's extra result, which [warehouse] also receives.
+   [budget] bounds the campaign's trials (0 skips the fork capture). *)
+let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
+    ~fork ~fork_stride ~profile ~budget ~on_trial ~stats_out ~warehouse
+    subject ~draw =
+  let t_start = Unix.gettimeofday () in
+  (* The golden also runs with checkpointing so its cycle count carries the
+     fault-free overhead of the recovery configuration; its output and step
+     count (the fault window) are interval-independent. *)
+  let golden =
+    Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
+      golden_run ~checkpoint_interval subject)
+  in
+  let t_golden = Unix.gettimeofday () in
+  let disabled = Hashtbl.create 8 in
+  List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
+  let compiled = Interp.Compiled.cached subject.prog in
+  let progress, loop = draw ~golden ~compiled in
+  let golden_fork =
+    capture_fork_snaps ?trace ~fork ~fork_stride ~profile ~trials:budget
+      ~checkpoint_interval ~compiled subject ~golden
+  in
+  let get_ctx = ctx_table subject in
+  let rejoins = rejoins () in
+  let pool_stats = ref None in
+  (* Each profiled trial profiles into its own instance; the merge after
+     the batch runs in trial order on the calling domain, so the aggregate
+     is deterministic and the hot path shares nothing across workers. *)
+  let batch n spec =
+    let profiles =
+      match profile with
+      | None -> [||]
+      | Some _ -> Array.init n (fun _ -> Interp.Profile.create ())
+    in
+    let results =
+      Obs.Trace.with_dur trace ~cat:"campaign" "trials"
+        ~args:[ ("trials", Obs.Json.Int n) ]
+      @@ fun () ->
+      Pool.map ~domains ~gc:Pool.campaign_gc_tuning ~stats:pool_stats ?trace
+        (fun i ->
+          let seed, plan, stratum = spec i in
+          let profile =
+            if Array.length profiles = 0 then None else Some profiles.(i)
+          in
+          let t =
+            run_trial_in ?profile ~plan ~compiled ~checkpoint_interval
+              ~taint_trace ~ctx:(get_ctx ()) ~golden_fork ~rejoins subject
+              ~golden ~disabled ~hw_window ~seed
+          in
+          (match progress with
+           | Some pg -> Progress.note ?stratum pg t.outcome
+           | None -> ());
+          match stratum with None -> t | Some _ -> { t with stratum })
+        n
+    in
+    Option.iter
+      (fun dst -> Array.iter (Interp.Profile.merge_into ~dst) profiles)
+      profile;
+    results
+  in
+  let t_trials = Unix.gettimeofday () in
+  let results, extra = loop batch in
+  (match progress with Some pg -> Progress.finish pg | None -> ());
+  let t_end = Unix.gettimeofday () in
+  (match on_trial with
+   | Some emit -> List.iteri emit results
+   | None -> ());
+  let stats =
+    { golden_sec = t_golden -. t_start;
+      setup_sec = t_trials -. t_golden;
+      trials_sec = t_end -. t_trials;
+      wall_sec = t_end -. t_start;
+      domains = max 1 domains;
+      pool = !pool_stats;
+      rejoined = Atomic.get rejoins.rj_trials;
+      steps_skipped = Atomic.get rejoins.rj_steps }
+  in
+  (match stats_out with Some r -> r := Some stats | None -> ());
+  let counts =
+    List.map
+      (fun o ->
+        (o, List.length (List.filter (fun t -> t.outcome = o) results)))
+      Classify.all
+  in
+  let summary =
+    { subject_label = subject.label; trials = List.length results; counts;
+      golden_info = golden }
+  in
+  (match warehouse with
+   | Some file -> file summary results (Some stats) extra
+   | None -> ());
+  (summary, results, extra)
+
 (** Run a whole campaign: one golden run plus [trials] injections.
     [fault_kind] selects the paper's register bit flips (default) or
-    branch-target corruptions (the Â§IV-C complementary fault class).
+    branch-target corruptions (the §IV-C complementary fault class).
     [domains] fans the trials out over OCaml 5 domains ({!Pool}); results
     are bit-identical to the serial run for any worker count because every
     trial's seed is pre-derived by {!derive_seeds} and each trial executes
@@ -443,92 +540,21 @@ type run_stats = {
 let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
     ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
     ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
-    ?(fork_snapshots = 32) ?fork_stride ?profile ?on_trial ?stats_out
-    ?warehouse ?progress ?trace subject ~trials =
-  let t_start = Unix.gettimeofday () in
-  (* The golden also runs with checkpointing so its cycle count carries the
-     fault-free overhead of the recovery configuration; its output and step
-     count (the fault window) are interval-independent. *)
-  let golden =
-    Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_run ~checkpoint_interval subject)
-  in
-  let t_golden = Unix.gettimeofday () in
-  let disabled = Hashtbl.create 8 in
-  List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
-  let seeds = derive_seeds ~seed ~trials in
-  let compiled = Interp.Compiled.cached subject.prog in
-  let golden_fork =
-    capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
-      ~trials ~checkpoint_interval ~compiled subject ~golden
-  in
-  let get_ctx = ctx_table subject in
-  let rejoins = rejoins () in
-  let t_trials = Unix.gettimeofday () in
-  (* Each trial profiles into its own instance; the merge below runs in
-     trial order on the calling domain, so the aggregate is deterministic
-     and the hot path shares nothing across workers. *)
-  let trial_profiles =
-    match profile with
-    | None -> [||]
-    | Some _ -> Array.init trials (fun _ -> Interp.Profile.create ())
-  in
-  let pool_stats = ref None in
-  let results =
-    Obs.Trace.with_dur trace ~cat:"campaign" "trials"
-      ~args:[ ("trials", Obs.Json.Int trials) ]
-    @@ fun () ->
-    Pool.map ~domains ~gc:Pool.campaign_gc_tuning ~stats:pool_stats ?trace
-      (fun i ->
-        let t =
-          if Array.length trial_profiles = 0 then
-            run_trial_in ~fault_kind ~compiled ~checkpoint_interval
-              ~taint_trace ~ctx:(get_ctx ()) ~golden_fork ~rejoins subject
-              ~golden ~disabled ~hw_window ~seed:seeds.(i)
-          else
-            run_trial ~fault_kind ~compiled ~profile:trial_profiles.(i)
-              ~checkpoint_interval ~taint_trace subject ~golden ~disabled
-              ~hw_window ~seed:seeds.(i)
+    ?fork_stride ?profile ?on_trial ?stats_out ?warehouse ?progress ?trace
+    subject ~trials =
+  let summary, results, () =
+    engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
+      ~fork ~fork_stride ~profile ~budget:trials ~on_trial ~stats_out
+      ~warehouse:(Option.map (fun file s r st () -> file s r st) warehouse)
+      subject
+      ~draw:(fun ~golden ~compiled:_ ->
+        let seeds = derive_seeds ~seed ~trials in
+        let spec i =
+          let seed = seeds.(i) in
+          (seed, trial_plan ~fault_kind ~golden ~seed, None)
         in
-        (match progress with
-         | Some pg -> Progress.note pg t.outcome
-         | None -> ());
-        t)
-      trials
-    |> Array.to_list
+        (progress, fun batch -> (Array.to_list (batch trials spec), ())))
   in
-  (match progress with Some pg -> Progress.finish pg | None -> ());
-  let t_end = Unix.gettimeofday () in
-  (match profile with
-   | Some dst ->
-     Array.iter (fun p -> Interp.Profile.merge_into ~dst p) trial_profiles
-   | None -> ());
-  (match on_trial with
-   | Some emit -> List.iteri emit results
-   | None -> ());
-  let stats =
-    { golden_sec = t_golden -. t_start;
-      setup_sec = t_trials -. t_golden;
-      trials_sec = t_end -. t_trials;
-      wall_sec = t_end -. t_start;
-      domains = max 1 domains;
-      pool = !pool_stats;
-      rejoined = Atomic.get rejoins.rj_trials;
-      steps_skipped = Atomic.get rejoins.rj_steps }
-  in
-  (match stats_out with Some r -> r := Some stats | None -> ());
-  let counts =
-    List.map
-      (fun o ->
-        (o, List.length (List.filter (fun t -> t.outcome = o) results)))
-      Classify.all
-  in
-  let summary =
-    { subject_label = subject.label; trials; counts; golden_info = golden }
-  in
-  (match warehouse with
-   | Some file -> file summary results (Some stats)
-   | None -> ());
   (summary, results)
 
 (* ------------------------------------------------------------------ *)
@@ -718,59 +744,12 @@ let shift_interval (iv : Obs.Stats.interval) extra =
     ci_low = Float.min 1.0 (iv.ci_low +. extra);
     ci_high = Float.min 1.0 (iv.ci_high +. extra) }
 
-(** Adaptive stratified campaign (DESIGN.md §14): Neyman-style
-    variance-proportional allocation over protection-group × residency-band
-    strata, with per-stratum early stopping on the Wilson interval of the
-    SDC rate.  Stops when the mass-reweighted whole-program SDC interval's
-    half width reaches [ci] (or the [max_trials] budget runs out).
-    Deterministic in ([seed], subject, groups): per-stratum seed streams
-    are split from the master up front and allocation depends only on
-    deterministic counts — never on worker scheduling, so any [~domains]
-    produces bit-identical trials.
-
-    [groups] maps program register codes to protection groups (from
-    [Analysis.Strata], but any partition works), [group_names] labels
-    them, [priors] seeds each group's variance estimate with a static
-    SDC-proneness guess before any trial has run. *)
-let run_adaptive ?(hw_window = Classify.default_hw_window)
-    ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
-    ?(taint_trace = false) ?(fork = true) ?(fork_snapshots = 32)
-    ?fork_stride ?on_trial ?stats_out ?warehouse ?progress_for ?trace
-    ?(bands = 3) ?(max_trials = 100_000) ?(round0 = 32) ~groups
-    ~group_names ~priors ~ci subject =
-  let t_start = Unix.gettimeofday () in
-  let ci = Float.max 1e-4 ci in
-  let golden =
-    Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_run ~checkpoint_interval subject)
-  in
-  let t_golden = Unix.gettimeofday () in
-  let disabled = Hashtbl.create 8 in
-  List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
-  let compiled = Interp.Compiled.cached subject.prog in
-  let ngroups = max 1 (Array.length group_names) in
-  let cum =
-    measure_ring_masses ?trace ~checkpoint_interval ~compiled ~ngroups
-      ~groups subject ~golden
-  in
-  let plan =
-    build_strata ~groups ~group_names ~priors ~bands
-      ~window:(golden.steps - 1) cum
-  in
+(* The adaptive trial loop over the engine's [batch] runner: a 32-trial
+   pilot per stratum, then Neyman rounds until the reweighted SDC
+   interval reaches [ci] or the budget runs out.  Returns every trial in
+   order and the {!adaptive} record. *)
+let stratified_rounds plan ~seed ~ci ~max_trials batch =
   let nstrata = Array.length plan.sp_strata in
-  let golden_fork =
-    capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride
-      ~profile:None ~trials:max_trials ~checkpoint_interval ~compiled
-      subject ~golden
-  in
-  let get_ctx = ctx_table subject in
-  let rejoins = rejoins () in
-  let progress =
-    match progress_for with
-    | Some f when nstrata > 0 -> Some (f ~nstrata ~total:max_trials)
-    | Some _ | None -> None
-  in
-  let t_trials = Unix.gettimeofday () in
   (* Per-stratum deterministic seed streams, split from the master in
      ascending stratum order (an explicit loop: [Array.init]'s evaluation
      order is unspecified).  Seeds are deduped across *all* strata with
@@ -820,38 +799,32 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
   let stratum_half i =
     half (Obs.Stats.wilson ~k:(sdc_k i) ~n:ns.(i) ())
   in
-  let pool_stats = ref None in
   let rev_trials = ref [] in
-  let run_batch batch =
-    let n = Array.length batch in
+  (* Allocation → batch: the batch is drawn serially (stratum ascending,
+     then per-stratum draw order), so the seed sequence — and with it
+     every trial — is a pure function of the allocation counts. *)
+  let run_round alloc =
+    let n = Array.fold_left ( + ) 0 alloc in
     if n > 0 then begin
+      let draws = Array.make n (0, 0) in
+      let j = ref 0 in
+      Array.iteri
+        (fun sid a ->
+          for _ = 1 to a do
+            draws.(!j) <- (sid, next_seed sid);
+            incr j
+          done)
+        alloc;
       let results =
-        Obs.Trace.with_dur trace ~cat:"campaign" "trials"
-          ~args:[ ("trials", Obs.Json.Int n) ]
-        @@ fun () ->
-        Pool.map ~domains ~gc:Pool.campaign_gc_tuning ~stats:pool_stats
-          ?trace
-          (fun i ->
-            let sid, tseed = batch.(i) in
-            let s = plan.sp_strata.(sid) in
-            let tp = adaptive_trial_plan plan s ~seed:tseed in
-            let t =
-              run_trial_in ~plan:tp
-                ~fault_kind:Interp.Machine.Register_bit ~compiled
-                ~checkpoint_interval ~taint_trace ~ctx:(get_ctx ())
-                ~golden_fork ~rejoins subject ~golden ~disabled ~hw_window
-                ~seed:tseed
-            in
-            let t = { t with stratum = Some sid } in
-            (match progress with
-             | Some pg -> Progress.note ~stratum:sid pg t.outcome
-             | None -> ());
-            t)
-          n
+        batch n (fun i ->
+          let sid, seed = draws.(i) in
+          ( seed,
+            adaptive_trial_plan plan plan.sp_strata.(sid) ~seed,
+            Some sid ))
       in
       Array.iteri
         (fun i t ->
-          let sid, _ = batch.(i) in
+          let sid, _ = draws.(i) in
           counts.(sid).(outcome_index t.outcome)
           <- counts.(sid).(outcome_index t.outcome) + 1;
           ns.(sid) <- ns.(sid) + 1;
@@ -860,22 +833,6 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
         results
     end
   in
-  (* Allocation → batch: the batch array is built serially (stratum
-     ascending, then per-stratum draw order), so the seed sequence — and
-     with it every trial — is a pure function of the allocation counts. *)
-  let batch_of alloc =
-    let n = Array.fold_left ( + ) 0 alloc in
-    let batch = Array.make (max 1 n) (0, 0) in
-    let j = ref 0 in
-    Array.iteri
-      (fun sid a ->
-        for _ = 1 to a do
-          batch.(!j) <- (sid, next_seed sid);
-          incr j
-        done)
-      alloc;
-    if n = 0 then [||] else batch
-  in
   if nstrata > 0 && max_trials > 0 then begin
     (* Round 0: a fixed pilot per stratum (ascending order, capped by the
        budget) to seed the variance estimates with real observations. *)
@@ -883,11 +840,11 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
     let remaining = ref max_trials in
     Array.iteri
       (fun sid _ ->
-        let a = min round0 !remaining in
+        let a = min 32 !remaining in
         alloc0.(sid) <- a;
         remaining := !remaining - a)
       plan.sp_strata;
-    run_batch (batch_of alloc0);
+    run_round alloc0;
     let continue = ref true in
     while !continue do
       let combined = sdc_interval () in
@@ -936,36 +893,10 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
             active
         end;
         if Array.fold_left ( + ) 0 alloc = 0 then continue := false
-        else run_batch (batch_of alloc)
+        else run_round alloc
       end
     done
   end;
-  (match progress with Some pg -> Progress.finish pg | None -> ());
-  let t_end = Unix.gettimeofday () in
-  let results = List.rev !rev_trials in
-  (match on_trial with
-   | Some emit -> List.iteri emit results
-   | None -> ());
-  let stats =
-    { golden_sec = t_golden -. t_start;
-      setup_sec = t_trials -. t_golden;
-      trials_sec = t_end -. t_trials;
-      wall_sec = t_end -. t_start;
-      domains = max 1 domains;
-      pool = !pool_stats;
-      rejoined = Atomic.get rejoins.rj_trials;
-      steps_skipped = Atomic.get rejoins.rj_steps }
-  in
-  (match stats_out with Some r -> r := Some stats | None -> ());
-  let sum_counts =
-    List.map
-      (fun o ->
-        let j = outcome_index o in
-        let k = ref 0 in
-        for i = 0 to nstrata - 1 do k := !k + counts.(i).(j) done;
-        (o, !k))
-      Classify.all
-  in
   let stratum_stats =
     Array.map
       (fun (s : stratum) ->
@@ -1009,14 +940,47 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
         Obs.Stats.equivalent_uniform_trials ~p:sdc.ci_estimate
           ~half_width:achieved_half () }
   in
-  let summary =
-    { subject_label = subject.label; trials = !total; counts = sum_counts;
-      golden_info = golden }
-  in
-  (match warehouse with
-   | Some file -> file summary results (Some stats) adaptive
-   | None -> ());
-  (summary, results, adaptive)
+  (List.rev !rev_trials, adaptive)
+
+(** Adaptive stratified campaign (DESIGN.md §14): Neyman-style
+    variance-proportional allocation over protection-group × residency-band
+    strata, with per-stratum early stopping on the Wilson interval of the
+    SDC rate.  Stops when the mass-reweighted whole-program SDC interval's
+    half width reaches [ci] (or the [max_trials] budget runs out).
+    Deterministic in ([seed], subject, groups): per-stratum seed streams
+    are split from the master up front and allocation depends only on
+    deterministic counts — never on worker scheduling, so any [~domains]
+    produces bit-identical trials.
+
+    [groups] maps program register codes to protection groups (from
+    [Analysis.Strata], but any partition works), [group_names] labels
+    them, [priors] seeds each group's variance estimate with a static
+    SDC-proneness guess before any trial has run. *)
+let run_adaptive ?(hw_window = Classify.default_hw_window)
+    ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
+    ?(taint_trace = false) ?(fork = true) ?fork_stride ?on_trial ?stats_out
+    ?warehouse ?progress_for ?trace ?(bands = 3) ?(max_trials = 100_000)
+    ~groups ~group_names ~priors ~ci subject =
+  let ci = Float.max 1e-4 ci in
+  engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace ~fork
+    ~fork_stride ~profile:None ~budget:max_trials ~on_trial ~stats_out
+    ~warehouse subject
+    ~draw:(fun ~golden ~compiled ->
+      let cum =
+        measure_ring_masses ?trace ~checkpoint_interval ~compiled
+          ~ngroups:(max 1 (Array.length group_names)) ~groups subject ~golden
+      in
+      let plan =
+        build_strata ~groups ~group_names ~priors ~bands
+          ~window:(golden.steps - 1) cum
+      in
+      let nstrata = Array.length plan.sp_strata in
+      let progress =
+        match progress_for with
+        | Some f when nstrata > 0 -> Some (f ~nstrata ~total:max_trials)
+        | Some _ | None -> None
+      in
+      (progress, stratified_rounds plan ~seed ~ci ~max_trials))
 
 (** Mean of per-subject percentages, the paper's cross-benchmark average. *)
 let mean_percent summaries outcomes =

@@ -91,10 +91,13 @@ val percent : summary -> Classify.outcome -> float
 
 val percent_many : summary -> Classify.outcome list -> float
 
-(** One fault-injection trial; exposed for custom drivers (the bench
-    harness and the image-pipeline example).  [compiled] lets a driver
-    lower the subject program once and reuse it across trials; when
-    omitted the per-program compile cache is consulted. *)
+(** One fault-injection trial, run from scratch: the reference that
+    {!run}'s forked trials are bit-identical to.  With the seed
+    [derive_seeds ~seed ~trials].(i) it reproduces trial [i] of a uniform
+    campaign (what [experiments trace-fault --trial] replays); also used
+    by the bench harness and the image-pipeline example.  [compiled] lets
+    a driver lower the subject program once and reuse it across trials;
+    when omitted the per-program compile cache is consulted. *)
 val run_trial :
   ?fault_kind:Interp.Machine.fault_kind ->
   ?compiled:Interp.Compiled.t ->
@@ -172,9 +175,8 @@ type run_stats = {
     newest snapshot strictly before its injection step instead of
     re-executing the fault-free prefix.  Trials are bit-identical with
     forking on or off — outcomes, steps, cycles, everything a {!trial}
-    records.  [fork_snapshots] (default 32) sets how many snapshots the
-    capture pass aims for (stride = golden steps / [fork_snapshots]);
-    [fork_stride] overrides the stride directly.  A stride larger than the
+    records.  The capture pass aims for 32 snapshots (stride = golden
+    steps / 32); [fork_stride] overrides the stride.  A stride larger than the
     golden run captures nothing and the campaign degrades to from-scratch
     trials; likewise when the capture pass fails to replay the golden run
     exactly, or when [profile] is set (a profiled trial must observe its
@@ -187,7 +189,6 @@ val run :
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
   ?fork:bool ->
-  ?fork_snapshots:int ->
   ?fork_stride:int ->
   ?profile:Interp.Profile.t ->
   ?on_trial:(int -> trial -> unit) ->
@@ -300,8 +301,8 @@ type adaptive = {
     [groups] maps program register codes to protection groups (from
     [Analysis.Strata], but any partition works); [group_names] labels
     them; [priors] gives each group's static SDC-proneness guess.
-    [bands] (default 3) residency bands per group; [round0] (default 32)
-    pilot trials per stratum.  [progress_for] builds the heartbeat once
+    [bands] (default 3) residency bands per group; each stratum gets a
+    32-trial pilot before the Neyman rounds.  [progress_for] builds the heartbeat once
     the stratum count is known (create it with [~strata:nstrata] to get
     per-stratum counters); other hooks are as in {!run}, all
     observation-only — the [warehouse] filing sink additionally receives
@@ -313,7 +314,6 @@ val run_adaptive :
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
   ?fork:bool ->
-  ?fork_snapshots:int ->
   ?fork_stride:int ->
   ?on_trial:(int -> trial -> unit) ->
   ?stats_out:run_stats option ref ->
@@ -322,7 +322,6 @@ val run_adaptive :
   ?trace:Obs.Trace.recorder ->
   ?bands:int ->
   ?max_trials:int ->
-  ?round0:int ->
   groups:int array ->
   group_names:string array ->
   priors:float array ->

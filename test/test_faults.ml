@@ -571,6 +571,83 @@ let test_rejoin_never_when_observing () =
   Alcotest.(check int) "taint-traced campaign" 0 traced.rejoined;
   Alcotest.(check int) "profiled campaign" 0 profiled.rejoined
 
+(* ----- run_trial, the from-scratch reference ----- *)
+
+let test_run_trial_reference () =
+  (* [run_trial] is what `trace-fault --trial I` replays: with the
+     campaign's seed I it must reproduce trial I, however the campaign
+     ran it (forked, rejoined, on any worker count).  A profiled
+     campaign's trials match too, and its merged profile is the sum of
+     the per-trial profiles. *)
+  let trials = 30 and seed = 0xC0FFEE in
+  let seeds = Faults.Campaign.derive_seeds ~seed ~trials in
+  List.iter
+    (fun name ->
+      let subject = dupval name in
+      List.iter
+        (fun checkpoint_interval ->
+          let golden =
+            Faults.Campaign.golden_run ~checkpoint_interval subject
+          in
+          let disabled = Hashtbl.create 8 in
+          List.iter
+            (fun uid -> Hashtbl.replace disabled uid ())
+            golden.failing_checks;
+          let summed = Interp.Profile.create () in
+          let reference =
+            List.map
+              (fun seed ->
+                let profile = Interp.Profile.create () in
+                let t =
+                  Faults.Campaign.run_trial ~profile ~checkpoint_interval
+                    subject ~golden ~disabled
+                    ~hw_window:Faults.Classify.default_hw_window ~seed
+                in
+                Interp.Profile.merge_into ~dst:summed profile;
+                t)
+              (Array.to_list seeds)
+          in
+          List.iter
+            (fun domains ->
+              let what =
+                Printf.sprintf "%s ck=%d domains=%d" name checkpoint_interval
+                  domains
+              in
+              let _, plain, _ =
+                campaign_stats ~domains ~checkpoint_interval subject ~trials
+              in
+              List.iteri
+                (fun i (r, t) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: trial %d" what i)
+                    true
+                    (Faults.Campaign.trial_equal r t))
+                (List.combine reference plain);
+              let merged = Interp.Profile.create () in
+              let _, profiled, _ =
+                campaign_stats ~domains ~checkpoint_interval ~profile:merged
+                  subject ~trials
+              in
+              Alcotest.(check bool)
+                (what ^ ": profiled trials identical")
+                true
+                (Faults.Campaign.trials_equal plain profiled);
+              Alcotest.(check int)
+                (what ^ ": total_instrs")
+                (Interp.Profile.total_instrs summed)
+                (Interp.Profile.total_instrs merged);
+              Alcotest.(check (list (pair string int)))
+                (what ^ ": opcode_rows")
+                (Interp.Profile.opcode_rows summed)
+                (Interp.Profile.opcode_rows merged);
+              Alcotest.(check (list (triple int int int)))
+                (what ^ ": check_rows")
+                (Interp.Profile.check_rows summed)
+                (Interp.Profile.check_rows merged))
+            [ 1; 2 ])
+        [ 0; 1000 ])
+    [ "kmeans"; "g721enc" ]
+
 (* ----- Adaptive stratified campaigns (DESIGN.md §14) ----- *)
 
 (* The stratification inputs for a protected subject, from the static
@@ -735,6 +812,8 @@ let tests =
       test_rejoin_guard;
     Alcotest.test_case "rejoin: never in observing campaigns" `Quick
       test_rejoin_never_when_observing;
+    Alcotest.test_case "run_trial: reproduces campaign trials and profiles"
+      `Quick test_run_trial_reference;
     Alcotest.test_case "adaptive: deterministic across reruns and domains"
       `Quick test_adaptive_deterministic;
     Alcotest.test_case "adaptive: masses and tallies account for everything"
