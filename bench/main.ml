@@ -7,39 +7,43 @@
     - the reproduction harness proper, which re-runs the paper's
       experiments and prints every table and figure (see DESIGN.md §4).
 
+    Campaign speed is measured by the performance ledger
+    ([python3 ledger/run.py ledger]), not here.
+
     Usage:
       bench/main.exe                 micro-benchmarks + all tables (default trials)
       bench/main.exe all             all tables only
       bench/main.exe fig2|fig10|fig11|fig12|fig13|table1|table2|crossval|falsepos
       bench/main.exe micro           micro-benchmarks only
-      bench/main.exe campaign-perf   campaign throughput, serial vs. parallel
-                                     (writes BENCH_campaign.json)
+      bench/main.exe adaptive        adaptive vs. uniform trial counts
+                                     (merged into BENCH_campaign.json)
+      bench/main.exe optimize        plan optimizer, predicted vs. measured
+                                     (merged into BENCH_campaign.json)
       bench/main.exe taint           campaign throughput, tracing off vs. on
                                      (verifies outcomes are bit-identical)
-      options: --trials N  --seed N  --benchmarks a,b,c  --domains N  --quick
-               --trace-timeline FILE  (campaign-perf: flight-recorder
-                                       Chrome-trace timeline)
-               --warehouse DIR  (also file BENCH_campaign.json into the
-                                 campaign warehouse, for
-                                 `bench-diff latest:DIR`) *)
+      options: --trials N  --seed N  --benchmarks a,b,c  --domains N  --quick *)
 
 let default_trials = ref 120
 let seed = ref 0xC0FFEE
 let selected_benchmarks : string list option ref = ref None
 let domains = ref (Faults.Pool.recommended_domains ())
-let trace_timeline : string option ref = ref None
-let warehouse_dir : string option ref = ref None
 
-(* With --warehouse, every BENCH_campaign.json this harness writes is also
-   filed as a warehouse bench snapshot, so bench-diff's baseline can be
-   named latest:<dir> instead of a copied file. *)
-let file_bench path =
-  match !warehouse_dir with
-  | None -> ()
-  | Some dir ->
-    (match Warehouse.Store.ingest_bench ~dir path with
-     | `Ingested rel -> Printf.printf "warehouse: filed %s\n" rel
-     | `Duplicate rel -> Printf.printf "warehouse: duplicate %s\n" rel)
+(* BENCH_campaign.json holds one section per bench, each under its own
+   key: replace [key]'s section and keep every other one. *)
+let merge_section key json =
+  let path = "BENCH_campaign.json" in
+  let base =
+    match
+      Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
+    with
+    | Obs.Json.Obj fields -> List.filter (fun (k, _) -> k <> key) fields
+    | _ | (exception (Obs.Json.Parse_error _ | Sys_error _)) -> []
+  in
+  Out_channel.with_open_text path (fun oc ->
+    output_string oc
+      (Obs.Json.to_string (Obs.Json.Obj (base @ [ (key, json) ])));
+    output_char oc '\n');
+  Printf.printf "\nwrote %s (%s section)\n" path key
 
 let log =
   lazy (Obs.Log.make ~sinks:[ Obs.Log.stderr_sink () ] "bench")
@@ -167,243 +171,14 @@ let run_crossval () =
   in
   Softft.Experiments.print_crossval rows
 
-(* ----- Campaign throughput: trials/sec, serial vs. domain-parallel -----
-
-   The perf trajectory future PRs regress against: per workload, time the
-   same fixed-seed campaign at [~domains:1] and at the requested domain
-   count, check the two runs agree bit-for-bit, and persist both
-   throughputs to BENCH_campaign.json. *)
-
-let campaign_perf_workloads () =
-  match !selected_benchmarks with
-  | Some names -> List.map Workloads.Registry.find names
-  | None ->
-    List.map Workloads.Registry.find [ "jpegdec"; "g721enc"; "kmeans" ]
-
-(* One sweep point: the same fixed-seed campaign at a given domain count
-   (forking on), checked bit-for-bit against the serial reference. *)
-type perf_point = {
-  pp_domains : int;
-  pp_wall : float;
-  pp_stats : Faults.Campaign.run_stats option;
-  pp_identical : bool;
-}
-
-type perf_row = {
-  pr_name : string;
-  pr_steps : int;
-  pr_nofork_wall : float;      (** serial, golden-prefix forking disabled *)
-  pr_nofork_stats : Faults.Campaign.run_stats option;
-  pr_points : perf_point list; (** forking on, one per sweep domain count *)
-  pr_identical : bool;         (** every configuration above agreed bit-exactly *)
-}
-
-(* The parallel-phase seconds of a run — what domain scaling actually
-   divides (golden run and snapshot capture are inherently serial). *)
-let trial_phase wall = function
-  | Some (s : Faults.Campaign.run_stats) -> s.trials_sec
-  | None -> wall
-
-let run_campaign_perf () =
-  let log = Lazy.force log in
-  let trials = !default_trials in
-  let sweep = [ 1; 2; 4; 8 ] in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        Obs.Log.info log
-          ~fields:
-            [ ("workload", Obs.Json.Str w.name);
-              ("trials", Obs.Json.Int trials) ]
-          "campaign-perf run";
-        let p = Softft.protect w Softft.Dup_valchk in
-        let subject = Softft.subject p ~role:Workloads.Workload.Test in
-        (* Warm the compile cache and the golden run outside the timing. *)
-        let golden = Faults.Campaign.golden_run subject in
-        (* Best of two timed repetitions (by trial-phase seconds, the
-           quantity the speedups compare): campaigns are deterministic, so
-           the repetitions produce identical results and the minimum is
-           the run least disturbed by scheduler noise. *)
-        let timed ?(fork = true) domains =
-          let once () =
-            let stats = ref None in
-            let t0 = Unix.gettimeofday () in
-            let summary, trial_list =
-              Faults.Campaign.run ~seed:!seed ~domains ~fork ~stats_out:stats
-                subject ~trials
-            in
-            (Unix.gettimeofday () -. t0, summary, trial_list, !stats)
-          in
-          let ((w1, _, _, s1) as r1) = once () in
-          let ((w2, _, _, s2) as r2) = once () in
-          if trial_phase w1 s1 <= trial_phase w2 s2 then r1 else r2
-        in
-        (* The bit-exactness reference: serial, forking on. *)
-        let ref_wall, ref_summary, ref_trials, ref_stats = timed 1 in
-        let nofork_wall, _, nofork_trials, nofork_stats =
-          timed ~fork:false 1
-        in
-        let nofork_ok =
-          Faults.Campaign.trials_equal ref_trials nofork_trials
-        in
-        if not nofork_ok then
-          Obs.Log.warn log
-            ~fields:[ ("workload", Obs.Json.Str w.name) ]
-            "forked run diverged from from-scratch run";
-        let points =
-          List.map
-            (fun d ->
-              if d = 1 then
-                { pp_domains = 1; pp_wall = ref_wall; pp_stats = ref_stats;
-                  pp_identical = true }
-              else begin
-                let wall, summary, trial_list, stats = timed d in
-                let same =
-                  summary.Faults.Campaign.counts
-                    = ref_summary.Faults.Campaign.counts
-                  && Faults.Campaign.trials_equal ref_trials trial_list
-                in
-                if not same then
-                  Obs.Log.warn log
-                    ~fields:
-                      [ ("workload", Obs.Json.Str w.name);
-                        ("domains", Obs.Json.Int d) ]
-                    "parallel run diverged from serial";
-                { pp_domains = d; pp_wall = wall; pp_stats = stats;
-                  pp_identical = same }
-              end)
-            sweep
-        in
-        { pr_name = w.name; pr_steps = golden.Faults.Campaign.steps;
-          pr_nofork_wall = nofork_wall; pr_nofork_stats = nofork_stats;
-          pr_points = points;
-          pr_identical =
-            nofork_ok && List.for_all (fun p -> p.pp_identical) points })
-      (campaign_perf_workloads ())
-  in
-  let per_sec sec = float_of_int trials /. max 1e-9 sec in
-  Printf.printf
-    "\n== Campaign throughput (%d trials/campaign, domain sweep %s) ==\n"
-    trials
-    (String.concat "/" (List.map string_of_int sweep));
-  Printf.printf "%-12s %12s %13s %13s %8s %8s %6s\n" "workload"
-    "golden steps" "no-fork tr/s" "fork tr/s" "fork-x" "par-x" "same?";
-  Printf.printf "%s\n" (String.make 78 '-');
-  let phase_of r d =
-    let p = List.find (fun p -> p.pp_domains = d) r.pr_points in
-    trial_phase p.pp_wall p.pp_stats
-  in
-  List.iter
-    (fun r ->
-      let nofork_phase = trial_phase r.pr_nofork_wall r.pr_nofork_stats in
-      let serial_phase = phase_of r 1 in
-      let par_phase = phase_of r 2 in
-      Printf.printf "%-12s %12d %13.1f %13.1f %7.2fx %7.2fx %6s\n" r.pr_name
-        r.pr_steps (per_sec nofork_phase) (per_sec serial_phase)
-        (nofork_phase /. max 1e-9 serial_phase)
-        (serial_phase /. max 1e-9 par_phase)
-        (if r.pr_identical then "yes" else "NO"))
-    rows;
-  let opt_field name f = function None -> [] | Some v -> [ (name, f v) ] in
-  (* Schema v3 (supersedes v2): per workload, a from-scratch (no-fork)
-     serial baseline plus a domain sweep with forking on.  [fork_speedup]
-     and [parallel_speedup] compare parallel-phase seconds; the wall and
-     phase timings of every configuration are preserved under "timings".
-     "parallel_speedup" and "bit_identical" keep their v2 meaning (2
-     domains vs. serial) so trend tooling and the CI gate read one key. *)
-  let json =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Str "softft.bench_campaign.v3");
-        ("trials", Obs.Json.Int trials);
-        ("seed", Obs.Json.Int !seed);
-        ("host_cores", Obs.Json.Int (Faults.Pool.recommended_domains ()));
-        ("technique", Obs.Json.Str "dup_valchk");
-        ("workloads",
-         Obs.Json.List
-           (List.map
-              (fun r ->
-                let nofork_phase =
-                  trial_phase r.pr_nofork_wall r.pr_nofork_stats
-                in
-                let serial_phase = phase_of r 1 in
-                let par_phase = phase_of r 2 in
-                Obs.Json.Obj
-                  ([ ("name", Obs.Json.Str r.pr_name);
-                     ("golden_steps", Obs.Json.Int r.pr_steps);
-                     ("nofork_sec", Obs.Json.Float nofork_phase);
-                     ("nofork_trials_per_sec",
-                      Obs.Json.Float (per_sec nofork_phase));
-                     ("serial_sec", Obs.Json.Float serial_phase);
-                     ("serial_trials_per_sec",
-                      Obs.Json.Float (per_sec serial_phase));
-                     ("fork_speedup",
-                      Obs.Json.Float (nofork_phase /. max 1e-9 serial_phase));
-                     ("parallel_sec", Obs.Json.Float par_phase);
-                     ("parallel_trials_per_sec",
-                      Obs.Json.Float (per_sec par_phase));
-                     ("parallel_speedup",
-                      Obs.Json.Float (serial_phase /. max 1e-9 par_phase));
-                     ("bit_identical", Obs.Json.Bool r.pr_identical) ]
-                   @ opt_field "nofork" Faults.Journal.stats_json
-                       r.pr_nofork_stats
-                   @ [ ("domains",
-                        Obs.Json.List
-                          (List.map
-                             (fun p ->
-                               let phase =
-                                 trial_phase p.pp_wall p.pp_stats
-                               in
-                               Obs.Json.Obj
-                                 ([ ("domains", Obs.Json.Int p.pp_domains);
-                                    ("wall_sec", Obs.Json.Float p.pp_wall);
-                                    ("trials_sec", Obs.Json.Float phase);
-                                    ("trials_per_sec",
-                                     Obs.Json.Float (per_sec phase));
-                                    ("speedup",
-                                     Obs.Json.Float
-                                       (serial_phase /. max 1e-9 phase));
-                                    ("bit_identical",
-                                     Obs.Json.Bool p.pp_identical) ]
-                                  @ opt_field "timings"
-                                      Faults.Journal.stats_json p.pp_stats))
-                             r.pr_points)) ]))
-              rows)) ]
-  in
-  let path = "BENCH_campaign.json" in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path;
-  file_bench path;
-  (* One extra (untimed) campaign per workload with the flight recorder
-     attached — kept out of the timed repetitions above so the published
-     throughputs never carry the recorder's (tiny) cost. *)
-  match !trace_timeline with
-  | None -> ()
-  | Some tpath ->
-    let r = Obs.Trace.recorder () in
-    let d = min 4 (Faults.Pool.recommended_domains ()) in
-    List.iter
-      (fun (w : Workloads.Workload.t) ->
-        let p = Softft.protect w Softft.Dup_valchk in
-        let subject = Softft.subject p ~role:Workloads.Workload.Test in
-        ignore
-          (Faults.Campaign.run ~seed:!seed ~domains:d ~trace:r subject
-             ~trials))
-      (campaign_perf_workloads ());
-    Obs.Trace.write_chrome r ~path:tpath;
-    Printf.printf "wrote %s\n" tpath
-
 (* ----- Adaptive-campaign bench: trials to a target SDC half-width -----
 
    Per workload, one adaptive stratified campaign (DESIGN.md §14) against
    the dup+valchk variant: how many trials it needed, versus the
    fixed-size uniform design guaranteeing the same target (the savings
    headline) and the oracle sequential-uniform lower bound — plus a
-   serial-vs-parallel bit-identity check, the same determinism contract
-   campaign-perf enforces.  Results merge into BENCH_campaign.json under
-   an "adaptive" key, so one artifact carries both perf trajectories. *)
+   serial-vs-parallel bit-identity check.  Results merge into
+   BENCH_campaign.json under an "adaptive" key. *)
 let run_adaptive_bench () =
   (* --quick keeps CI minutes-scale: a looser target converges in a few
      pilot rounds while still exercising every scheduler phase. *)
@@ -477,29 +252,7 @@ let run_adaptive_bench () =
                     ("bit_identical", Obs.Json.Bool same) ])
               rows)) ]
   in
-  let path = "BENCH_campaign.json" in
-  (* Merge, don't clobber: campaign-perf owns the file's top-level perf
-     fields; the adaptive section rides along under its own key. *)
-  let base =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match Obs.Json.parse s with
-      | Obs.Json.Obj fields ->
-        List.filter (fun (k, _) -> k <> "adaptive") fields
-      | _ | (exception Obs.Json.Parse_error _) -> []
-    end
-    else []
-  in
-  let json = Obs.Json.Obj (base @ [ ("adaptive", adaptive_json) ]) in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (adaptive section)\n" path;
-  file_bench path
+  merge_section "adaptive" adaptive_json
 
 (* ----- Plan-optimizer bench: predicted vs measured at the knee -----
 
@@ -508,7 +261,7 @@ let run_adaptive_bench () =
    of the frontier's knee points — the static predictor's SDC ranking
    against the measured stratified estimates, the §11 cross-check run at
    bench cadence.  Results merge into BENCH_campaign.json under an
-   "optimize" key, next to campaign-perf's and adaptive's sections. *)
+   "optimize" key, next to the adaptive section. *)
 let run_optimize_bench () =
   let ci = if !default_trials <= 40 then 0.08 else 0.05 in
   let budget = 0.15 in
@@ -594,29 +347,7 @@ let run_optimize_bench () =
                        (List.map Softft.Optimize.validation_json vals)) ])
               rows)) ]
   in
-  let path = "BENCH_campaign.json" in
-  (* Merge, don't clobber: campaign-perf owns the file's top-level perf
-     fields; the optimize section rides along under its own key. *)
-  let base =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match Obs.Json.parse s with
-      | Obs.Json.Obj fields ->
-        List.filter (fun (k, _) -> k <> "optimize") fields
-      | _ | (exception Obs.Json.Parse_error _) -> []
-    end
-    else []
-  in
-  let json = Obs.Json.Obj (base @ [ ("optimize", optimize_json) ]) in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (optimize section)\n" path;
-  file_bench path
+  merge_section "optimize" optimize_json
 
 (* Tracing-overhead bench: the same campaign with the propagation tracer
    off and on.  Verifies the observation-only contract (identical outcomes,
@@ -690,12 +421,6 @@ let () =
          | "auto" -> Faults.Pool.recommended_domains ()
          | n -> max 1 (int_of_string n));
       parse rest
-    | "--trace-timeline" :: path :: rest ->
-      trace_timeline := Some path;
-      parse rest
-    | "--warehouse" :: dir :: rest ->
-      warehouse_dir := Some dir;
-      parse rest
     | "--quick" :: rest ->
       default_trials := 40;
       selected_benchmarks := Some [ "jpegdec"; "g721enc"; "kmeans" ];
@@ -718,7 +443,6 @@ let () =
     | "falsepos" -> Softft.Experiments.print_falsepos (results ())
     | "headline" -> Softft.Experiments.print_headline (results ())
     | "crossval" -> run_crossval ()
-    | "campaign-perf" -> run_campaign_perf ()
     | "adaptive" -> run_adaptive_bench ()
     | "optimize" -> run_optimize_bench ()
     | "taint" -> run_taint_bench ()
@@ -775,8 +499,8 @@ let () =
     | cmd ->
       Printf.eprintf
         "unknown command %S (try: micro all fig2 fig10 fig11 fig12 fig13 \
-         table1 table2 falsepos headline crossval campaign-perf adaptive \
-         optimize taint ablation latency recovery branchfault sources csv)\n"
+         table1 table2 falsepos headline crossval adaptive optimize taint \
+         ablation latency recovery branchfault sources csv)\n"
         cmd;
       exit 1
   in

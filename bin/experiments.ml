@@ -896,96 +896,6 @@ let report_cmd =
     (Cmd.info "report" ~doc)
     Term.(const run_report $ journal_path_arg $ strata_arg $ csv_arg)
 
-let run_bench_diff old_path new_path tolerance require_same_host =
-  (* "latest:<warehouse-dir>" names the most recently ingested bench
-     snapshot — CI points the baseline at its warehouse instead of
-     shuffling BENCH_campaign.json copies around. *)
-  let resolve path =
-    match String.length path > 7 && String.sub path 0 7 = "latest:" with
-    | false -> path
-    | true ->
-      let dir = String.sub path 7 (String.length path - 7) in
-      (match Warehouse.Store.latest_bench ~dir with
-       | Some p -> p
-       | None ->
-         prerr_endline
-           (Printf.sprintf
-              "experiments bench-diff: no bench snapshot ingested in %s" dir);
-         exit 1)
-  in
-  let old_path = resolve old_path and new_path = resolve new_path in
-  let load path =
-    match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
-    with
-    | j -> j
-    | exception Obs.Json.Parse_error msg ->
-      prerr_endline
-        (Printf.sprintf "experiments bench-diff: %s: %s" path msg);
-      exit 1
-    | exception Sys_error msg ->
-      prerr_endline ("experiments bench-diff: " ^ msg);
-      exit 1
-  in
-  let d =
-    Softft.Experiments.bench_diff ~tolerance_pct:tolerance (load old_path)
-      (load new_path)
-  in
-  Softft.Experiments.print_bench_diff d;
-  (* The gate standing down must never be silent: a mismatched host means
-     the deltas carry no pass/fail information, so say so on stderr (the
-     table goes to stdout and is easy to redirect away) — and let CI turn
-     the mismatch itself into a failure. *)
-  (match Softft.Experiments.bench_diff_host_warning d with
-   | Some warning ->
-     prerr_endline ("experiments bench-diff: " ^ warning);
-     if require_same_host then begin
-       prerr_endline
-         "experiments bench-diff: --require-same-host: host mismatch is an \
-          error";
-       exit 1
-     end
-   | None -> ());
-  if Softft.Experiments.bench_diff_regressions d <> [] then exit 1
-
-let bench_old_arg =
-  let doc =
-    "Baseline BENCH_campaign.json — a file, or latest:$(i,DIR) for the \
-     most recent bench snapshot ingested into the warehouse at $(i,DIR)."
-  in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
-
-let bench_new_arg =
-  let doc = "Freshly measured BENCH_campaign.json to compare against OLD." in
-  Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-
-let tolerance_arg =
-  let doc =
-    "Regression tolerance in percent: a gated trials/sec metric that drops \
-     more than $(docv) percent flags a regression (nonzero exit)."
-  in
-  Arg.(value & opt float 15.0 & info [ "tolerance" ] ~docv:"PCT" ~doc)
-
-let require_same_host_arg =
-  let doc =
-    "Treat a host_cores mismatch between the two runs as an error (exit 1) \
-     instead of a warned stand-down of the regression gate."
-  in
-  Arg.(value & flag & info [ "require-same-host" ] ~doc)
-
-let bench_diff_cmd =
-  let doc =
-    "Compare two BENCH_campaign.json runs per workload (trials/sec and \
-     speedup deltas) and exit nonzero on a throughput regression beyond \
-     the tolerance — but only when both runs report the same host_cores, \
-     so numbers from different machines never fail the gate (a mismatch is \
-     warned on stderr; $(b,--require-same-host) makes it fatal)."
-  in
-  Cmd.v
-    (Cmd.info "bench-diff" ~doc)
-    Term.(
-      const run_bench_diff $ bench_old_arg $ bench_new_arg $ tolerance_arg
-      $ require_same_host_arg)
-
 (* ------------------------------------------------------------------ *)
 (* The campaign warehouse: ingest, history, diff-runs, regress, heatmap *)
 
@@ -1018,44 +928,29 @@ let run_ingest dir files =
     | `Duplicate e ->
       Printf.printf "duplicate  %s  %s\n" e.Warehouse.Store.e_key path
   in
-  let ingest_bench path =
-    match
-      Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
-    with
-    | j when Obs.Json.member "workloads" j <> None ->
-      (match Warehouse.Store.ingest_bench ~dir path with
-       | `Ingested rel -> Printf.printf "filed      %s  %s\n" rel path
-       | `Duplicate rel -> Printf.printf "duplicate  %s  %s\n" rel path)
-    | _ | (exception Obs.Json.Parse_error _) ->
-      prerr_endline
-        (Printf.sprintf
-           "experiments ingest: %s is neither a campaign journal nor a \
-            BENCH_campaign.json snapshot"
-           path);
-      exit 1
-  in
   List.iter
     (fun path ->
       match ingest_journal path with
       | () -> ()
-      | exception Faults.Journal.Malformed _ -> ingest_bench path
+      | exception Faults.Journal.Malformed msg ->
+        prerr_endline
+          (Printf.sprintf
+             "experiments ingest: %s is not a campaign journal (%s)" path
+             msg);
+        exit 1
       | exception Sys_error msg ->
         prerr_endline ("experiments ingest: " ^ msg);
         exit 1)
     files
 
 let ingest_files_arg =
-  let doc =
-    "Campaign journals (.jsonl) and/or BENCH_campaign.json snapshots to \
-     file (auto-detected by content)."
-  in
+  let doc = "Campaign journals (.jsonl) to file." in
   Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
 
 let ingest_cmd =
   let doc =
-    "File journals and bench snapshots into the campaign warehouse: \
-     content-addressed by run key, so re-ingesting anything already filed \
-     is a no-op."
+    "File campaign journals into the campaign warehouse: content-addressed \
+     by run key, so re-ingesting a journal already filed is a no-op."
   in
   Cmd.v
     (Cmd.info "ingest" ~doc)
@@ -1256,6 +1151,12 @@ let run_regress baseline current tolerance =
   in
   list_only "baseline" g.rx_only_old;
   list_only "current" g.rx_only_new;
+  (* The throughput gate standing down must never be silent. *)
+  if g.rx_throughput_skipped <> [] then
+    prerr_endline
+      ("experiments regress: WARNING: throughput not compared, host_cores \
+        differ: "
+      ^ String.concat ", " g.rx_throughput_skipped);
   match g.rx_failures with
   | [] -> print_endline "regress: gate green"
   | failures ->
@@ -1278,8 +1179,9 @@ let current_arg =
 let regress_tolerance_arg =
   let doc =
     "Also gate throughput: fail when trials/s drops more than $(docv) \
-     percent between runs on the same host_cores (default: coverage gate \
-     only)."
+     percent between runs on the same host_cores; pairs from different \
+     host_cores are not compared and are named in a warning on stderr \
+     (default: coverage gate only)."
   in
   Arg.(
     value & opt (some float) None & info [ "tolerance" ] ~docv:"PCT" ~doc)
@@ -1288,7 +1190,8 @@ let regress_cmd =
   let doc =
     "The cross-run regression gate: match baseline and current runs by \
      configuration identity and fail (exit 1) when any SDC rate rose with \
-     disjoint Wilson 95% intervals — bench-diff generalised to coverage."
+     disjoint Wilson 95% intervals.  With $(b,--tolerance) it also gates \
+     throughput between runs on the same host_cores."
   in
   Cmd.v
     (Cmd.info "regress" ~doc)
@@ -1537,7 +1440,7 @@ let main_cmd =
     (Cmd.info "experiments" ~version:"1.0.0" ~doc)
     [ all_cmd; crossval_cmd; campaign_cmd; coverage_cmd;
       optimize_cmd; lint_cmd;
-      report_cmd; bench_diff_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
+      report_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
       regress_cmd; heatmap_cmd; table1_cmd; dump_cmd; trace_cmd;
       trace_fault_cmd ]
 

@@ -1524,123 +1524,3 @@ let print_journal_strata (cov : Analysis.Coverage.t)
        intervals)"
     ~header:[ "stratum"; "trials"; "SDC"; "detected"; "masked" ]
     ~rows:(journal_strata_rows cov views)
-
-(* ----- Bench history (bench-diff): compare two BENCH_campaign.json runs
-   per workload and flag throughput regressions beyond a tolerance.  The
-   gate only fires when both files report the same host_cores — numbers
-   from different machines diff informationally but never fail CI ----- *)
-
-type bench_diff_row = {
-  bd_workload : string;
-  bd_metric : string;         (** row label, e.g. ["serial trials/s"] *)
-  bd_old : float;
-  bd_new : float;
-  bd_delta_pct : float;       (** (new - old) / old, percent *)
-  bd_regression : bool;       (** gated metric dropped beyond tolerance *)
-}
-
-type bench_diff = {
-  bd_old_cores : int;         (** -1 when the file carries no host_cores *)
-  bd_new_cores : int;
-  bd_comparable : bool;       (** host_cores present and equal *)
-  bd_tolerance_pct : float;
-  bd_rows : bench_diff_row list;
-}
-
-let bench_workload_map j =
-  match Obs.Json.member "workloads" j with
-  | Some (Obs.Json.List ws) ->
-    List.filter_map
-      (fun w ->
-        Option.map
-          (fun n -> (n, w))
-          (Option.bind (Obs.Json.member "name" w) Obs.Json.to_str))
-      ws
-  | Some _ | None -> []
-
-let bench_diff ?(tolerance_pct = 15.0) old_j new_j =
-  let cores j =
-    Option.value ~default:(-1)
-      (Option.bind (Obs.Json.member "host_cores" j) Obs.Json.to_int)
-  in
-  let old_cores = cores old_j in
-  let new_cores = cores new_j in
-  (* Only throughputs gate (third component); the speedup row is a ratio
-     of the other two and would double-report the same regression. *)
-  let metrics =
-    [ ("serial trials/s", "serial_trials_per_sec", true);
-      ("parallel trials/s", "parallel_trials_per_sec", true);
-      ("parallel speedup", "parallel_speedup", false) ]
-  in
-  let news = bench_workload_map new_j in
-  let rows =
-    List.concat_map
-      (fun (name, oldw) ->
-        match List.assoc_opt name news with
-        | None -> []   (* workload dropped from the suite: nothing to gate *)
-        | Some neww ->
-          List.filter_map
-            (fun (label, field, gated) ->
-              match
-                ( Option.bind (Obs.Json.member field oldw) Obs.Json.to_float,
-                  Option.bind (Obs.Json.member field neww) Obs.Json.to_float )
-              with
-              | Some o, Some n when o > 0.0 ->
-                let delta = 100.0 *. (n -. o) /. o in
-                Some
-                  { bd_workload = name; bd_metric = label; bd_old = o;
-                    bd_new = n; bd_delta_pct = delta;
-                    bd_regression = gated && delta < -.tolerance_pct }
-              | _, _ -> None)
-            metrics)
-      (bench_workload_map old_j)
-  in
-  { bd_old_cores = old_cores; bd_new_cores = new_cores;
-    bd_comparable = old_cores >= 0 && old_cores = new_cores;
-    bd_tolerance_pct = tolerance_pct; bd_rows = rows }
-
-(** Rows that should fail a perf gate: gated metrics that regressed, and
-    only when the two runs came from comparable hosts. *)
-let bench_diff_regressions d =
-  if not d.bd_comparable then []
-  else List.filter (fun r -> r.bd_regression) d.bd_rows
-
-(* The one-line stand-down warning a driver must surface on stderr when
-   the hosts are incomparable — the gate silently passing used to be
-   indistinguishable from the gate passing. [None] when comparable. *)
-let bench_diff_host_warning d =
-  if d.bd_comparable then None
-  else
-    let cores c = if c < 0 then "unknown" else string_of_int c in
-    Some
-      (Printf.sprintf
-         "WARNING: bench-diff regression gate SKIPPED — host_cores differ \
-          (old %s, new %s); deltas are informational only (use \
-          --require-same-host to fail instead)"
-         (cores d.bd_old_cores) (cores d.bd_new_cores))
-
-let print_bench_diff d =
-  Report.print ~title:"Bench history (new vs. old)"
-    ~header:[ "workload"; "metric"; "old"; "new"; "delta" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [ r.bd_workload; r.bd_metric;
-             Printf.sprintf "%.2f" r.bd_old;
-             Printf.sprintf "%.2f" r.bd_new;
-             Printf.sprintf "%+.1f%%%s" r.bd_delta_pct
-               (if r.bd_regression then "  REGRESSION" else "") ])
-         d.bd_rows);
-  if not d.bd_comparable then
-    Printf.printf
-      "\nhost_cores differ (old %d, new %d): deltas are informational \
-       only, regression gate skipped\n"
-      d.bd_old_cores d.bd_new_cores
-  else
-    match bench_diff_regressions d with
-    | [] ->
-      Printf.printf "\nno regressions beyond %.0f%% tolerance\n"
-        d.bd_tolerance_pct
-    | regs ->
-      Printf.printf "\n%d regression(s) beyond %.0f%% tolerance\n"
-        (List.length regs) d.bd_tolerance_pct

@@ -53,11 +53,6 @@ val trial_record : index:int -> Campaign.trial -> Obs.Json.t
     events as {!Obs.Trace} spans under ["spans"]. *)
 val taint_json : Interp.Taint.summary -> Obs.Json.t
 
-(** JSON form of {!Campaign.run_stats} (phase wall times, the rejoin
-    tallies and the per-domain pool breakdown) — also used by the bench
-    harness's BENCH_campaign.json. *)
-val stats_json : Campaign.run_stats -> Obs.Json.t
-
 (** The campaign manifest.  [fault_kind] and [technique] are free-form
     labels; [stats] adds wall/per-domain timings when available;
     [counts] (the campaign summary's final outcome counts) adds the

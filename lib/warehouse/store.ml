@@ -205,14 +205,13 @@ let index_lines_of_file path =
 
 let index_lines dir = index_lines_of_file (index_path dir)
 
-let records_of_type ty dir =
-  List.filter (fun j -> mstr "type" j = ty) (index_lines dir)
-
-let entries ~dir = List.map entry_of_json (records_of_type "run" dir)
-
+(* Run records only: indexes written by older versions may also hold
+   "bench" records, which are skipped (but still counted by [next_seq]). *)
 let entries_of_file path =
   List.map entry_of_json
     (List.filter (fun j -> mstr "type" j = "run") (index_lines_of_file path))
+
+let entries ~dir = entries_of_file (index_path dir)
 
 let next_seq lines =
   1 + List.fold_left (fun m j -> max m (mint "seq" j)) 0 lines
@@ -390,54 +389,6 @@ let file_run ?prog_digest ~dir ~manifest ~trials () =
   file_indexed ?prog_digest ~dir ~manifest ~n:(List.length trials) ~counts
     (fun dst -> Faults.Journal.write ~path:dst ~manifest ~trials ())
 
-let ingest_bench ~dir path =
-  let ic = open_in_bin path in
-  let bytes =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let key = Digest.to_hex (Digest.string bytes) in
-  let rel = Filename.concat "bench" (key ^ ".json") in
-  let already =
-    List.exists
-      (fun j -> mstr "key" j = key)
-      (records_of_type "bench" dir)
-  in
-  if already then `Duplicate rel
-  else begin
-    mkdir_p (Filename.concat dir "bench");
-    let oc = open_out_bin (Filename.concat dir rel) in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc bytes);
-    let seq = next_seq (index_lines dir) in
-    append_index dir
-      (Obs.Json.Obj
-         [ ("type", Obs.Json.Str "bench");
-           ("schema", Obs.Json.Str schema);
-           ("seq", Obs.Json.Int seq);
-           ("key", Obs.Json.Str key);
-           ("path", Obs.Json.Str rel);
-           ("host", Obs.Json.Str (Unix.gethostname ()));
-           ("host_cores",
-            Obs.Json.Int (Domain.recommended_domain_count ()));
-           ("ingested_at", Obs.Json.Float (Unix.gettimeofday ())) ]);
-    `Ingested rel
-  end
-
-let latest_bench ~dir =
-  let latest =
-    List.fold_left
-      (fun best j ->
-        match best with
-        | Some b when mint "seq" b >= mint "seq" j -> best
-        | _ -> Some j)
-      None
-      (records_of_type "bench" dir)
-  in
-  Option.map (fun j -> Filename.concat dir (mstr "path" j)) latest
-
 let resolve ?dir arg =
   if Sys.file_exists arg then arg
   else
@@ -593,6 +544,7 @@ type regress = {
   rx_only_old : entry list;
   rx_only_new : entry list;
   rx_failures : string list;
+  rx_throughput_skipped : string list;
 }
 
 (* The configuration identity deliberately excludes seed, trials and the
@@ -628,7 +580,7 @@ let regress ?tolerance_pct ~baseline ~current () =
   let old_tbl = latest_per_identity baseline in
   let new_tbl = latest_per_identity current in
   let rows = ref [] and failures = ref [] in
-  let only_old = ref [] and only_new = ref [] in
+  let only_old = ref [] and only_new = ref [] and skipped = ref [] in
   Hashtbl.iter
     (fun id old_e ->
       match Hashtbl.find_opt new_tbl id with
@@ -677,9 +629,9 @@ let regress ?tolerance_pct ~baseline ~current () =
               (100.0 *. sdc.dr_new.ci_high)
             :: !failures;
         (match (tolerance_pct, throughput_ratio) with
-         | Some tol, Some ratio
-           when old_e.e_host_cores = new_e.e_host_cores
-                && ratio < 1.0 -. (tol /. 100.0) ->
+         | Some _, Some _ when old_e.e_host_cores <> new_e.e_host_cores ->
+           skipped := id :: !skipped
+         | Some tol, Some ratio when ratio < 1.0 -. (tol /. 100.0) ->
            failures :=
              Printf.sprintf
                "%s: throughput dropped %.1f%% (beyond %.1f%% tolerance)" id
@@ -707,4 +659,5 @@ let regress ?tolerance_pct ~baseline ~current () =
       List.sort (fun a b -> compare a.e_seq b.e_seq) !only_old;
     rx_only_new =
       List.sort (fun a b -> compare a.e_seq b.e_seq) !only_new;
-    rx_failures = List.rev !failures }
+    rx_failures = List.rev !failures;
+    rx_throughput_skipped = List.sort compare !skipped }

@@ -12,10 +12,8 @@
     Layout under the warehouse directory:
     - [index.jsonl] — append-only index, one {!schema} record per
       ingested run (outcome counts, Wilson intervals, throughput, host,
-      journal schema) or bench snapshot;
-    - [runs/<key>.jsonl] — the journal, byte-for-byte;
-    - [bench/<key>.json] — ingested BENCH_campaign.json snapshots, for
-      [bench-diff --baseline latest:<dir>].
+      journal schema);
+    - [runs/<key>.jsonl] — the journal, byte-for-byte.
 
     This is the seed of the campaign-server result cache (ROADMAP item
     2): a request whose key is already filed costs one index lookup. *)
@@ -66,8 +64,10 @@ type entry = {
                                         runs, plain Wilson otherwise *)
 }
 
-(** Parse the index; run entries only, in ingestion order.  An absent
-    index is an empty warehouse, a malformed line raises [Failure]. *)
+(** Parse the index; run entries only, in ingestion order (records of
+    any other type, such as the ["bench"] records older versions wrote,
+    are skipped).  An absent index is an empty warehouse, a malformed
+    line raises [Failure]. *)
 val entries : dir:string -> entry list
 
 (** Same, but reading a bare index file — what the [regress] gate's
@@ -95,16 +95,6 @@ val file_run :
   trials:Faults.Campaign.trial list ->
   unit ->
   [ `Ingested of entry | `Duplicate of entry ]
-
-(** File a BENCH_campaign.json snapshot under the digest of its bytes;
-    duplicate content is a no-op.  Returns the filed path (relative to
-    [dir]). *)
-val ingest_bench :
-  dir:string -> string -> [ `Ingested of string | `Duplicate of string ]
-
-(** Absolute path of the most recently ingested bench snapshot, if any —
-    what [bench-diff --baseline latest:<dir>] resolves to. *)
-val latest_bench : dir:string -> string option
 
 (** [resolve ?dir key_or_path] turns a CLI argument into a journal path:
     an existing file is itself; otherwise it must be a run key (or
@@ -163,13 +153,17 @@ type regress = {
   rx_only_new : entry list;
   rx_failures : string list;     (** human messages; nonempty fails the
                                      gate *)
+  rx_throughput_skipped : string list;
+      (** with [tolerance_pct]: matched identities whose throughput was
+          not compared because their [host_cores] differ *)
 }
 
 (** Compare two index snapshots.  Coverage gate: any matched pair whose
     SDC rate rose with disjoint intervals is a failure.  Throughput gate
     (opt-in): with [tolerance_pct], a matched pair whose throughput
-    dropped more than that — on the same [host_cores] only, mirroring
-    [bench-diff]'s host stand-down — is also a failure. *)
+    dropped more than that is also a failure.  Throughputs are compared
+    on the same [host_cores] only; pairs from different hosts are listed
+    in [rx_throughput_skipped] instead. *)
 val regress :
   ?tolerance_pct:float ->
   baseline:entry list ->

@@ -9,17 +9,21 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-let help_of sub =
-  let out = Filename.temp_file "softft_help" ".txt" in
+(* Run the binary with ARGS, stdout and stderr to a file; return the exit
+   code and the output. *)
+let run_exe args =
+  let out = Filename.temp_file "softft_cli" ".txt" in
   let rc =
     Sys.command
-      (Printf.sprintf "%s %s --help=plain > %s 2>&1" exe
-         (match sub with "" -> "" | s -> Filename.quote s)
-         (Filename.quote out))
+      (Printf.sprintf "%s %s > %s 2>&1" exe args (Filename.quote out))
   in
   let text = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
   (rc, text)
+
+let help_of sub =
+  run_exe
+    ((match sub with "" -> "" | s -> Filename.quote s) ^ " --help=plain")
 
 (* Every subcommand, with the flags its help must document.  A flag
    silently dropped from the CLI breaks scripts; this list is the
@@ -37,7 +41,6 @@ let surface =
        "--max-trials"; "--warehouse"; "--csv"; "--plan-out" ]);
     ("lint", [ "--benchmarks" ]);
     ("report", [ "--strata"; "--csv" ]);
-    ("bench-diff", [ "--tolerance"; "--require-same-host" ]);
     ("ingest", [ "--warehouse" ]);
     ("history", [ "--warehouse" ]);
     ("diff-runs", [ "--warehouse" ]);
@@ -61,15 +64,34 @@ let test_subcommand_help () =
         flags)
     surface
 
+(* The command names of the top-level help's COMMANDS section: its lines
+   indented by exactly seven spaces that start with a letter. *)
+let listed_commands text =
+  let rec skip = function
+    | [] -> []
+    | "COMMANDS" :: rest -> rest
+    | _ :: rest -> skip rest
+  in
+  let rec section = function
+    | line :: rest when line = "" || line.[0] = ' ' -> line :: section rest
+    | _ -> []
+  in
+  let command line =
+    if
+      String.length line > 7
+      && String.sub line 0 7 = "       "
+      && line.[7] >= 'a' && line.[7] <= 'z'
+    then Some (List.hd (String.split_on_char ' ' (String.trim line)))
+    else None
+  in
+  List.filter_map command (section (skip (String.split_on_char '\n' text)))
+
 let test_toplevel_lists_subcommands () =
   let rc, text = help_of "" in
   Alcotest.(check int) "experiments --help exits 0" 0 rc;
-  List.iter
-    (fun (sub, _) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "top-level help lists %s" sub)
-        true (contains text sub))
-    surface
+  Alcotest.(check (list string)) "top-level help lists exactly the surface"
+    (List.sort compare (List.map fst surface))
+    (List.sort compare (listed_commands text))
 
 let test_unknown_subcommand_fails () =
   (* Without --help: cmdliner must reject the command, not fall back. *)
@@ -125,6 +147,82 @@ let test_campaign_taint_journal () =
       (contains manifest "\"taint_trace\":true")
   | [] -> Alcotest.fail "empty journal"
 
+let test_old_warehouse () =
+  (* A warehouse from before the ledger: its index holds a "bench" record
+     ahead of a run.  history and regress read it; ingest refuses a
+     BENCH_campaign.json-shaped file and leaves the index as it was. *)
+  let dir = Filename.temp_file "softft_cliwh" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let index = Filename.concat dir "index.jsonl" in
+  Out_channel.with_open_text index (fun oc ->
+    output_string oc Test_warehouse.old_bench_record);
+  let wh = Filename.quote dir in
+  let rc, _ =
+    run_exe ("campaign g721enc dupval --trials 4 --domains 1 -q --warehouse "
+             ^ wh)
+  in
+  Alcotest.(check int) "campaign --warehouse exits 0" 0 rc;
+  let rc, text = run_exe ("history g721enc --warehouse " ^ wh) in
+  Alcotest.(check int) "history exits 0" 0 rc;
+  Alcotest.(check bool) "history lists the one run" true
+    (contains text "1 run(s)");
+  let rc, text =
+    run_exe
+      (Printf.sprintf "regress --baseline %s --current %s --tolerance 15"
+         (Filename.quote index) wh)
+  in
+  Alcotest.(check int) "regress exits 0" 0 rc;
+  Alcotest.(check bool) "regress is green" true
+    (contains text "regress: gate green");
+  Alcotest.(check bool) "same host: no stand-down warning" false
+    (contains text "not compared");
+  (* The same baseline from a host with other core counts: the throughput
+     comparison stands down with a warning, and the exit code holds. *)
+  let other_host = Filename.temp_file "softft_index" ".jsonl" in
+  Out_channel.with_open_text other_host (fun oc ->
+    List.iter
+      (fun line ->
+        match Obs.Json.parse line with
+        | Obs.Json.Obj fields ->
+          output_string oc
+            (Obs.Json.to_string
+               (Obs.Json.Obj
+                  (List.map
+                     (function
+                       | ("host_cores", Obs.Json.Int n) ->
+                         ("host_cores", Obs.Json.Int (n + 1))
+                       | kv -> kv)
+                     fields)));
+          output_char oc '\n'
+        | _ -> ())
+      (read_lines index));
+  let rc, text =
+    run_exe
+      (Printf.sprintf "regress --baseline %s --current %s --tolerance 15"
+         (Filename.quote other_host) wh)
+  in
+  Alcotest.(check int) "host mismatch: regress still exits 0" 0 rc;
+  Alcotest.(check bool) "and warns that throughput was not compared" true
+    (contains text "throughput not compared");
+  Sys.remove other_host;
+  let before = In_channel.with_open_text index In_channel.input_all in
+  let bench = Filename.temp_file "softft_bench" ".json" in
+  Out_channel.with_open_text bench (fun oc ->
+    output_string oc
+      "{\"schema\":\"softft.bench_campaign.v3\",\"host_cores\":1,\
+       \"workloads\":[]}\n");
+  let rc, text =
+    run_exe
+      (Printf.sprintf "ingest --warehouse %s %s" wh (Filename.quote bench))
+  in
+  Alcotest.(check bool) "ingest of a bench snapshot fails" true (rc <> 0);
+  Alcotest.(check bool) "as not a campaign journal" true
+    (contains text "not a campaign journal");
+  Alcotest.(check string) "index untouched" before
+    (In_channel.with_open_text index In_channel.input_all);
+  Sys.remove bench
+
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
       test_subcommand_help;
@@ -135,4 +233,6 @@ let tests =
     Alcotest.test_case "campaign journal matches the library" `Quick
       test_campaign_journal_matches_library;
     Alcotest.test_case "campaign --taint stamps the manifest" `Quick
-      test_campaign_taint_journal ]
+      test_campaign_taint_journal;
+    Alcotest.test_case "old warehouse: history, regress, ingest" `Quick
+      test_old_warehouse ]

@@ -492,6 +492,11 @@ let test_fork_stride_beyond_run_degrades () =
     ~checkpoint_interval:0 ~taint_trace:false (array_sum_subject ())
     ~trials:20 ~seed:7
 
+let dupval name =
+  Softft.subject
+    (Softft.protect (Workloads.Registry.find name) Softft.Dup_valchk)
+    ~role:Workloads.Workload.Test
+
 let test_fork_parallel_identical () =
   (* Forking and domain parallelism compose: snapshots are shared
      read-only across workers, so worker count stays unobservable. *)
@@ -501,7 +506,26 @@ let test_fork_parallel_identical () =
   Alcotest.(check bool) "summaries identical" true
     (s1.Faults.Campaign.counts = s4.Faults.Campaign.counts);
   Alcotest.(check bool) "trial lists bit-identical" true
-    (Faults.Campaign.trials_equal t1 t4)
+    (Faults.Campaign.trials_equal t1 t4);
+  (* The same at workload scale: forked campaigns at 2 and 4 domains match
+     the serial from-scratch reference. *)
+  List.iter
+    (fun name ->
+      let subject = dupval name in
+      let run ~fork domains =
+        Faults.Campaign.run subject ~trials:60 ~seed:0xC0FFEE ~domains ~fork
+      in
+      let s_ref, t_ref = run ~fork:false 1 in
+      List.iter
+        (fun domains ->
+          let s, t = run ~fork:true domains in
+          let what = Printf.sprintf "%s, %d domains" name domains in
+          Alcotest.(check bool) (what ^ ": summaries identical") true
+            (s.Faults.Campaign.counts = s_ref.Faults.Campaign.counts);
+          Alcotest.(check bool) (what ^ ": trial lists bit-identical") true
+            (Faults.Campaign.trials_equal t_ref t))
+        [ 2; 4 ])
+    [ "g721enc"; "kmeans" ]
 
 (* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
 
@@ -514,11 +538,6 @@ let campaign_stats ?(domains = 1) ?(fork = true) ?(checkpoint_interval = 0)
       ~checkpoint_interval ~fault_kind ~taint_trace ?profile ~stats_out:stats
   in
   (summary, results, Option.get !stats)
-
-let dupval name =
-  Softft.subject
-    (Softft.protect (Workloads.Registry.find name) Softft.Dup_valchk)
-    ~role:Workloads.Workload.Test
 
 let test_rejoin_campaign_identical () =
   (* Campaigns whose trials rejoin (forking on, 1 and 2 domains) match

@@ -996,143 +996,6 @@ let test_journal_v4_outranks_v3 () =
   Alcotest.(check (option bool)) "taint flag kept" (Some true)
     (Option.bind (Json.member "taint_trace" m) Json.to_bool)
 
-(* ----- Bench history: bench-diff ----- *)
-
-let bench_file ?cores ~serial ~parallel ~speedup () =
-  Json.Obj
-    ([ ("schema", Json.Str "softft.bench_campaign.v3");
-       ("trials", Json.Int 600) ]
-     @ (match cores with
-        | Some c -> [ ("host_cores", Json.Int c) ]
-        | None -> [])
-     @ [ ("workloads",
-          Json.List
-            [ Json.Obj
-                [ ("name", Json.Str "kmeans");
-                  ("serial_trials_per_sec", Json.Float serial);
-                  ("parallel_trials_per_sec", Json.Float parallel);
-                  ("parallel_speedup", Json.Float speedup) ] ]) ])
-
-let test_bench_diff_regression () =
-  let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  let new_j = bench_file ~cores:4 ~serial:80.0 ~parallel:310.0 ~speedup:3.9 () in
-  let d = Softft.Experiments.bench_diff old_j new_j in
-  Alcotest.(check bool) "comparable hosts" true d.bd_comparable;
-  Alcotest.(check int) "all three metrics compared" 3 (List.length d.bd_rows);
-  (match Softft.Experiments.bench_diff_regressions d with
-   | [ r ] ->
-     Alcotest.(check string) "serial throughput flagged" "serial trials/s"
-       r.Softft.Experiments.bd_metric;
-     Alcotest.(check (float 0.01)) "delta" (-20.0) r.bd_delta_pct
-   | rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs));
-  (* The same drop within tolerance is not a regression... *)
-  let mild = bench_file ~cores:4 ~serial:90.0 ~parallel:300.0 ~speedup:3.33 () in
-  Alcotest.(check int) "10%% drop tolerated" 0
-    (List.length
-       (Softft.Experiments.bench_diff_regressions
-          (Softft.Experiments.bench_diff old_j mild)));
-  (* ...until the tolerance tightens. *)
-  Alcotest.(check int) "tolerance is a parameter" 1
-    (List.length
-       (Softft.Experiments.bench_diff_regressions
-          (Softft.Experiments.bench_diff ~tolerance_pct:5.0 old_j mild)))
-
-let test_bench_diff_speedup_not_gated () =
-  (* The speedup row is informational — a ratio of the gated throughputs —
-     so even a large drop must not double-report. *)
-  let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  let new_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:1.0 () in
-  let d = Softft.Experiments.bench_diff old_j new_j in
-  let speedup_row =
-    List.find
-      (fun r -> r.Softft.Experiments.bd_metric = "parallel speedup")
-      d.bd_rows
-  in
-  Alcotest.(check (float 0.01)) "drop visible" (-66.67)
-    speedup_row.bd_delta_pct;
-  Alcotest.(check int) "but never gating" 0
-    (List.length (Softft.Experiments.bench_diff_regressions d))
-
-let test_bench_diff_incomparable_hosts () =
-  let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  let new_j = bench_file ~cores:8 ~serial:50.0 ~parallel:150.0 ~speedup:3.0 () in
-  let d = Softft.Experiments.bench_diff old_j new_j in
-  Alcotest.(check bool) "hosts differ" false d.bd_comparable;
-  Alcotest.(check bool) "rows still rendered for the human" true
-    (List.exists (fun r -> r.Softft.Experiments.bd_regression) d.bd_rows);
-  Alcotest.(check int) "gate stands down" 0
-    (List.length (Softft.Experiments.bench_diff_regressions d));
-  (* A file with no host_cores at all can never arm the gate either. *)
-  let anon = bench_file ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  let d2 = Softft.Experiments.bench_diff anon anon in
-  Alcotest.(check int) "missing cores read as -1" (-1) d2.bd_old_cores;
-  Alcotest.(check bool) "and never compare" false d2.bd_comparable
-
-let test_bench_diff_workload_churn () =
-  (* Dropped or added workloads produce no rows (nothing to compare), and
-     a genuinely improved run reports zero regressions. *)
-  let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  let renamed =
-    match bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (function
-             | ("workloads", Json.List [ Json.Obj w ]) ->
-               ( "workloads",
-                 Json.List
-                   [ Json.Obj
-                       (List.map
-                          (function
-                            | ("name", _) -> ("name", Json.Str "other")
-                            | kv -> kv)
-                          w) ] )
-             | kv -> kv)
-           fields)
-    | _ -> assert false
-  in
-  let d = Softft.Experiments.bench_diff old_j renamed in
-  Alcotest.(check int) "no shared workloads, no rows" 0
-    (List.length d.bd_rows);
-  let better = bench_file ~cores:4 ~serial:140.0 ~parallel:420.0 ~speedup:3.0 () in
-  let d2 = Softft.Experiments.bench_diff old_j better in
-  Alcotest.(check int) "improvements never gate" 0
-    (List.length (Softft.Experiments.bench_diff_regressions d2));
-  Alcotest.(check bool) "improvement deltas positive" true
-    (List.for_all
-       (fun r -> r.Softft.Experiments.bd_delta_pct >= 0.0)
-       d2.bd_rows)
-
-let test_bench_diff_host_warning () =
-  (* The stand-down must be loud: incomparable hosts produce the one-line
-     stderr warning (pointing at --require-same-host, the CI escape
-     hatch), comparable hosts none at all. *)
-  let at cores = bench_file ~cores ~serial:100.0 ~parallel:300.0 ~speedup:3.0 in
-  let warning d = Softft.Experiments.bench_diff_host_warning d in
-  (match warning (Softft.Experiments.bench_diff (at 4 ()) (at 8 ())) with
-   | None -> Alcotest.fail "host mismatch produced no warning"
-   | Some msg ->
-     let contains needle =
-       let n = String.length needle in
-       let rec scan i =
-         i + n <= String.length msg
-         && (String.sub msg i n = needle || scan (i + 1))
-       in
-       scan 0
-     in
-     Alcotest.(check bool) "warning says the gate is skipped" true
-       (contains "SKIPPED");
-     Alcotest.(check bool) "warning names both core counts" true
-       (contains "old 4" && contains "new 8");
-     Alcotest.(check bool) "warning points at --require-same-host" true
-       (contains "--require-same-host"));
-  (* A file with no host_cores stands the gate down the same way. *)
-  let anon = bench_file ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  Alcotest.(check bool) "missing cores warn too" true
-    (warning (Softft.Experiments.bench_diff (at 4 ()) anon) <> None);
-  Alcotest.(check (option string)) "comparable hosts stay silent" None
-    (warning (Softft.Experiments.bench_diff (at 4 ()) (at 4 ())))
-
 (* ----- Journal reports: the CI column degrades on pre-v4 journals ----- *)
 
 let with_stdout_silenced f =
@@ -1412,16 +1275,6 @@ let tests =
     Alcotest.test_case "journal: v4 final stats" `Quick test_journal_v4_stats;
     Alcotest.test_case "journal: v4 outranks v3" `Quick
       test_journal_v4_outranks_v3;
-    Alcotest.test_case "bench-diff: regression gate" `Quick
-      test_bench_diff_regression;
-    Alcotest.test_case "bench-diff: speedup not gated" `Quick
-      test_bench_diff_speedup_not_gated;
-    Alcotest.test_case "bench-diff: incomparable hosts" `Quick
-      test_bench_diff_incomparable_hosts;
-    Alcotest.test_case "bench-diff: workload churn" `Quick
-      test_bench_diff_workload_churn;
-    Alcotest.test_case "bench-diff: host mismatch warning" `Quick
-      test_bench_diff_host_warning;
     Alcotest.test_case "report: pre-v4 CI column degrades" `Quick
       test_journal_report_pre_v4_ci_degrades;
     Alcotest.test_case "progress: ring-boundary rate stays finite" `Quick

@@ -252,16 +252,24 @@ let test_regress_throughput_gate () =
   let g = Store.regress ~tolerance_pct:15.0 ~baseline:base ~current:slow () in
   Alcotest.(check bool) "same-host slowdown beyond tolerance fails" true
     (g.Store.rx_failures <> []);
+  Alcotest.(check (list string)) "same host: nothing skipped" []
+    g.Store.rx_throughput_skipped;
   (* Without opting in, throughput never gates. *)
   let g' = Store.regress ~baseline:base ~current:slow () in
   Alcotest.(check (list string)) "coverage-only gate ignores throughput" []
     g'.Store.rx_failures;
-  (* A different machine stands the throughput gate down (bench-diff's
-     host rule). *)
+  (* A different machine stands the throughput gate down, and says so. *)
   let other = [ entry ~seq:2 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:50.0 ~cores:4 ] in
   let g'' = Store.regress ~tolerance_pct:15.0 ~baseline:base ~current:other () in
   Alcotest.(check (list string)) "host mismatch stands down" []
-    g''.Store.rx_failures
+    g''.Store.rx_failures;
+  Alcotest.(check (list string)) "host mismatch names the identity"
+    [ (List.hd g''.Store.rx_rows).Store.rg_identity ]
+    g''.Store.rx_throughput_skipped;
+  (* No tolerance: no throughput comparison to skip. *)
+  let untolerant = Store.regress ~baseline:base ~current:other () in
+  Alcotest.(check (list string)) "no tolerance: nothing skipped" []
+    untolerant.Store.rx_throughput_skipped
 
 let test_regress_unmatched_identities () =
   let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
@@ -275,7 +283,7 @@ let test_regress_unmatched_identities () =
   Alcotest.(check (list string)) "unmatched identities never fail" []
     g.Store.rx_failures
 
-(* ----- resolve / bench snapshots ----- *)
+(* ----- resolve / old indexes ----- *)
 
 let test_resolve_key_prefix () =
   let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
@@ -297,42 +305,37 @@ let test_resolve_key_prefix () =
    | _ -> Alcotest.fail "an unknown key resolved"
    | exception Failure _ -> ())
 
-let test_bench_ingest_latest () =
+(* A "bench" index record as versions before the ledger filed them, for
+   BENCH_campaign.json snapshots. *)
+let old_bench_record =
+  "{\"type\":\"bench\",\"schema\":\"softft.warehouse.v1\",\"seq\":1,\
+   \"key\":\"0123456789abcdef0123456789abcdef\",\
+   \"path\":\"bench/0123456789abcdef0123456789abcdef.json\",\
+   \"host\":\"old\",\"host_cores\":1,\"ingested_at\":0.0}\n"
+
+let test_old_index_with_bench_record () =
   let dir = tmp_dir () in
-  let write contents =
-    let path = Filename.temp_file "softft_bench" ".json" in
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    path
+  let index = Filename.concat dir "index.jsonl" in
+  Out_channel.with_open_text index (fun oc ->
+    output_string oc old_bench_record);
+  let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
+  ignore
+    (Store.file_run ~prog_digest:(Store.prog_digest p.Softft.prog) ~dir
+       ~manifest:(manifest_of summary) ~trials:results ());
+  (match Store.entries ~dir with
+   | [ e ] ->
+     Alcotest.(check int) "the run is numbered after the bench record" 2
+       e.Store.e_seq
+   | es -> Alcotest.failf "expected one run entry, got %d" (List.length es));
+  Alcotest.(check int) "a bare index file reads the same" 1
+    (List.length (Store.entries_of_file index));
+  let g =
+    Store.regress ~tolerance_pct:15.0 ~baseline:(Store.entries_of_file index)
+      ~current:(Store.entries ~dir) ()
   in
-  let b1 = write "{\"workloads\":[],\"n\":1}\n" in
-  let b2 = write "{\"workloads\":[],\"n\":2}\n" in
-  Alcotest.(check bool) "empty warehouse has no latest bench" true
-    (Store.latest_bench ~dir = None);
-  (match Store.ingest_bench ~dir b1 with
-   | `Ingested _ -> ()
-   | `Duplicate _ -> Alcotest.fail "fresh bench reported duplicate");
-  ignore (Store.ingest_bench ~dir b2);
-  let latest =
-    match Store.latest_bench ~dir with
-    | Some p -> p
-    | None -> Alcotest.fail "no latest bench after two ingests"
-  in
-  Alcotest.(check string) "latest is the second snapshot"
-    (In_channel.with_open_text b2 In_channel.input_all)
-    (In_channel.with_open_text latest In_channel.input_all);
-  (match Store.ingest_bench ~dir b1 with
-   | `Duplicate _ -> ()
-   | `Ingested _ -> Alcotest.fail "re-ingesting bench bytes was not a no-op");
-  (match Store.latest_bench ~dir with
-   | Some p ->
-     Alcotest.(check string) "duplicate ingest does not move latest"
-       (In_channel.with_open_text b2 In_channel.input_all)
-       (In_channel.with_open_text p In_channel.input_all)
-   | None -> Alcotest.fail "latest bench vanished");
-  Sys.remove b1;
-  Sys.remove b2
+  Alcotest.(check int) "regress matches the run against itself" 1
+    (List.length g.Store.rx_rows);
+  Alcotest.(check (list string)) "and stays green" [] g.Store.rx_failures
 
 (* ----- Fixture journals (schema compatibility, v1..v5) ----- *)
 
@@ -515,8 +518,8 @@ let tests =
     Alcotest.test_case "regress: unmatched identities" `Quick
       test_regress_unmatched_identities;
     Alcotest.test_case "resolve: key prefixes" `Quick test_resolve_key_prefix;
-    Alcotest.test_case "bench snapshots: latest" `Quick
-      test_bench_ingest_latest;
+    Alcotest.test_case "old index: bench records skipped" `Quick
+      test_old_index_with_bench_record;
     Alcotest.test_case "fixtures: v1..v5 parse" `Quick test_fixtures_parse;
     Alcotest.test_case "fixtures: version-specific fields" `Quick
       test_fixture_version_fields;
