@@ -188,8 +188,9 @@ let timeline_arg =
   let doc =
     "Record the campaign flight recorder and write a Chrome trace-event \
      timeline to $(docv) (load it in Perfetto or chrome://tracing): \
-     golden-run/fork-capture/trial-phase spans plus every worker domain's \
-     chunk claims.  Observation-only: results are bit-identical either way."
+     golden-run (fork capture included) and trial-phase spans plus every \
+     worker domain's chunk claims.  Observation-only: results are \
+     bit-identical either way."
   in
   Arg.(
     value & opt (some string) None

@@ -39,20 +39,17 @@ type golden = {
 
 exception Golden_run_failed of string * string
 
-(** Fault-free reference execution of the subject.  [profile] attaches an
-    execution profile to the run (observation-only).  [checkpoint_interval]
-    runs the golden with checkpointing enabled: the output and step count
-    are unchanged (checkpoints retire no instructions), but the cycle count
-    then includes the checkpoint overhead — the fault-free cost a recovery
-    deployment actually pays. *)
-let golden_run ?profile ?(checkpoint_interval = 0) subject =
+(* The fault-free pass.  With [fork], the same pass also captures the
+   golden-prefix snapshots and end state into that plan (DESIGN.md §12);
+   capture only reads state, so the golden record is the same either way. *)
+let golden_pass ?profile ?fork ~checkpoint_interval subject =
   let state = subject.fresh_state () in
   let config =
     { Interp.Machine.default_config with mode = Interp.Machine.Record;
       profile; checkpoint_interval }
   in
   let result =
-    Interp.Machine.run_compiled ~config
+    Interp.Machine.run_compiled ~config ?fork_capture:fork
       (Interp.Compiled.cached subject.prog)
       ~entry:subject.entry ~args:state.args ~mem:state.mem
   in
@@ -67,6 +64,15 @@ let golden_run ?profile ?(checkpoint_interval = 0) subject =
     raise
       (Golden_run_failed
          (subject.label, Format.asprintf "%a" Interp.Machine.pp_stop stop))
+
+(** Fault-free reference execution of the subject.  [profile] attaches an
+    execution profile to the run (observation-only).  [checkpoint_interval]
+    runs the golden with checkpointing enabled: the output and step count
+    are unchanged (checkpoints retire no instructions), but the cycle count
+    then includes the checkpoint overhead — the fault-free cost a recovery
+    deployment actually pays. *)
+let golden_run ?profile ?(checkpoint_interval = 0) subject =
+  golden_pass ?profile ~checkpoint_interval subject
 
 type trial = {
   trial_seed : int;
@@ -323,46 +329,10 @@ let derive_seeds ~seed ~trials =
   done;
   seeds
 
-(* Golden-prefix snapshot capture (DESIGN.md §12): one extra fault-free
-   pass records resumable snapshots every [stride] steps, so trials skip
-   their fault-free prefix, plus the golden end state, so trials whose
-   state rejoins the golden run at a snapshot skip their suffix too.  The
-   default stride aims for 32 snapshots.  Skipped when profiling — a
-   profiled trial must observe its whole execution. *)
-let capture_fork_snaps ?trace ~fork ~fork_stride ~profile ~trials
-    ~checkpoint_interval ~compiled subject ~(golden : golden) =
-  if (not fork) || profile <> None || trials = 0 || golden.steps <= 1 then
-    None
-  else
-    Obs.Trace.with_dur trace ~cat:"campaign" "fork_capture" (fun () ->
-    let stride =
-      match fork_stride with
-      | Some s -> max 1 s
-      | None -> max 1 (golden.steps / 32)
-    in
-    let plan = Interp.Fork.plan ~stride in
-    let state = subject.fresh_state () in
-    let config =
-      { Interp.Machine.default_config with
-        mode = Interp.Machine.Record; checkpoint_interval }
-    in
-    let r =
-      Interp.Machine.run_compiled ~config ~fork_capture:plan compiled
-        ~entry:subject.entry ~args:state.args ~mem:state.mem
-    in
-    (* The capture pass must replay the golden run exactly; anything
-       else (a nondeterministic subject) voids the fork determinism
-       argument, so fall back to from-scratch trials.  A stride larger
-       than the run captures nothing and falls back the same way. *)
-    match r.Interp.Machine.stop with
-    | Interp.Machine.Finished _
-      when r.Interp.Machine.steps = golden.steps
-           && r.Interp.Machine.cycles = golden.cycles ->
-      let snaps = Interp.Fork.finalize plan in
-      (match plan.Interp.Fork.fp_final with
-       | Some final when Array.length snaps > 0 -> Some (snaps, final)
-       | Some _ | None -> None)
-    | _ -> None)
+(* The first stride of the golden run's fork capture.  The plan doubles
+   it as the run grows ({!Interp.Fork.add}), so a long golden run ends
+   with 32 to 63 snapshots. *)
+let first_fork_stride = 1024
 
 (* Per-domain trial contexts, created lazily on first use and keyed by
    domain id (ids are unique among live domains, and the table dies with
@@ -394,9 +364,9 @@ let ctx_table subject =
     time, and how the trial work spread over domains.  Observation-only;
     never feeds back into results. *)
 type run_stats = {
-  golden_sec : float;    (** the golden run alone *)
-  setup_sec : float;     (** seed derivation, check disabling, compile
-                             cache and the fork-snapshot capture pass *)
+  golden_sec : float;    (** the golden run, fork capture included *)
+  setup_sec : float;     (** seed derivation, check disabling and the
+                             compile cache *)
   trials_sec : float;    (** the parallel trial phase *)
   wall_sec : float;      (** whole campaign, entry to exit *)
   domains : int;         (** worker domains the campaign was asked to use *)
@@ -406,14 +376,15 @@ type run_stats = {
 }
 
 (* The one campaign engine behind {!run} and {!run_adaptive}: the golden
-   run, check disabling, fork capture, the per-domain trial contexts, the
-   traced parallel batch runner and the epilogue (hooks, stats, summary,
-   warehouse filing).  A front-end supplies only how trials are drawn.
-   [draw ~golden ~compiled] does its own set-up and returns the progress
-   heartbeat and the trial loop; the loop runs batches through
-   [batch n spec], where [spec i] is trial [i]'s (seed, fault plan,
-   stratum) — evaluated on the worker — and returns every trial in order
-   plus the front-end's extra result, which [warehouse] also receives.
+   run with its fork capture, check disabling, the per-domain trial
+   contexts, the traced parallel batch runner and the epilogue (hooks,
+   stats, summary, warehouse filing).  A front-end supplies only how
+   trials are drawn.  [draw ~golden ~compiled] does its own set-up and
+   returns the progress heartbeat and the trial loop; the loop runs
+   batches through [batch n spec], where [spec i] is trial [i]'s (seed,
+   fault plan, stratum) — evaluated on the worker — and returns every
+   trial in order plus the front-end's extra result, which [warehouse]
+   also receives.
    [budget] bounds the campaign's trials (0 skips the fork capture). *)
 let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
     ~fork ~fork_stride ~profile ~budget ~on_trial ~stats_out ~warehouse
@@ -421,20 +392,31 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
   let t_start = Unix.gettimeofday () in
   (* The golden also runs with checkpointing so its cycle count carries the
      fault-free overhead of the recovery configuration; its output and step
-     count (the fault window) are interval-independent. *)
+     count (the fault window) are interval-independent.  It captures the
+     fork snapshots unless profiling: a profiled trial must observe its
+     whole execution. *)
+  let plan =
+    if fork && Option.is_none profile && budget > 0 then
+      Some (Interp.Fork.plan ~stride:(max 1 fork_stride))
+    else None
+  in
   let golden =
     Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_run ~checkpoint_interval subject)
+      golden_pass ?fork:plan ~checkpoint_interval subject)
+  in
+  (* A golden run shorter than the first stride captures nothing, and the
+     trials then run from scratch. *)
+  let golden_fork =
+    Option.bind plan (fun p ->
+      match Interp.Fork.finalize p, p.Interp.Fork.fp_final with
+      | snaps, Some final when Array.length snaps > 0 -> Some (snaps, final)
+      | _ -> None)
   in
   let t_golden = Unix.gettimeofday () in
   let disabled = Hashtbl.create 8 in
   List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
   let compiled = Interp.Compiled.cached subject.prog in
   let progress, loop = draw ~golden ~compiled in
-  let golden_fork =
-    capture_fork_snaps ?trace ~fork ~fork_stride ~profile ~trials:budget
-      ~checkpoint_interval ~compiled subject ~golden
-  in
   let get_ctx = ctx_table subject in
   let rejoins = rejoins () in
   let pool_stats = ref None in
@@ -528,8 +510,8 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
       live-telemetry heartbeat; its final snapshot fires before [run]
       returns;
     - [trace] attaches a flight recorder ({!Obs.Trace.recorder}): one
-      duration span per campaign phase (golden run, fork capture, trial
-      phase) on track 0, plus {!Pool.map}'s per-worker and per-chunk
+      duration span per campaign phase (golden run, trial phase) on
+      track 0, plus {!Pool.map}'s per-worker and per-chunk
       spans — render with {!Obs.Trace.to_chrome}.
 
     [taint_trace] runs every trial with the fault-propagation tracer
@@ -540,8 +522,8 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
 let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
     ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
     ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
-    ?fork_stride ?profile ?on_trial ?stats_out ?warehouse ?progress ?trace
-    subject ~trials =
+    ?(fork_stride = first_fork_stride) ?profile ?on_trial ?stats_out
+    ?warehouse ?progress ?trace subject ~trials =
   let summary, results, () =
     engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
       ~fork ~fork_stride ~profile ~budget:trials ~on_trial ~stats_out
@@ -958,8 +940,9 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
     SDC-proneness guess before any trial has run. *)
 let run_adaptive ?(hw_window = Classify.default_hw_window)
     ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
-    ?(taint_trace = false) ?(fork = true) ?fork_stride ?on_trial ?stats_out
-    ?warehouse ?progress_for ?trace ?(bands = 3) ?(max_trials = 100_000)
+    ?(taint_trace = false) ?(fork = true) ?(fork_stride = first_fork_stride)
+    ?on_trial ?stats_out ?warehouse ?progress_for ?trace ?(bands = 3)
+    ?(max_trials = 100_000)
     ~groups ~group_names ~priors ~ci subject =
   let ci = Float.max 1e-4 ci in
   engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace ~fork

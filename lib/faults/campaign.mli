@@ -123,9 +123,9 @@ val derive_seeds : seed:int -> trials:int -> int array
 
 (** Wall-clock accounting of one {!run}; observation-only. *)
 type run_stats = {
-  golden_sec : float;    (** the golden run alone *)
-  setup_sec : float;     (** seed derivation, check disabling, compile
-                             cache and the fork-snapshot capture pass *)
+  golden_sec : float;    (** the golden run, fork capture included *)
+  setup_sec : float;     (** seed derivation, check disabling and the
+                             compile cache *)
   trials_sec : float;    (** the parallel trial phase *)
   wall_sec : float;      (** whole campaign, entry to exit *)
   domains : int;         (** worker domains the campaign was asked to use *)
@@ -160,9 +160,9 @@ type run_stats = {
     it completes, from whichever worker domain ran it (the {!Progress}
     heartbeat — its final snapshot fires before [run] returns); [trace]
     attaches a flight recorder ({!Obs.Trace.recorder}) that records one
-    duration span per campaign phase (golden run, fork capture, trial
-    phase) on track 0 plus {!Pool.map}'s per-worker/per-chunk spans —
-    render the timeline with {!Obs.Trace.to_chrome}.
+    duration span per campaign phase (golden run, trial phase) on track
+    0 plus {!Pool.map}'s per-worker/per-chunk spans — render the
+    timeline with {!Obs.Trace.to_chrome}.
 
     [taint_trace] (default false) attaches the fault-propagation tracer
     ({!Interp.Taint}) to every trial: outcomes, step and cycle counts stay
@@ -170,17 +170,18 @@ type run_stats = {
     summary.  The golden run stays untraced.
 
     [fork] (default true) enables golden-prefix snapshot forking
-    (DESIGN.md §12): one extra fault-free pass captures resumable machine
-    snapshots at a fixed step stride, and every trial then starts from the
-    newest snapshot strictly before its injection step instead of
-    re-executing the fault-free prefix.  Trials are bit-identical with
-    forking on or off — outcomes, steps, cycles, everything a {!trial}
-    records.  The capture pass aims for 32 snapshots (stride = golden
-    steps / 32); [fork_stride] overrides the stride.  A stride larger than the
-    golden run captures nothing and the campaign degrades to from-scratch
-    trials; likewise when the capture pass fails to replay the golden run
-    exactly, or when [profile] is set (a profiled trial must observe its
-    whole execution, not just the post-fork suffix). *)
+    (DESIGN.md §12): the golden run itself captures resumable machine
+    snapshots, and every trial then starts from the newest snapshot
+    strictly before its injection step instead of re-executing the
+    fault-free prefix.  Trials are bit-identical with forking on or off —
+    outcomes, steps, cycles, everything a {!trial} records.  The first
+    capture comes after [fork_stride] steps (default 1024); each time 64
+    snapshots are held, every other one is dropped and the stride
+    doubles, so a long golden run ends with 32 to 63 evenly spaced
+    snapshots.  A golden run shorter than the first stride captures
+    nothing and the campaign degrades to from-scratch trials; so does a
+    campaign with [profile] set (a profiled trial must observe its whole
+    execution, not just the post-fork suffix). *)
 val run :
   ?hw_window:int ->
   ?seed:int ->

@@ -247,21 +247,35 @@ let manifest_record ?git ?technique ?plan ?stats ?counts ?adaptive
      @ opt_field "stats" (final_stats_json ~trials) counts
      @ opt_field "adaptive" adaptive_json adaptive)
 
+(* Write into a temp file beside [path], then rename it over [path]: a
+   crash mid-write leaves the old file whole (and a stray [.tmp]), never a
+   torn one. *)
+let replace_file ~path f =
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644
+      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  match f oc with
+  | () ->
+    close_out oc;
+    Sys.rename tmp path
+  | exception e ->
+    close_out_noerr oc;
+    Sys.remove tmp;
+    raise e
+
 let write ?trace ~path ~manifest ~trials () =
   Trace.with_dur trace ~cat:"journal" "write"
     ~args:[ ("trials", Json.Int (List.length trials)) ]
   @@ fun () ->
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string manifest);
-      output_char oc '\n';
-      List.iteri
-        (fun index t ->
-          output_string oc (Json.to_string (trial_record ~index t));
-          output_char oc '\n')
-        trials)
+  replace_file ~path (fun oc ->
+    output_string oc (Json.to_string manifest);
+    output_char oc '\n';
+    List.iteri
+      (fun index t ->
+        output_string oc (Json.to_string (trial_record ~index t));
+        output_char oc '\n')
+      trials)
 
 (* ----- Reading ----- *)
 

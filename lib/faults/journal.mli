@@ -85,9 +85,15 @@ val manifest_record :
   unit ->
   Obs.Json.t
 
+(** [replace_file ~path f] writes [path] whole through [f]: into a temp
+    file in [path]'s directory, renamed over [path] once [f] returns.  A
+    crash mid-write leaves the previous file intact, never a torn one; on
+    an exception the temp file is removed. *)
+val replace_file : path:string -> (out_channel -> unit) -> unit
+
 (** Write a whole journal (manifest first, then the trials in list
-    order).  Creates/truncates [path].  [trace] records the write as a
-    [journal/write] duration span on the flight recorder. *)
+    order), replacing [path] ({!replace_file}).  [trace] records the write
+    as a [journal/write] duration span on the flight recorder. *)
 val write :
   ?trace:Obs.Trace.recorder ->
   path:string -> manifest:Obs.Json.t -> trials:Campaign.trial list ->

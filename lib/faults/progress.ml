@@ -81,8 +81,8 @@ let snapshot ?(final = false) t =
   let rate = if elapsed > 0.0 then float_of_int done_ /. elapsed else 0.0 in
   (* Rate over the last [min done_ window_size] completions.  The all-time
      rate divides by elapsed time since [create], which includes the
-     golden-run/fork-capture setup before the first trial finishes — that
-     inflated early ETAs badly on slow workloads.  The window starts at the
+     golden-run setup before the first trial finishes — that inflated
+     early ETAs badly on slow workloads.  The window starts at the
      oldest retained completion's timestamp, so setup never enters it. *)
   let window_rate =
     (* Retain one slot fewer than the ring holds: once [done_ >=

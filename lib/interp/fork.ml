@@ -5,9 +5,10 @@
     inputs and code are the same, and every value check that fails without
     a fault is disabled for trials, so the two executions cannot diverge
     before the flip.  A campaign therefore captures resumable machine
-    snapshots *during one golden pass* — at a fixed step stride — and each
-    trial starts from the newest snapshot strictly before its [at_step]
-    instead of re-executing the prefix.
+    snapshots *during its golden run* — at a step stride that doubles as
+    the run grows ({!add}) — and each trial starts from the newest
+    snapshot strictly before its [at_step] instead of re-executing the
+    prefix.
 
     A fork snapshot is a deep, immutable copy of everything a resumed run
     needs: the frame stack (register files, rings, control positions), the
@@ -57,13 +58,15 @@ type final = {
   fe_mem : Memory.image;          (** the final memory *)
 }
 
-(** A capture in progress: {!Machine.run_compiled} appends a snapshot
+(** A capture in progress: {!Machine.run_compiled} adds a snapshot
     whenever the step counter crosses the next stride boundary (at a loop
     head — or, when checkpointing, exactly at a checkpoint event, so the
     capture point is a consistent resume position either way), and records
-    the end state when the run finishes. *)
+    the end state when the run finishes.  The run's length is unknown
+    while it runs, so the plan bounds itself: see {!add}. *)
 type plan = {
-  fp_stride : int;
+  mutable fp_stride : int;        (** steps between captures; {!add}
+                                      doubles it *)
   mutable fp_snaps : snap list;   (** newest first during capture *)
   mutable fp_final : final option;(** [Some] once the run has finished *)
 }
@@ -71,6 +74,20 @@ type plan = {
 let plan ~stride =
   if stride <= 0 then invalid_arg "Fork.plan: stride must be positive";
   { fp_stride = stride; fp_snaps = []; fp_final = None }
+
+(** A plan never holds this many snapshots once {!add} returns. *)
+let max_snaps = 64
+
+(** Add the newest snapshot.  Reaching {!max_snaps} keeps every other
+    snapshot, the newest included, and doubles the stride, so the kept
+    ones stay evenly spaced at the new stride.  A run that reaches the
+    bound therefore ends with 32 to 63 snapshots, whatever its length. *)
+let add plan snap =
+  plan.fp_snaps <- snap :: plan.fp_snaps;
+  if List.length plan.fp_snaps >= max_snaps then begin
+    plan.fp_snaps <- List.filteri (fun i _ -> i mod 2 = 0) plan.fp_snaps;
+    plan.fp_stride <- 2 * plan.fp_stride
+  end
 
 (** Captured snapshots in ascending step order; a stride larger than the
     run's step count yields [[||]] (callers then fall back to

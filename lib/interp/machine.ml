@@ -902,7 +902,7 @@ let capture_fork st ~ckpt =
         fk_slack_credit = st.slack_credit;
         fk_ckpt = ckpt }
     in
-    plan.Fork.fp_snaps <- snap :: plan.Fork.fp_snaps;
+    Fork.add plan snap;
     st.next_fork <- st.steps + plan.Fork.fp_stride
 
 (* Checkpoints are taken at the interpreter loop head, where [fr.idx] is a

@@ -188,11 +188,13 @@ val arena : unit -> arena
     [arena] recycles frame and scratch allocations across runs (one arena
     per worker domain; observation-free).
 
-    [fork_capture] (golden runs only) appends a resumable {!Fork.snap} to
-    the plan every time the step counter crosses a stride boundary — at a
-    loop head, or exactly at a checkpoint event when [checkpoint_interval]
-    is on, and records the run's end state in [fp_final] when it
-    finishes.  Capture is observation-free for the capturing run itself.
+    [fork_capture] (golden runs only) adds a resumable {!Fork.snap} to
+    the plan ({!Fork.add}, which thins the plan and doubles its stride at
+    64 snapshots) every time the step counter crosses a stride boundary —
+    at a loop head, or exactly at a checkpoint event when
+    [checkpoint_interval] is on, and records the run's end state in
+    [fp_final] when it finishes.  Capture is observation-free for the
+    capturing run itself, so a campaign captures during its golden run.
 
     [resume] starts the run from a previously captured fork snapshot
     instead of the program entry: memory, frames, and the step/cycle/check

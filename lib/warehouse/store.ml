@@ -347,10 +347,7 @@ let copy_file src dst =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic len)
   in
-  let oc = open_out_bin dst in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc bytes)
+  Faults.Journal.replace_file ~path:dst (fun oc -> output_string oc bytes)
 
 let find_key dir key =
   List.find_opt (fun e -> e.e_key = key) (entries ~dir)

@@ -209,13 +209,76 @@ let test_cost_model_sanity () =
   Alcotest.(check bool) "table II is non-empty" true
     (List.length (Interp.Cost.describe ()) > 5)
 
+(* ----- Golden-prefix fork capture (DESIGN.md §12) ----- *)
+
+(* A counting loop of [n] iterations. *)
+let build_counter n =
+  let prog = Prog.create () in
+  let b = Builder.create prog ~name:"main" ~n_params:0 in
+  let regs =
+    Builder.loop b ~init:[ Builder.imm 0 ]
+      ~cond:(fun regs ->
+        match regs with
+        | [ r ] -> Builder.lt b (Reg r) (Builder.imm n)
+        | _ -> assert false)
+      ~body:(fun regs ->
+        match regs with
+        | [ r ] -> [ Builder.add b (Reg r) (Builder.imm 1) ]
+        | _ -> assert false)
+  in
+  Builder.ret b (Reg (List.hd regs));
+  Builder.finish b;
+  prog
+
+let test_fork_plan_thins () =
+  (* Sixty-four snapshots thin to every other one, the newest included,
+     and the stride doubles. *)
+  let image = Interp.Memory.capture (Interp.Memory.create ()) in
+  let snap step =
+    { Interp.Fork.fk_step = step; fk_cycles = step; fk_frames = [];
+      fk_mem = image; fk_valchk_failures = 0; fk_failed_uids = [];
+      fk_slack_credit = 0; fk_ckpt = None }
+  in
+  let plan = Interp.Fork.plan ~stride:1 in
+  for step = 1 to 64 do Interp.Fork.add plan (snap step) done;
+  Alcotest.(check (list int)) "every other snapshot, newest kept"
+    (List.init 32 (fun i -> 2 * (i + 1)))
+    (Array.to_list
+       (Array.map (fun s -> s.Interp.Fork.fk_step) (Interp.Fork.finalize plan)));
+  Alcotest.(check int) "stride doubled" 2 plan.Interp.Fork.fp_stride;
+  (* A capturing run long enough to thin several times ends with 32 to 63
+     snapshots in strictly ascending step order, the newest within one
+     final stride of the end, and its end state recorded. *)
+  let plan = Interp.Fork.plan ~stride:16 in
+  let r =
+    Interp.Machine.run_compiled
+      ~config:{ Interp.Machine.default_config with mode = Interp.Machine.Record }
+      ~fork_capture:plan
+      (Interp.Compiled.cached (build_counter 5000))
+      ~entry:"main" ~args:[] ~mem:(Interp.Memory.create ())
+  in
+  let snaps = Interp.Fork.finalize plan in
+  let n = Array.length snaps in
+  Alcotest.(check bool) (Printf.sprintf "32 to 63 snapshots (%d)" n) true
+    (n >= 32 && n <= 63);
+  Alcotest.(check bool) "stride grew" true (plan.Interp.Fork.fp_stride >= 16 * 4);
+  for i = 1 to n - 1 do
+    Alcotest.(check bool) "steps strictly ascend" true
+      (snaps.(i - 1).Interp.Fork.fk_step < snaps.(i).Interp.Fork.fk_step)
+  done;
+  Alcotest.(check bool) "newest snapshot kept" true
+    (r.steps - snaps.(n - 1).Interp.Fork.fk_step <= plan.Interp.Fork.fp_stride);
+  match plan.Interp.Fork.fp_final with
+  | Some fin -> Alcotest.(check int) "end state recorded" r.steps fin.fe_steps
+  | None -> Alcotest.fail "fp_final not set"
+
 (* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
 
-(* The golden run of a subject and its capture pass at the campaign's
+(* The golden run of a subject and a capture run from the campaign's first
    stride: the snapshots and end state a campaign hands every trial. *)
 let golden_fork (subject : Faults.Campaign.subject) ~checkpoint_interval =
   let golden = Faults.Campaign.golden_run ~checkpoint_interval subject in
-  let plan = Interp.Fork.plan ~stride:(max 1 (golden.steps / 32)) in
+  let plan = Interp.Fork.plan ~stride:1024 in
   let st = subject.fresh_state () in
   let config =
     { Interp.Machine.default_config with
@@ -473,6 +536,8 @@ let tests =
       test_injection_can_corrupt_result;
     Alcotest.test_case "inject: absent without plan" `Quick test_no_fault_no_injection;
     Alcotest.test_case "cost: model sanity" `Quick test_cost_model_sanity;
+    Alcotest.test_case "fork: plan thins to 32-63 snapshots" `Quick
+      test_fork_plan_thins;
     Alcotest.test_case "rejoin: identical result and memory" `Quick
       test_rejoin_identical;
     Alcotest.test_case "rejoin: needs every compared part equal" `Quick

@@ -177,9 +177,10 @@ let test_pool_serial_exception () =
 
 (* ----- Journal ----- *)
 
-let small_campaign ?profile ?on_trial ?stats_out ?progress ?trace ~domains () =
-  Faults.Campaign.run ?profile ?on_trial ?stats_out ?progress ?trace ~domains
-    (Test_faults.array_sum_subject ())
+let small_campaign ?profile ?on_trial ?stats_out ?progress ?trace ?fork_stride
+    ~domains () =
+  Faults.Campaign.run ?profile ?on_trial ?stats_out ?progress ?trace
+    ?fork_stride ~domains (Test_faults.array_sum_subject ())
     ~trials:30 ~seed:2024
 
 let test_journal_write_load () =
@@ -218,6 +219,37 @@ let test_journal_write_load () =
             t.Faults.Campaign.detect_latency v.v_latency;
           Alcotest.(check int) "cycles" t.Faults.Campaign.cycles v.v_cycles)
         views)
+
+let test_journal_overwrite_atomic () =
+  (* Rewriting a journal replaces it through a temp file renamed over it:
+     nothing but the journal is left in its directory, and it reads back
+     the new trials. *)
+  let dir = Filename.temp_file "softft_journal_dir" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "run.jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let summary, trials = small_campaign ~domains:1 () in
+      let manifest =
+        Faults.Journal.manifest_record ~git:"test" ~technique:"none"
+          ~label:"array_sum" ~trials:30 ~seed:2024 ~domains:1
+          ~hw_window:Faults.Classify.default_hw_window
+          ~fault_kind:"register_bit"
+          ~golden:summary.Faults.Campaign.golden_info ()
+      in
+      Faults.Journal.write ~path ~manifest ~trials ();
+      let newer = List.filteri (fun i _ -> i < 7) trials in
+      Faults.Journal.write ~path ~manifest ~trials:newer ();
+      Alcotest.(check (list string)) "only the journal remains" [ "run.jsonl" ]
+        (Array.to_list (Sys.readdir dir));
+      let _, views = Faults.Journal.load path in
+      Alcotest.(check (list int)) "the new trials load"
+        (List.map (fun t -> t.Faults.Campaign.trial_seed) newer)
+        (List.map (fun (v : Faults.Journal.view) -> v.v_seed) views))
 
 let test_journal_malformed () =
   let path = Filename.temp_file "softft_journal" ".jsonl" in
@@ -866,28 +898,42 @@ let test_progress_heartbeat_jsonl () =
 
 (* ----- Determinism: the flight recorder and statistics are inert ----- *)
 
-let check_flight_recorder_inert ~domains () =
-  let bare_summary, bare = small_campaign ~domains:1 () in
-  let r = Obs.Trace.recorder () in
-  let pg = Faults.Progress.create ~interval:1e9 ~total:30 () in
-  let traced_summary, traced =
-    small_campaign ~progress:pg ~trace:r ~domains ()
-  in
-  Alcotest.(check bool) "trials bit-identical under tracing" true
-    (Faults.Campaign.trials_equal bare traced);
-  Alcotest.(check bool) "counts identical" true
-    (bare_summary.Faults.Campaign.counts
-     = traced_summary.Faults.Campaign.counts);
-  (* The recorder did see the campaign's phases. *)
+(* The recorder saw a campaign's phases: the golden run (which captures
+   the fork snapshots itself, so no capture pass of its own) and the
+   trials. *)
+let check_campaign_spans what r =
   let names =
     List.sort_uniq compare
       (List.map (fun d -> d.Trace.du_name) (Trace.durs r))
   in
   List.iter
     (fun phase ->
-      Alcotest.(check bool) (phase ^ " span recorded") true
+      Alcotest.(check bool) (what ^ ": " ^ phase ^ " span recorded") true
         (List.mem phase names))
-    [ "golden_run"; "trials"; "worker" ]
+    [ "golden_run"; "trials"; "worker" ];
+  Alcotest.(check bool) (what ^ ": no fork_capture span") false
+    (List.mem "fork_capture" names)
+
+let check_flight_recorder_inert ~domains () =
+  let bare_summary, bare = small_campaign ~domains:1 () in
+  let r = Obs.Trace.recorder () in
+  let pg = Faults.Progress.create ~interval:1e9 ~total:30 () in
+  (* A small first stride so the short subject's golden run captures. *)
+  let traced_summary, traced =
+    small_campaign ~progress:pg ~trace:r ~fork_stride:8 ~domains ()
+  in
+  Alcotest.(check bool) "trials bit-identical under tracing" true
+    (Faults.Campaign.trials_equal bare traced);
+  Alcotest.(check bool) "counts identical" true
+    (bare_summary.Faults.Campaign.counts
+     = traced_summary.Faults.Campaign.counts);
+  check_campaign_spans "uniform" r;
+  let r = Obs.Trace.recorder () in
+  let _ =
+    Test_faults.run_adaptive ~domains ~trace:r ~fork_stride:8
+      (Test_faults.protected_array_sum ())
+  in
+  check_campaign_spans "adaptive" r
 
 let test_flight_recorder_inert_serial () =
   check_flight_recorder_inert ~domains:1 ()
@@ -1233,6 +1279,8 @@ let tests =
       test_pool_serial_exception;
     Alcotest.test_case "journal: write/load roundtrip" `Quick
       test_journal_write_load;
+    Alcotest.test_case "journal: overwrite replaces atomically" `Quick
+      test_journal_overwrite_atomic;
     Alcotest.test_case "journal: malformed input" `Quick test_journal_malformed;
     Alcotest.test_case "journal: no manifest is an error" `Quick
       test_journal_no_manifest;
