@@ -1,8 +1,8 @@
-(** Command-line driver for full-scale reproduction campaigns.
-
-    The bench harness ([bench/main.exe]) uses reduced trial counts so it
-    finishes in minutes; this tool runs paper-scale campaigns (1000 trials
-    per benchmark and technique, §IV-C) and the auxiliary studies. *)
+(** Command-line front end of the reproduction: every table and figure
+    of the paper's evaluation at paper scale ([all]: 1000 trials per
+    benchmark and technique, §IV-C), the studies beyond them ([study]),
+    single campaigns, and the journal, warehouse, coverage and optimizer
+    tools built on them. *)
 
 open Cmdliner
 
@@ -15,7 +15,10 @@ let seed_arg =
   Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let benchmarks_arg =
-  let doc = "Comma-separated benchmark subset (default: all 13)." in
+  let doc =
+    "Comma-separated benchmark subset (default: all 13; for `study', the \
+     study's own subset)."
+  in
   Arg.(value & opt (some string) None & info [ "benchmarks"; "b" ] ~docv:"NAMES" ~doc)
 
 (* [--domains] accepts a positive integer or the word "auto"; "auto"
@@ -89,7 +92,7 @@ let technique_of_string s =
          "unknown technique %S (original|dup|dupval|full|cfc|dupvalcfc)"
          other)
 
-let run_all trials seed benchmarks domains quiet log_json =
+let run_all trials seed benchmarks domains quiet log_json csv =
   let log = logger_of quiet log_json in
   let workloads = resolve_benchmarks benchmarks in
   let results =
@@ -106,7 +109,16 @@ let run_all trials seed benchmarks domains quiet log_json =
   Softft.Experiments.print_headline results;
   Printf.printf
     "\n(95%% confidence margin of error at %d trials: +-%.1f points)\n" trials
-    (100.0 *. Softft.margin_of_error ~trials ~proportion:0.5)
+    (100.0 *. Softft.margin_of_error ~trials ~proportion:0.5);
+  Option.iter (fun path -> Softft.Experiments.write_csv path results) csv
+
+let all_csv_arg =
+  let doc =
+    "Also write the evaluation matrix to $(docv) as CSV: one row per \
+     (benchmark, technique) with outcome shares, overhead and static \
+     statistics."
+  in
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
 let all_cmd =
   let doc = "Run every table and figure of the paper's evaluation." in
@@ -114,21 +126,71 @@ let all_cmd =
     (Cmd.info "all" ~doc)
     Term.(
       const run_all $ trials_arg $ seed_arg $ benchmarks_arg $ domains_arg
-      $ quiet_arg $ log_json_arg)
+      $ quiet_arg $ log_json_arg $ all_csv_arg)
 
-let run_crossval trials seed domains quiet =
-  ignore quiet;
-  let rows = Softft.Experiments.crossval ~trials ~seed ~domains () in
-  Softft.Experiments.print_crossval rows
+(* The studies beyond the paper's own tables: name, default benchmark
+   subset, and the driver that runs and prints it. *)
+let studies =
+  let module E = Softft.Experiments in
+  [ ("crossval", [ "jpegdec"; "kmeans" ],
+     fun ~trials ~seed ~domains ws ->
+       let names = List.map (fun (w : Workloads.Workload.t) -> w.name) ws in
+       E.print_crossval (E.crossval ~trials ~seed ~names ~domains ()));
+    ("ablation", [ "jpegdec"; "g721enc" ],
+     fun ~trials ~seed ~domains ->
+       List.iter (fun w ->
+         E.print_ablation w (E.ablation ~trials ~seed ~domains w)));
+    ("latency", Workloads.Registry.names,
+     fun ~trials ~seed ~domains ws ->
+       E.print_latency (E.latency ~trials ~seed ~domains ws));
+    ("branchfault", [ "jpegdec"; "g721enc"; "kmeans" ],
+     fun ~trials ~seed ~domains ws ->
+       E.print_branch_faults (E.branch_faults ~trials ~seed ~domains ws));
+    ("sources", Workloads.Registry.names,
+     fun ~trials ~seed ~domains ws ->
+       E.print_detection_sources
+         (E.detection_sources ~trials ~seed ~domains ws));
+    ("recovery", [ "jpegdec"; "kmeans" ],
+     fun ~trials ~seed ~domains ->
+       List.iter (fun w ->
+         E.print_recovery w (E.recovery ~trials ~seed ~domains w))) ]
 
-let crossval_cmd =
+let run_study (defaults, run) trials seed benchmarks domains =
+  let names =
+    match benchmarks with
+    | Some names -> String.split_on_char ',' names
+    | None -> defaults
+  in
+  run ~trials ~seed ~domains (List.map Workloads.Registry.find names)
+
+let study_arg =
   let doc =
-    "Cross-validation (paper \xc2\xa7V): profile on the test input and inject \
-     on the train input, for jpegdec and kmeans."
+    "The study to run: $(b,crossval) (paper \xc2\xa7V: profile on the test \
+     input, inject on the train input), $(b,ablation) (Optimizations 1 \
+     and 2 toggled off), $(b,latency) (instructions from fault to \
+     detection), $(b,branchfault) (branch-target faults, with and without \
+     the CFC pass), $(b,sources) (software detections by detector kind) \
+     or $(b,recovery) (checkpoint-interval sweep)."
+  in
+  Arg.(
+    required
+    & pos 0
+        (some (enum (List.map (fun (name, d, r) -> (name, (d, r))) studies)))
+        None
+    & info [] ~docv:"STUDY" ~doc)
+
+let study_cmd =
+  let doc =
+    "Run one study beyond the paper's own tables.  Default benchmarks: \
+     jpegdec and kmeans for crossval and recovery; jpegdec and g721enc for \
+     ablation; jpegdec, g721enc and kmeans for branchfault; all 13 for \
+     latency and sources."
   in
   Cmd.v
-    (Cmd.info "crossval" ~doc)
-    Term.(const run_crossval $ trials_arg $ seed_arg $ domains_arg $ quiet_arg)
+    (Cmd.info "study" ~doc)
+    Term.(
+      const run_study $ study_arg $ trials_arg $ seed_arg $ benchmarks_arg
+      $ domains_arg)
 
 let name_arg =
   let doc = "Benchmark name (see `table1')." in
@@ -1439,7 +1501,7 @@ let main_cmd =
   in
   Cmd.group
     (Cmd.info "experiments" ~version:"1.0.0" ~doc)
-    [ all_cmd; crossval_cmd; campaign_cmd; coverage_cmd;
+    [ all_cmd; study_cmd; campaign_cmd; coverage_cmd;
       optimize_cmd; lint_cmd;
       report_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
       regress_cmd; heatmap_cmd; table1_cmd; dump_cmd; trace_cmd;

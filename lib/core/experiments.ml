@@ -384,13 +384,13 @@ let print_headline results =
         (Api.technique_name t) (mean_pct t sdc) (mean_pct t usdc)
         (mean_ovh t))
     [ Api.Original; Api.Dup_only; Api.Dup_valchk; Api.Full_dup ];
-  (* The Â§V comparison quantity: what fraction of the unmodified
+  (* The §V comparison quantity: what fraction of the unmodified
      program's USDCs the implemented detectors remove (paper: 82.5 % at
      19.5 % overhead). *)
   let usdc_orig = mean_pct Api.Original usdc in
   if usdc_orig > 0.0 then
     Printf.printf
-      "USDC coverage of Dup + val chks: %.1f%% (paper Â§V: 82.5%%)\n"
+      "USDC coverage of Dup + val chks: %.1f%% (paper §V: 82.5%%)\n"
       (100.0 *. (usdc_orig -. mean_pct Api.Dup_valchk usdc) /. usdc_orig)
 
 (* ----- Ablation: the two interaction optimizations (paper §III-C) ----- *)

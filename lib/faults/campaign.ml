@@ -84,7 +84,7 @@ type trial = {
   detect_latency : int option;
       (** dynamic instructions between the flip and its detection, for
           SWDetect/HWDetect outcomes — the window a recovery scheme must
-          cover (paper Â§IV-D) *)
+          cover (paper §IV-D) *)
   steps : int;    (** dynamic instructions the faulted run executed *)
   cycles : int;   (** simulated cycles of the faulted run *)
   recovery : Interp.Machine.recovery option;

@@ -30,7 +30,7 @@ type fault_kind =
   | Register_bit     (** flip one bit of one live register (the paper's model) *)
   | Branch_target    (** corrupt the target of the next taken branch — the
                          fault class the paper defers to signature-based
-                         control-flow checking (Â§IV-C) *)
+                         control-flow checking (§IV-C) *)
 
 (** A single injected fault, recorded for outcome analysis. *)
 type injection = {

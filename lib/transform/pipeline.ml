@@ -11,7 +11,7 @@ type technique =
   | Cfc_only       (** signature-based control-flow checking only *)
   | Dup_valchk_cfc (** the paper's scheme combined with the complementary
                        signature scheme it points to for branch-target
-                       faults (Â§IV-C) *)
+                       faults (§IV-C) *)
   | Planned        (** an explicit protection plan executed by {!of_plan};
                        generalizes the fixed configurations above *)
 

@@ -9,13 +9,14 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-(* Run the binary with ARGS, stdout and stderr to a file; return the exit
-   code and the output. *)
-let run_exe args =
+(* Run the binary with ARGS, stdout and (unless [~stderr:false]) stderr to
+   a file; return the exit code and the output. *)
+let run_exe ?(stderr = true) args =
   let out = Filename.temp_file "softft_cli" ".txt" in
   let rc =
     Sys.command
-      (Printf.sprintf "%s %s > %s 2>&1" exe args (Filename.quote out))
+      (Printf.sprintf "%s %s > %s %s" exe args (Filename.quote out)
+         (if stderr then "2>&1" else "2>/dev/null"))
   in
   let text = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
@@ -29,8 +30,9 @@ let help_of sub =
    silently dropped from the CLI breaks scripts; this list is the
    snapshot that catches it. *)
 let surface =
-  [ ("all", [ "--trials"; "--seed"; "--benchmarks"; "--domains"; "--quiet" ]);
-    ("crossval", [ "--trials"; "--seed"; "--domains" ]);
+  [ ("all",
+     [ "--trials"; "--seed"; "--benchmarks"; "--domains"; "--quiet"; "--csv" ]);
+    ("study", [ "--trials"; "--seed"; "--benchmarks"; "--domains" ]);
     ("campaign",
      [ "--trials"; "--seed"; "--domains"; "--adaptive"; "--ci";
        "--max-trials"; "--bands"; "--checkpoint"; "--taint"; "--profile";
@@ -99,6 +101,59 @@ let test_unknown_subcommand_fails () =
     Sys.command (Printf.sprintf "%s no-such-subcommand > /dev/null 2>&1" exe)
   in
   Alcotest.(check bool) "unknown subcommand exits nonzero" true (rc <> 0)
+
+let studies =
+  [ "crossval"; "ablation"; "latency"; "branchfault"; "sources"; "recovery" ]
+
+let test_unknown_study_fails () =
+  let rc, text = run_exe "study no-such-study" in
+  Alcotest.(check bool) "unknown study exits nonzero" true (rc <> 0);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("the error lists " ^ name) true
+        (contains text ("'" ^ name ^ "'")))
+    studies
+
+let test_every_study_runs () =
+  (* One workload, four trials: each study runs its driver and prints its
+     table under the driver's own title. *)
+  List.iter2
+    (fun name title ->
+      let rc, text =
+        run_exe
+          ("study " ^ name ^ " --trials 4 --benchmarks g721enc --domains 1")
+      in
+      Alcotest.(check int) ("study " ^ name ^ " exits 0") 0 rc;
+      Alcotest.(check bool) ("study " ^ name ^ " prints its table") true
+        (contains text ("== " ^ title)))
+    studies
+    [ "Cross-validation"; "Ablation on g721enc"; "Detection latency";
+      "Branch-target faults"; "Detection sources";
+      "Checkpoint/rollback recovery on g721enc" ]
+
+let test_all_headline_and_csv () =
+  (* g721enc has unacceptable SDCs unprotected even at 20 trials, so the
+     headline prints its coverage line; --csv writes the library's CSV. *)
+  let csv = Filename.temp_file "softft_cli" ".csv" in
+  let rc, text =
+    run_exe ~stderr:false
+      ("all --benchmarks g721enc --trials 20 --domains 1 -q --csv "
+       ^ Filename.quote csv)
+  in
+  Alcotest.(check int) "all exits 0" 0 rc;
+  Alcotest.(check bool) "coverage line cites paper \xc2\xa7V" true
+    (contains text "USDC coverage of Dup + val chks: "
+     && contains text "(paper \xc2\xa7V: 82.5%)");
+  Alcotest.(check bool) "no double-encoded byte in stdout" false
+    (contains text "\xc3\x82");
+  let expected =
+    Softft.Experiments.to_csv
+      (Softft.Experiments.evaluate ~trials:20 ~domains:1
+         [ Workloads.Registry.find "g721enc" ])
+  in
+  Alcotest.(check string) "--csv writes the evaluation matrix" expected
+    (In_channel.with_open_text csv In_channel.input_all);
+  Sys.remove csv
 
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all
@@ -235,4 +290,8 @@ let tests =
     Alcotest.test_case "campaign --taint stamps the manifest" `Quick
       test_campaign_taint_journal;
     Alcotest.test_case "old warehouse: history, regress, ingest" `Quick
-      test_old_warehouse ]
+      test_old_warehouse;
+    Alcotest.test_case "unknown study" `Quick test_unknown_study_fails;
+    Alcotest.test_case "every study runs" `Quick test_every_study_runs;
+    Alcotest.test_case "all: headline section sign and --csv" `Quick
+      test_all_headline_and_csv ]
