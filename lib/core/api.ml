@@ -111,18 +111,18 @@ let overhead ?baseline (p : protected) ~role =
 
 (** Statistical fault injection against the protected program.  [domains]
     fans the trials out over OCaml 5 domains (deterministic for any worker
-    count; see {!Faults.Campaign.run}).  [profile], [on_trial], [stats_out]
-    and [progress] are {!Faults.Campaign.run}'s observation-only telemetry
+    count; see {!Faults.Campaign.run}).  [profile], [stats_out] and
+    [progress] are {!Faults.Campaign.run}'s observation-only telemetry
     hooks — any combination leaves results bit-identical; [taint_trace]
     attaches the fault-propagation tracer to every trial (outcomes
     unchanged, trials gain propagation summaries); [trace] attaches the
     campaign flight recorder (phase/worker/chunk duration spans, rendered
     with {!Obs.Trace.to_chrome}). *)
 let campaign ?hw_window ?seed ?(trials = 1000) ?domains ?checkpoint_interval
-    ?taint_trace ?profile ?on_trial ?stats_out ?warehouse ?progress ?trace
+    ?taint_trace ?profile ?stats_out ?warehouse ?progress ?trace
     (p : protected) ~role =
   Faults.Campaign.run ?hw_window ?seed ?domains ?checkpoint_interval
-    ?taint_trace ?profile ?on_trial ?stats_out ?warehouse ?progress ?trace
+    ?taint_trace ?profile ?stats_out ?warehouse ?progress ?trace
     (subject p ~role) ~trials
 
 (** 95 %-confidence margin of error for a proportion observed over [n]

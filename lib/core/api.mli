@@ -98,8 +98,8 @@ val overhead :
     recovery in the golden run and every trial (DESIGN.md §9).
     [taint_trace] (default false) attaches the fault-propagation tracer
     to every trial (DESIGN.md §10): outcomes stay bit-identical, trials
-    gain propagation summaries.  [profile], [on_trial], [stats_out],
-    [progress] and [trace] (the campaign flight recorder) are
+    gain propagation summaries.  [profile], [stats_out], [progress] and
+    [trace] (the campaign flight recorder) are
     {!Faults.Campaign.run}'s observation-only telemetry hooks, and
     [warehouse] is its run-filing sink. *)
 val campaign :
@@ -110,7 +110,6 @@ val campaign :
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
   ?profile:Interp.Profile.t ->
-  ?on_trial:(int -> Faults.Campaign.trial -> unit) ->
   ?stats_out:Faults.Campaign.run_stats option ref ->
   ?warehouse:
     (Faults.Campaign.summary ->

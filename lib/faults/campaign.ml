@@ -387,8 +387,7 @@ type run_stats = {
    also receives.
    [budget] bounds the campaign's trials (0 skips the fork capture). *)
 let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
-    ~fork ~fork_stride ~profile ~budget ~on_trial ~stats_out ~warehouse
-    subject ~draw =
+    ~fork ~fork_stride ~profile ~budget ~stats_out ~warehouse subject ~draw =
   let t_start = Unix.gettimeofday () in
   (* The golden also runs with checkpointing so its cycle count carries the
      fault-free overhead of the recovery configuration; its output and step
@@ -459,9 +458,6 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
   let results, extra = loop batch in
   (match progress with Some pg -> Progress.finish pg | None -> ());
   let t_end = Unix.gettimeofday () in
-  (match on_trial with
-   | Some emit -> List.iteri emit results
-   | None -> ());
   let stats =
     { golden_sec = t_golden -. t_start;
       setup_sec = t_trials -. t_golden;
@@ -501,9 +497,6 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
     - [profile] accumulates the execution profiles of every trial
       (per-trial instances, merged in trial order after the parallel
       phase, so worker scheduling stays unobservable);
-    - [on_trial] receives [(index, trial)] for every trial, in
-      deterministic seed order, after the parallel phase — the journal
-      emission point;
     - [stats_out] receives the campaign's {!run_stats};
     - [progress] receives every trial's outcome as it completes, from
       whichever worker domain ran it ({!Progress} is thread-safe) — the
@@ -522,11 +515,11 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
 let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
     ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
     ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
-    ?(fork_stride = first_fork_stride) ?profile ?on_trial ?stats_out
-    ?warehouse ?progress ?trace subject ~trials =
+    ?(fork_stride = first_fork_stride) ?profile ?stats_out ?warehouse
+    ?progress ?trace subject ~trials =
   let summary, results, () =
     engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
-      ~fork ~fork_stride ~profile ~budget:trials ~on_trial ~stats_out
+      ~fork ~fork_stride ~profile ~budget:trials ~stats_out
       ~warehouse:(Option.map (fun file s r st () -> file s r st) warehouse)
       subject
       ~draw:(fun ~golden ~compiled:_ ->
@@ -941,12 +934,12 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
 let run_adaptive ?(hw_window = Classify.default_hw_window)
     ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
     ?(taint_trace = false) ?(fork = true) ?(fork_stride = first_fork_stride)
-    ?on_trial ?stats_out ?warehouse ?progress_for ?trace ?(bands = 3)
+    ?stats_out ?warehouse ?progress_for ?trace ?(bands = 3)
     ?(max_trials = 100_000)
     ~groups ~group_names ~priors ~ci subject =
   let ci = Float.max 1e-4 ci in
   engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace ~fork
-    ~fork_stride ~profile:None ~budget:max_trials ~on_trial ~stats_out
+    ~fork_stride ~profile:None ~budget:max_trials ~stats_out
     ~warehouse subject
     ~draw:(fun ~golden ~compiled ->
       let cum =

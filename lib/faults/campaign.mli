@@ -148,9 +148,7 @@ type run_stats = {
 
     Observability hooks, all observation-only (any combination leaves
     results bit-identical): [profile] accumulates every trial's execution
-    profile (merged in trial order); [on_trial] is called with
-    [(index, trial)] for each trial in deterministic seed order after the
-    parallel phase — the journal emission point; [stats_out] receives the
+    profile (merged in trial order); [stats_out] receives the
     campaign's {!run_stats}; [warehouse] is a filing sink invoked once,
     after every other hook, with the finished summary, the full trial
     list and the run's stats — the attachment point for a content-
@@ -192,7 +190,6 @@ val run :
   ?fork:bool ->
   ?fork_stride:int ->
   ?profile:Interp.Profile.t ->
-  ?on_trial:(int -> trial -> unit) ->
   ?stats_out:run_stats option ref ->
   ?warehouse:(summary -> trial list -> run_stats option -> unit) ->
   ?progress:Progress.t ->
@@ -316,7 +313,6 @@ val run_adaptive :
   ?taint_trace:bool ->
   ?fork:bool ->
   ?fork_stride:int ->
-  ?on_trial:(int -> trial -> unit) ->
   ?stats_out:run_stats option ref ->
   ?warehouse:(summary -> trial list -> run_stats option -> adaptive -> unit) ->
   ?progress_for:(nstrata:int -> total:int -> Progress.t) ->

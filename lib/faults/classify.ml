@@ -127,3 +127,10 @@ let is_usdc = function
 let is_covered = function
   | Masked | Asdc | Sw_detect | Hw_detect | Recovered | Unrecoverable -> true
   | Usdc_large | Usdc_small | Failure -> false
+
+let group_of_name name =
+  match of_name name with
+  | Some (Asdc | Usdc_large | Usdc_small) -> `Sdc
+  | Some (Sw_detect | Hw_detect | Recovered | Unrecoverable) -> `Detected
+  | Some Masked -> `Masked
+  | Some Failure | None -> `Other

@@ -53,3 +53,9 @@ val is_usdc : outcome -> bool
 
 (** Fault coverage as the paper defines it: Masked + SWDetect + HWDetect. *)
 val is_covered : outcome -> bool
+
+(** The four-way grouping every join of journal outcomes against static
+    coverage tallies: [`Sdc] (ASDC and both USDCs), [`Detected]
+    (SWDetect, HWDetect, Recovered, Unrecoverable), [`Masked], and
+    [`Other] (Failure, and any name {!of_name} does not know). *)
+val group_of_name : string -> [ `Sdc | `Detected | `Masked | `Other ]

@@ -2,19 +2,9 @@
 
 open Obs
 
-(* v2 adds the recovery configuration to the manifest
-   ([checkpoint_interval]) and per-trial recovery events; v3 adds the
-   fault-propagation summary ([taint]) per trial; v4 adds the final
-   outcome statistics (counts + Wilson 95% intervals) to the manifest;
-   v5 adds the adaptive-stratification section (strata, reweighted
-   intervals, equivalent-uniform trials) and a per-trial stratum id.
-   Every addition is an optional field, so v1–v4 journals are still
-   loadable — and each version is stamped only when its feature was
-   actually used, keeping feature-free journals byte-identical to their
-   older forms. *)
-let schema = "softft.journal.v2"
-let schema_v1 = "softft.journal.v1"
-let schema_v3 = "softft.journal.v3"
+(* Each schema generation only added optional fields, so v1-v5 journals
+   all load through one reader.  The writer stamps v5 when the adaptive
+   section is present, else v4. *)
 let schema_v4 = "softft.journal.v4"
 let schema_v5 = "softft.journal.v5"
 
@@ -109,16 +99,10 @@ let trial_record ~index (t : Campaign.trial) =
           [ ("check_uid", Json.Int d.check_uid);
             ("dup_check", Json.Bool d.dup_check) ])
      @ opt_field "injection" injection_json t.injection
-     (* v2 recovery telemetry; omitted when checkpointing is off, so a
-        recovery-free v2 trial line is byte-identical to its v1 form. *)
      @ (if t.checkpoints > 0 then [ ("checkpoints", Json.Int t.checkpoints) ]
         else [])
      @ opt_field "recovery" recovery_json t.recovery
-     (* v3 propagation telemetry; absent without [taint_trace], so an
-        untraced v3-era trial line is byte-identical to its v2 form. *)
      @ opt_field "taint" taint_json t.taint
-     (* v5 stratum tag; absent on the uniform path, so a uniform trial
-        line is byte-identical to its v4 form. *)
      @ opt_field "stratum" (fun s -> Json.Int s) t.stratum)
 
 let pool_stats_json (ps : Pool.stats) =
@@ -142,7 +126,7 @@ let stats_json (rs : Campaign.run_stats) =
        ("steps_skipped", Json.Int rs.steps_skipped) ]
      @ opt_field "pool" pool_stats_json rs.pool)
 
-(* Final per-outcome statistics for the v4 manifest: count, estimate, and
+(* Final per-outcome statistics for the manifest: count, estimate, and
    Wilson 95% bounds per observed outcome.  Deterministic — counts come
    from the (scheduling-independent) summary, so the manifest line stays
    byte-identical at any domain count. *)
@@ -207,22 +191,14 @@ let adaptive_json (a : Campaign.adaptive) =
        Json.List (Array.to_list (Array.map stratum_json a.Campaign.ad_strata)))
     ]
 
-let manifest_record ?git ?technique ?plan ?stats ?counts ?adaptive
+let manifest_record ?git ?technique ?plan ?stats ~counts ?adaptive
     ?(checkpoint_interval = 0) ?(taint_trace = false) ~label ~trials ~seed
     ~domains ~hw_window ~fault_kind ~(golden : Campaign.golden) () =
   let git = match git with Some g -> g | None -> git_describe () in
   Json.Obj
     ([ ("type", Json.Str "manifest");
-       (* The schema only advances when the feature is actually present:
-          v5 needs the adaptive section, v4 final stats, v3 tracing; a
-          stats-free untraced manifest stays byte-identical to its v2
-          form. *)
        ("schema",
-        Json.Str
-          (if adaptive <> None then schema_v5
-           else if counts <> None then schema_v4
-           else if taint_trace then schema_v3
-           else schema));
+        Json.Str (if adaptive <> None then schema_v5 else schema_v4));
        ("git", Json.Str git);
        ("label", Json.Str label);
        ("trials", Json.Int trials);
@@ -244,7 +220,7 @@ let manifest_record ?git ?technique ?plan ?stats ?counts ?adaptive
                  (List.map (fun uid -> Json.Int uid) golden.failing_checks))
             ]) ]
      @ opt_field "timings" stats_json stats
-     @ opt_field "stats" (final_stats_json ~trials) counts
+     @ [ ("stats", final_stats_json ~trials counts) ]
      @ opt_field "adaptive" adaptive_json adaptive)
 
 (* Write into a temp file beside [path], then rename it over [path]: a
@@ -279,7 +255,7 @@ let write ?trace ~path ~manifest ~trials () =
 
 (* ----- Reading ----- *)
 
-(** Recovery telemetry read back from a v2 trial record. *)
+(** Recovery telemetry read back from a trial that rolled back. *)
 type recovery_view = {
   rv_detect_step : int;
   rv_checkpoint_step : int;
@@ -288,7 +264,7 @@ type recovery_view = {
   rv_rollback_cycles : int;
 }
 
-(** Propagation telemetry read back from a v3 trial record. *)
+(** Propagation telemetry read back from a traced trial. *)
 type taint_view = {
   tv_seeded : bool;
   tv_reg_hwm : int;
@@ -368,11 +344,11 @@ let view_of_json ~line j =
     v_latency = int_field "detect_latency";
     v_steps = need_int "steps";
     v_cycles = need_int "cycles";
-    (* v2 fields, absent from v1 journals and recovery-free trials. *)
+    (* Absent from v1 journals and recovery-free trials. *)
     v_checkpoints = Option.value ~default:0 (int_field "checkpoints");
     v_recovery =
       Option.map (recovery_view_of_json ~line) (Json.member "recovery" j);
-    (* v3 field, absent from v1/v2 journals and untraced campaigns. *)
+    (* Absent from v1/v2 journals and untraced campaigns. *)
     v_taint =
       Option.map (taint_view_of_json ~line) (Json.member "taint" j);
     (* The injected register, from the nested injection record; absent

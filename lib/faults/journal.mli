@@ -9,35 +9,18 @@
     with schema version, config, golden reference data, timings and
     per-domain breakdown), followed by one [{"type":"trial",…}] record
     per trial, in deterministic seed order.  Journals are produced by
-    {!write} from a completed campaign, or streamed through
-    {!Campaign.run}'s [on_trial] hook using {!trial_record}. *)
+    {!write} from a completed campaign. *)
 
-(** Journal schema identifier, bumped on layout changes.  v2 added the
-    recovery configuration to the manifest ([checkpoint_interval]) and
-    optional per-trial recovery telemetry; v1 journals remain loadable.
-    This is the identifier of an *untraced* journal — campaigns run with
-    [taint_trace] stamp {!schema_v3} instead. *)
-val schema : string
-
-(** The previous schema identifier, still accepted by {!load}. *)
-val schema_v1 : string
-
-(** Schema identifier of a propagation-traced journal (per-trial [taint]
-    summaries with {!Obs.Trace} spans); stamped only when the campaign
-    actually traced, so untraced journals stay byte-identical to v2. *)
-val schema_v3 : string
-
-(** Schema identifier of a journal whose manifest carries final outcome
-    statistics (per-outcome counts with Wilson 95% intervals under
-    ["stats"]); stamped only when {!manifest_record} was given [counts],
-    so stats-free journals keep their older identifiers. *)
+(** Schema identifier of a uniform journal: the manifest carries final
+    outcome statistics (per-outcome counts with Wilson 95% intervals under
+    ["stats"]).  Older generations only lacked optional fields, so
+    {!fold} reads v1 through v5 alike. *)
 val schema_v4 : string
 
 (** Schema identifier of an adaptive stratified journal: the manifest
-    carries the ["adaptive"] section (stratum definitions and tallies,
-    mass-reweighted intervals, equivalent-uniform trials) and each trial
-    a ["stratum"] id; stamped only when {!manifest_record} was given
-    [adaptive], so uniform journals keep their older identifiers. *)
+    also carries the ["adaptive"] section (stratum definitions and
+    tallies, mass-reweighted intervals, equivalent-uniform trials) and
+    each trial a ["stratum"] id. *)
 val schema_v5 : string
 
 (** [git describe --always --dirty] of the working tree, or ["unknown"]
@@ -55,14 +38,13 @@ val taint_json : Interp.Taint.summary -> Obs.Json.t
 
 (** The campaign manifest.  [fault_kind] and [technique] are free-form
     labels; [stats] adds wall/per-domain timings when available;
-    [counts] (the campaign summary's final outcome counts) adds the
+    [counts] (the campaign summary's final outcome counts) becomes the
     per-outcome ["stats"] object — count plus Wilson 95% interval per
-    observed outcome — and stamps the manifest {!schema_v4};
-    [checkpoint_interval] (default 0: recovery off) records the campaign's
-    recovery configuration; [taint_trace] (default false) stamps the
-    manifest {!schema_v3} and records that trials carry propagation
-    summaries; [adaptive] (a {!Campaign.adaptive} result) adds the
-    ["adaptive"] section and stamps {!schema_v5}; [plan] (an
+    observed outcome; [checkpoint_interval] (default 0: recovery off)
+    records the campaign's recovery configuration; [taint_trace] (default
+    false) records that trials carry propagation summaries; [adaptive] (a
+    {!Campaign.adaptive} result) adds the ["adaptive"] section and stamps
+    {!schema_v5} instead of {!schema_v4}; [plan] (an
     [Analysis.Plan.to_json] document) records the protection plan a
     plan-driven campaign executed, so warehouse run keys distinguish
     distinct plans. *)
@@ -71,7 +53,7 @@ val manifest_record :
   ?technique:string ->
   ?plan:Obs.Json.t ->
   ?stats:Campaign.run_stats ->
-  ?counts:(Classify.outcome * int) list ->
+  counts:(Classify.outcome * int) list ->
   ?adaptive:Campaign.adaptive ->
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
@@ -99,7 +81,7 @@ val write :
   path:string -> manifest:Obs.Json.t -> trials:Campaign.trial list ->
   unit -> unit
 
-(** Recovery telemetry read back from a v2 trial record. *)
+(** Recovery telemetry read back from a trial that rolled back. *)
 type recovery_view = {
   rv_detect_step : int;
   rv_checkpoint_step : int;
@@ -108,7 +90,7 @@ type recovery_view = {
   rv_rollback_cycles : int;
 }
 
-(** Propagation telemetry read back from a v3 trial record.  Distances
+(** Propagation telemetry read back from a traced trial.  Distances
     ([tv_first_store], [tv_first_branch], [tv_died_at], [tv_end_distance])
     are dynamic instructions from the injection. *)
 type taint_view = {
@@ -137,9 +119,9 @@ type view = {
   v_latency : int option;        (** detection latency, detections only *)
   v_steps : int;
   v_cycles : int;
-  v_checkpoints : int;           (** 0 for v1 journals / recovery off *)
+  v_checkpoints : int;           (** 0 when recovery was off *)
   v_recovery : recovery_view option;  (** the trial's rollback, if any *)
-  v_taint : taint_view option;   (** propagation summary, v3 traced only *)
+  v_taint : taint_view option;   (** propagation summary, traced only *)
   v_inj_reg : int option;        (** injected register, injections only *)
   v_stratum : int option;        (** stratum id, v5 adaptive trials only *)
 }

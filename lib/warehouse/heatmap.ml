@@ -42,16 +42,6 @@ type cell = {
   mutable c_other : int;
 }
 
-let classify_outcome name =
-  match Faults.Classify.of_name name with
-  | Some o when Faults.Classify.is_sdc o -> `Sdc
-  | Some Faults.Classify.Masked -> `Masked
-  | Some
-      ( Faults.Classify.Sw_detect | Faults.Classify.Hw_detect
-      | Faults.Classify.Recovered | Faults.Classify.Unrecoverable ) ->
-    `Detected
-  | Some _ | None -> `Other
-
 let sdc_prone_status = function
   | Analysis.Coverage.Unprotected | Analysis.Coverage.Dup_unchecked -> true
   | Analysis.Coverage.Dup_checked | Analysis.Coverage.Value_checked
@@ -94,7 +84,7 @@ let build ~(prog : Ir.Prog.t) ~(cov : Analysis.Coverage.t) ~label ~technique
   List.iter
     (fun (v : Faults.Journal.view) ->
       incr trials;
-      let cls = classify_outcome v.Faults.Journal.v_outcome in
+      let cls = Faults.Classify.group_of_name v.Faults.Journal.v_outcome in
       if cls = `Sdc then incr sdc_trials;
       match v.Faults.Journal.v_inj_reg with
       | None -> ()   (* empty-ring draw: nothing was injected *)

@@ -37,7 +37,7 @@ let surface =
      [ "--trials"; "--seed"; "--domains"; "--adaptive"; "--ci";
        "--max-trials"; "--bands"; "--checkpoint"; "--taint"; "--profile";
        "--journal"; "--warehouse"; "--progress"; "--trace-timeline" ]);
-    ("coverage", [ "--dynamic"; "--csv"; "--regs-csv"; "--journal" ]);
+    ("coverage", [ "--dynamic"; "--csv"; "--regs-csv" ]);
     ("optimize",
      [ "--budget"; "--beam"; "--checkpoint"; "--validate"; "--ci";
        "--max-trials"; "--warehouse"; "--csv"; "--plan-out" ]);
@@ -53,6 +53,11 @@ let surface =
     ("trace", [ "--limit" ]);
     ("trace-fault", [ "--trial" ]) ]
 
+(* Flags removed from a subcommand, which its help must no longer offer:
+   `report --strata' is the one join of a journal against static
+   coverage. *)
+let retired = [ ("coverage", "--journal") ]
+
 let test_subcommand_help () =
   List.iter
     (fun (sub, flags) ->
@@ -64,7 +69,14 @@ let test_subcommand_help () =
             (Printf.sprintf "%s --help documents %s" sub flag)
             true (contains text flag))
         flags)
-    surface
+    surface;
+  List.iter
+    (fun (sub, flag) ->
+      let _, text = help_of sub in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s --help no longer offers %s" sub flag)
+        false (contains text flag))
+    retired
 
 (* The command names of the top-level help's COMMANDS section: its lines
    indented by exactly seven spaces that start with a letter. *)
@@ -202,6 +214,25 @@ let test_campaign_taint_journal () =
       (contains manifest "\"taint_trace\":true")
   | [] -> Alcotest.fail "empty journal"
 
+let test_report_fixtures_pinned () =
+  (* The report of every journal generation, byte for byte: v1 and v2
+     (no final stats: the CI column degrades), v3 (propagation tables),
+     v4 and v5 (adaptive section). *)
+  List.iter
+    (fun v ->
+      let rc, text =
+        run_exe ~stderr:false
+          (Printf.sprintf "report fixtures/journal_v%d.jsonl" v)
+      in
+      Alcotest.(check int) (Printf.sprintf "report v%d exits 0" v) 0 rc;
+      Alcotest.(check string)
+        (Printf.sprintf "report v%d stdout" v)
+        (In_channel.with_open_bin
+           (Printf.sprintf "fixtures/report_v%d.txt" v)
+           In_channel.input_all)
+        text)
+    [ 1; 2; 3; 4; 5 ]
+
 let test_old_warehouse () =
   (* A warehouse from before the ledger: its index holds a "bench" record
      ahead of a run.  history and regress read it; ingest refuses a
@@ -294,4 +325,6 @@ let tests =
     Alcotest.test_case "unknown study" `Quick test_unknown_study_fails;
     Alcotest.test_case "every study runs" `Quick test_every_study_runs;
     Alcotest.test_case "all: headline section sign and --csv" `Quick
-      test_all_headline_and_csv ]
+      test_all_headline_and_csv;
+    Alcotest.test_case "report: fixture journals v1..v5 pinned" `Quick
+      test_report_fixtures_pinned ]
