@@ -111,14 +111,25 @@ let load_journal ~cmd path =
     prerr_endline (Printf.sprintf "experiments %s: %s" cmd msg);
     exit 1
 
+(* Run a warehouse operation, or name the index line it cannot read and
+   exit 1: the store raises [Failure "PATH:LINE: ..."] on a corrupt
+   index. *)
+let with_index ~cmd f =
+  match f () with
+  | v -> v
+  | exception Failure msg ->
+    prerr_endline (Printf.sprintf "experiments %s: %s" cmd msg);
+    exit 1
+
 (* File a finished run into the warehouse at [dir] and log whether it was
    new or already filed. *)
 let file_run log ~dir (p : Softft.protected) ~manifest results =
   let verdict, (entry : Warehouse.Store.entry) =
     match
-      Warehouse.Store.file_run
-        ~prog_digest:(Warehouse.Store.prog_digest p.Softft.prog) ~dir ~manifest
-        ~trials:results ()
+      with_index ~cmd:"warehouse" (fun () ->
+        Warehouse.Store.file_run
+          ~prog_digest:(Warehouse.Store.prog_digest p.Softft.prog) ~dir
+          ~manifest ~trials:results ())
     with
     | `Ingested e -> ("filed", e)
     | `Duplicate e -> ("already filed (duplicate)", e)
@@ -951,7 +962,10 @@ let run_ingest dir files =
         (fun p -> Warehouse.Store.prog_digest p.Softft.prog)
         (protected_of_manifest manifest)
     in
-    match Warehouse.Store.ingest ?prog_digest ~dir path with
+    match
+      with_index ~cmd:"ingest" (fun () ->
+        Warehouse.Store.ingest ?prog_digest ~dir path)
+    with
     | `Ingested e ->
       Printf.printf "filed      %s  %s\n" e.Warehouse.Store.e_key path
     | `Duplicate e ->
@@ -1003,7 +1017,7 @@ let run_history dir bench tech =
         && match want_tech with
            | None -> true
            | Some t -> e.e_technique = Some t)
-      (Warehouse.Store.entries ~dir)
+      (with_index ~cmd:"history" (fun () -> Warehouse.Store.entries ~dir))
   in
   match rows with
   | [] ->
@@ -1127,15 +1141,10 @@ let diff_runs_cmd =
     Term.(const run_diff_runs $ warehouse_opt_arg $ diff_old_arg $ diff_new_arg)
 
 let load_index path =
-  match
+  with_index ~cmd:"regress" (fun () ->
     if Sys.file_exists path && Sys.is_directory path then
       Warehouse.Store.entries ~dir:path
-    else Warehouse.Store.entries_of_file path
-  with
-  | entries -> entries
-  | exception Failure msg ->
-    prerr_endline ("experiments regress: " ^ msg);
-    exit 1
+    else Warehouse.Store.entries_of_file path)
 
 let run_regress baseline current tolerance =
   let g =
@@ -1234,7 +1243,7 @@ let run_heatmap name technique_name journal warehouse csv html =
           (fun (e : Warehouse.Store.entry) ->
             label_matches_bench w.Workloads.Workload.name e.e_label
             && e.e_technique = Some pretty)
-          (Warehouse.Store.entries ~dir)
+          (with_index ~cmd:"heatmap" (fun () -> Warehouse.Store.entries ~dir))
       in
       (match List.rev matching with
        | e :: _ -> Filename.concat dir e.Warehouse.Store.e_path

@@ -74,7 +74,9 @@ val subject :
 (** Fault-free reference run (simulated cycles, output, false positives).
     [profile] attaches an observation-only execution profile to the run;
     [checkpoint_interval] (default 0: off) enables rollback checkpointing,
-    whose fault-free overhead then shows up in the cycle count. *)
+    whose fault-free overhead then shows up in the cycle count.  A
+    {!campaign} on the same [p], [role] and interval right after takes
+    this pass instead of running its own ({!Faults.Campaign.golden_run}). *)
 val golden :
   ?profile:Interp.Profile.t ->
   ?checkpoint_interval:int ->

@@ -76,7 +76,8 @@ let evaluate ?(trials = 200) ?(seed = 0xC0FFEE) ?(role = Workloads.Workload.Test
                  @ (match !stats with
                     | Some (rs : Campaign.run_stats) ->
                       [ ("wall_sec", Obs.Json.Float rs.wall_sec);
-                        ("trials_sec", Obs.Json.Float rs.trials_sec) ]
+                        ("trials_sec", Obs.Json.Float rs.trials_sec);
+                        ("golden_reused", Obs.Json.Bool rs.golden_reused) ]
                     | None -> []))
               "campaign done";
             { technique; static_stats = p.static_stats; golden; overhead;

@@ -39,27 +39,110 @@ type golden = {
 
 exception Golden_run_failed of string * string
 
-(* The fault-free pass.  With [fork], the same pass also captures the
-   golden-prefix snapshots and end state into that plan (DESIGN.md §12);
-   capture only reads state, so the golden record is the same either way. *)
-let golden_pass ?profile ?fork ~checkpoint_interval subject =
+(* The first stride of the golden run's fork capture.  The plan doubles
+   it as the run grows ({!Interp.Fork.add}), so a long golden run ends
+   with 32 to 63 snapshots. *)
+let first_fork_stride = 1024
+
+(* The last unprofiled fault-free pass (DESIGN.md §12, "One golden pass
+   per program and input").  A campaign that follows [golden_run] on the
+   same subject — the evaluation matrix prices a cell's overhead, then
+   runs its campaign — takes this pass and its fork snapshots instead of
+   running them again.  The pass is a pure function of its key: the
+   compiled program (physical identity; an in-place edit recompiles), the
+   entry, the arguments, the initial memory, the checkpoint interval and
+   the fork stride.  One entry only, so the snapshots of at most one pass
+   stay alive between campaigns. *)
+type memo = {
+  mo_compiled : Interp.Compiled.t;
+  mo_entry : string;
+  mo_args : Ir.Value.t list;
+  mo_checkpoint_interval : int;
+  mo_stride : int;
+  mo_image0 : Interp.Memory.image;   (** memory before the pass *)
+  mo_result : Interp.Machine.result; (** a [Finished] run *)
+  mo_plan : Interp.Fork.plan;        (** [fp_final] holds the end memory *)
+}
+
+let memo_lock = Mutex.create ()
+let memo : memo option ref = ref None
+
+let memo_hit ~compiled ~stride ~checkpoint_interval subject
+    (state : run_state) =
+  match Mutex.protect memo_lock (fun () -> !memo) with
+  | Some m
+    when m.mo_compiled == compiled && m.mo_entry = subject.entry
+         && List.equal Ir.Value.equal m.mo_args state.args
+         && m.mo_checkpoint_interval = checkpoint_interval
+         && m.mo_stride = stride
+         && Interp.Memory.equal_image state.mem m.mo_image0 ->
+    Some m
+  | Some _ | None -> None
+
+(* One fault-free pass: the golden record, the fork plan the pass
+   captured ([None] when profiled: a profiled pass captures nothing and
+   neither reads nor writes the memo), and whether the pass was the
+   memo's.  Capture only reads state, so the golden record is the same
+   with or without it. *)
+let golden_pass ?profile ?(stride = first_fork_stride) ~checkpoint_interval
+    subject =
   let state = subject.fresh_state () in
-  let config =
-    { Interp.Machine.default_config with mode = Interp.Machine.Record;
-      profile; checkpoint_interval }
+  let compiled = Interp.Compiled.cached subject.prog in
+  let hit =
+    match profile with
+    | Some _ -> None
+    | None -> memo_hit ~compiled ~stride ~checkpoint_interval subject state
   in
-  let result =
-    Interp.Machine.run_compiled ~config ?fork_capture:fork
-      (Interp.Compiled.cached subject.prog)
-      ~entry:subject.entry ~args:state.args ~mem:state.mem
+  let result, plan =
+    match hit with
+    | Some m ->
+      (* The caller's own [read_output] reads the end memory below. *)
+      Option.iter
+        (fun (fin : Interp.Fork.final) ->
+          Interp.Memory.restore_image state.mem fin.fe_mem)
+        m.mo_plan.fp_final;
+      (m.mo_result, Some m.mo_plan)
+    | None ->
+      let capture =
+        match profile with
+        | Some _ -> None
+        | None ->
+          (* Evict first: the old pass's snapshots die before this pass
+             captures its own. *)
+          Mutex.protect memo_lock (fun () -> memo := None);
+          Some (Interp.Fork.plan ~stride, Interp.Memory.capture state.mem)
+      in
+      let plan = Option.map fst capture in
+      let config =
+        { Interp.Machine.default_config with mode = Interp.Machine.Record;
+          profile; checkpoint_interval }
+      in
+      let result =
+        Interp.Machine.run_compiled ~config ?fork_capture:plan compiled
+          ~entry:subject.entry ~args:state.args ~mem:state.mem
+      in
+      (match capture, result.stop with
+       | Some (p, image0), Interp.Machine.Finished _ ->
+         let m =
+           { mo_compiled = compiled; mo_entry = subject.entry;
+             mo_args = state.args;
+             mo_checkpoint_interval = checkpoint_interval;
+             mo_stride = stride; mo_image0 = image0; mo_result = result;
+             mo_plan = p }
+         in
+         Mutex.protect memo_lock (fun () -> memo := Some m)
+       | _ -> ());
+      (result, plan)
   in
   match result.stop with
   | Interp.Machine.Finished ret ->
-    { output = state.read_output ret;
-      steps = result.steps;
-      cycles = result.cycles;
-      false_positives = result.valchk_failures;
-      failing_checks = result.failed_check_uids }
+    ( { output = state.read_output ret;
+        steps = result.steps;
+        cycles = result.cycles;
+        false_positives = result.valchk_failures;
+        failing_checks = result.failed_check_uids },
+      plan,
+      Option.is_some hit )
   | stop ->
     raise
       (Golden_run_failed
@@ -70,9 +153,13 @@ let golden_pass ?profile ?fork ~checkpoint_interval subject =
     runs the golden with checkpointing enabled: the output and step count
     are unchanged (checkpoints retire no instructions), but the cycle count
     then includes the checkpoint overhead — the fault-free cost a recovery
-    deployment actually pays. *)
+    deployment actually pays.  An unprofiled run also captures the fork
+    snapshots a campaign with the default stride would, which makes it
+    slower than a plain pass (DESIGN.md §12), and keeps them for the next
+    campaign on the same subject. *)
 let golden_run ?profile ?(checkpoint_interval = 0) subject =
-  golden_pass ?profile ~checkpoint_interval subject
+  let golden, _, _ = golden_pass ?profile ~checkpoint_interval subject in
+  golden
 
 type trial = {
   trial_seed : int;
@@ -329,11 +416,6 @@ let derive_seeds ~seed ~trials =
   done;
   seeds
 
-(* The first stride of the golden run's fork capture.  The plan doubles
-   it as the run grows ({!Interp.Fork.add}), so a long golden run ends
-   with 32 to 63 snapshots. *)
-let first_fork_stride = 1024
-
 (* Per-domain trial contexts, created lazily on first use and keyed by
    domain id (ids are unique among live domains, and the table dies with
    the campaign, so nothing leaks across campaigns).  The mutex only
@@ -373,6 +455,7 @@ type run_stats = {
   pool : Pool.stats option;  (** per-domain breakdown of the trial phase *)
   rejoined : int;        (** trials that rejoined the golden run *)
   steps_skipped : int;   (** golden-suffix steps those trials did not run *)
+  golden_reused : bool;  (** the golden run was the memoized pass *)
 }
 
 (* The one campaign engine behind {!run} and {!run_adaptive}: the golden
@@ -385,30 +468,30 @@ type run_stats = {
    fault plan, stratum) — evaluated on the worker — and returns every
    trial in order plus the front-end's extra result, which [warehouse]
    also receives.
-   [budget] bounds the campaign's trials (0 skips the fork capture). *)
+   [budget] bounds the campaign's trials (0 leaves the fork snapshots
+   unused). *)
 let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
     ~fork ~fork_stride ~profile ~budget ~stats_out ~warehouse subject ~draw =
   let t_start = Unix.gettimeofday () in
   (* The golden also runs with checkpointing so its cycle count carries the
      fault-free overhead of the recovery configuration; its output and step
-     count (the fault window) are interval-independent.  It captures the
-     fork snapshots unless profiling: a profiled trial must observe its
+     count (the fault window) are interval-independent.  The pass captures
+     the fork snapshots, or takes the memoized ones of the same pass; the
+     trials use them unless profiling: a profiled trial must observe its
      whole execution. *)
-  let plan =
-    if fork && Option.is_none profile && budget > 0 then
-      Some (Interp.Fork.plan ~stride:(max 1 fork_stride))
-    else None
-  in
-  let golden =
+  let golden, plan, golden_reused =
     Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_pass ?fork:plan ~checkpoint_interval subject)
+      golden_pass ~stride:(max 1 fork_stride) ~checkpoint_interval subject)
   in
   (* A golden run shorter than the first stride captures nothing, and the
      trials then run from scratch. *)
   let golden_fork =
     Option.bind plan (fun p ->
       match Interp.Fork.finalize p, p.Interp.Fork.fp_final with
-      | snaps, Some final when Array.length snaps > 0 -> Some (snaps, final)
+      | snaps, Some final
+        when fork && Option.is_none profile && budget > 0
+             && Array.length snaps > 0 ->
+        Some (snaps, final)
       | _ -> None)
   in
   let t_golden = Unix.gettimeofday () in
@@ -466,7 +549,8 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
       domains = max 1 domains;
       pool = !pool_stats;
       rejoined = Atomic.get rejoins.rj_trials;
-      steps_skipped = Atomic.get rejoins.rj_steps }
+      steps_skipped = Atomic.get rejoins.rj_steps;
+      golden_reused }
   in
   (match stats_out with Some r -> r := Some stats | None -> ());
   let counts =

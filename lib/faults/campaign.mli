@@ -40,7 +40,16 @@ exception Golden_run_failed of string * string
     profile ({!Interp.Profile}) to the run — observation-only.
     [checkpoint_interval] (default 0: off) enables rollback checkpointing:
     output and step count are unchanged, but the cycle count then includes
-    the fault-free checkpoint overhead. *)
+    the fault-free checkpoint overhead.
+
+    An unprofiled run also captures the fork snapshots of a campaign at
+    the default stride, which makes it slower than a plain pass (17%
+    summed over the 13 workloads under Dup + val chks; DESIGN.md §12),
+    and keeps this one pass: a
+    {!run} or {!run_adaptive} on the same program, entry, arguments,
+    initial memory and checkpoint interval takes it instead of running
+    its own ([golden_reused] in {!run_stats}; DESIGN.md §12).  A profiled
+    run captures nothing and leaves the kept pass alone. *)
 val golden_run :
   ?profile:Interp.Profile.t -> ?checkpoint_interval:int -> subject -> golden
 
@@ -134,6 +143,9 @@ type run_stats = {
                              a fork snapshot and stopped there (DESIGN.md
                              §12); deterministic at any [domains] *)
   steps_skipped : int;   (** the golden-suffix steps those trials skipped *)
+  golden_reused : bool;  (** the campaign took the fault-free pass and
+                             fork snapshots of the {!golden_run} just
+                             before it instead of running its own *)
 }
 
 (** Run a whole campaign: one golden run plus [trials] injections, all

@@ -183,24 +183,45 @@ let entry_of_json j =
        | Some iv -> interval_of_json iv
        | None -> Obs.Stats.wilson ~k:0 ~n:0 ()) }
 
+(* Paths whose torn last line has been reported, so a command that reads
+   the index several times warns once. *)
+let torn_warned = Hashtbl.create 4
+let torn_lock = Mutex.create ()
+
+(* An index is appended one whole line at a time, so only its last line
+   can be cut short (a crash mid-append); it has no trailing newline and
+   is skipped with a warning.  A line that does not parse anywhere else
+   is corruption, reported as [PATH:LINE:]. *)
 let index_lines_of_file path =
   if not (Sys.file_exists path) then []
   else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | "" -> go acc
-          | line ->
-            (match Obs.Json.parse line with
-             | j -> go (j :: acc)
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let lines = String.split_on_char '\n' text in
+    let last = List.length lines in
+    List.concat
+      (List.mapi
+         (fun i line ->
+           if line = "" then []
+           else if i + 1 = last then begin
+             Mutex.protect torn_lock (fun () ->
+               if not (Hashtbl.mem torn_warned path) then begin
+                 Hashtbl.replace torn_warned path ();
+                 prerr_endline
+                   (Printf.sprintf
+                      "warning: %s:%d: skipping a torn last line (no \
+                       trailing newline)"
+                      path last)
+               end);
+             []
+           end
+           else
+             match Obs.Json.parse line with
+             | j -> [ j ]
              | exception Obs.Json.Parse_error msg ->
-               failwith (Printf.sprintf "%s: malformed index line: %s" path msg))
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
+               failwith
+                 (Printf.sprintf "%s:%d: malformed index line: %s" path (i + 1)
+                    msg))
+         lines)
   end
 
 let index_lines dir = index_lines_of_file (index_path dir)
@@ -224,14 +245,28 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* Does the file end in anything but a newline (a torn last line)? *)
+let ends_torn path =
+  Sys.file_exists path
+  && In_channel.with_open_bin path (fun ic ->
+       let len = In_channel.length ic in
+       len > 0L
+       && begin
+         In_channel.seek ic (Int64.pred len);
+         In_channel.input_char ic <> Some '\n'
+       end)
+
+(* A record after a torn last line starts on a line of its own: the torn
+   piece then stands alone, and loaders name it by line number. *)
 let append_index dir json =
   mkdir_p dir;
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 (index_path dir)
-  in
+  let path = index_path dir in
+  let torn = ends_torn path in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
+      if torn then output_char oc '\n';
       output_string oc (Obs.Json.to_string json);
       output_char oc '\n')
 

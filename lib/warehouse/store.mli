@@ -66,8 +66,11 @@ type entry = {
 
 (** Parse the index; run entries only, in ingestion order (records of
     any other type, such as the ["bench"] records older versions wrote,
-    are skipped).  An absent index is an empty warehouse, a malformed
-    line raises [Failure]. *)
+    are skipped).  An absent index is an empty warehouse.  A last line
+    with no trailing newline (an append a crash cut short) is skipped,
+    with one warning per path on stderr; any other malformed line raises
+    [Failure "PATH:LINE: ..."].  A run filed after a torn last line starts
+    on a fresh line, so the torn piece then counts as malformed. *)
 val entries : dir:string -> entry list
 
 (** Same, but reading a bare index file — what the [regress] gate's

@@ -309,6 +309,41 @@ let test_old_warehouse () =
     (In_channel.with_open_text index In_channel.input_all);
   Sys.remove bench
 
+let test_torn_warehouse_index () =
+  (* A crash that tears the index's last line costs that one run, not the
+     warehouse: history skips it and exits 0.  Filed after, the torn piece
+     sits mid-file, and history names its line and exits 1. *)
+  let dir = Filename.temp_file "softft_cliwh" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let wh = Filename.quote dir in
+  let index = Filename.concat dir "index.jsonl" in
+  let campaign seed =
+    let rc, _ =
+      run_exe
+        (Printf.sprintf
+           "campaign g721enc dupval --trials 4 --domains 1 --seed %d -q \
+            --warehouse %s"
+           seed wh)
+    in
+    Alcotest.(check int) (Printf.sprintf "campaign --seed %d exits 0" seed)
+      0 rc
+  in
+  campaign 1;
+  campaign 2;
+  Test_warehouse.cut_tail index 40;
+  let rc, text = run_exe ("history g721enc dupval --warehouse " ^ wh) in
+  Alcotest.(check int) "history over a torn index exits 0" 0 rc;
+  Alcotest.(check bool) "lists the whole run" true
+    (contains text "1 run(s)");
+  Alcotest.(check bool) "and warns about the torn line" true
+    (contains text "torn last line");
+  campaign 3;
+  let rc, text = run_exe ("history g721enc dupval --warehouse " ^ wh) in
+  Alcotest.(check int) "history over a corrupt line exits 1" 1 rc;
+  Alcotest.(check bool) "naming PATH:LINE" true
+    (contains text (index ^ ":2: malformed index line"))
+
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
       test_subcommand_help;
@@ -327,4 +362,6 @@ let tests =
     Alcotest.test_case "all: headline section sign and --csv" `Quick
       test_all_headline_and_csv;
     Alcotest.test_case "report: fixture journals v1..v5 pinned" `Quick
-      test_report_fixtures_pinned ]
+      test_report_fixtures_pinned;
+    Alcotest.test_case "torn warehouse index: exit 0, then 1" `Quick
+      test_torn_warehouse_index ]

@@ -4,7 +4,7 @@ open Ir
 
 (* A small subject: sums an input array into an output cell, loop-carried
    accumulator; acceptable if the single output cell is within 10%. *)
-let array_sum_subject ?(n = 64) ?(prog = None) () =
+let array_sum_subject ?(n = 64) ?(mult = 13) ?(prog = None) () =
   let build () =
     let prog = Prog.create () in
     let b = Builder.create prog ~name:"main" ~n_params:3 in
@@ -23,7 +23,7 @@ let array_sum_subject ?(n = 64) ?(prog = None) () =
   let prog = match prog with Some p -> p | None -> build () in
   let fresh_state () =
     let mem = Interp.Memory.create () in
-    let data = Array.init n (fun i -> (i * 13 mod 50) + 1) in
+    let data = Array.init n (fun i -> (i * mult mod 50) + 1) in
     let src = Interp.Memory.alloc_ints mem data in
     let out = Interp.Memory.alloc mem 1 in
     { Faults.Campaign.mem;
@@ -796,6 +796,113 @@ let test_trial_equal_sees_stratum () =
       (Faults.Campaign.trials_equal [ t ] [ { t with stratum = None } ])
   | [] -> Alcotest.fail "adaptive campaign ran no trials"
 
+
+(* ----- One golden pass per program and input (DESIGN.md §12) ----- *)
+
+let golden_equal (a : Faults.Campaign.golden) (b : Faults.Campaign.golden) =
+  a.steps = b.steps && a.cycles = b.cycles
+  && Fidelity.Metric.identical ~reference:a.output b.output
+  && a.false_positives = b.false_positives
+  && a.failing_checks = b.failing_checks
+
+(* Replace the kept pass with one of an unrelated subject, so the next
+   campaign on a workload runs its own. *)
+let evict_memo () =
+  ignore (Faults.Campaign.golden_run (array_sum_subject ~n:9 ()))
+
+let test_memo_campaign_identical () =
+  (* A campaign right after [golden_run] on the same subject takes that
+     pass and its snapshots, and its trials equal a cold campaign's. *)
+  let subject = dupval "kmeans" in
+  List.iter
+    (fun checkpoint_interval ->
+      List.iter
+        (fun domains ->
+          let what =
+            Printf.sprintf "ck=%d domains=%d: " checkpoint_interval domains
+          in
+          evict_memo ();
+          let cold_summary, cold, cold_stats =
+            campaign_stats ~domains ~checkpoint_interval subject ~trials:16
+          in
+          Alcotest.(check bool) (what ^ "cold campaign runs its pass") false
+            cold_stats.golden_reused;
+          evict_memo ();
+          let g = Faults.Campaign.golden_run ~checkpoint_interval subject in
+          let summary, warm, stats =
+            campaign_stats ~domains ~checkpoint_interval subject ~trials:16
+          in
+          Alcotest.(check bool) (what ^ "campaign reuses the pass") true
+            stats.golden_reused;
+          Alcotest.(check bool) (what ^ "trials identical") true
+            (Faults.Campaign.trials_equal cold warm);
+          Alcotest.(check bool) (what ^ "golden records identical") true
+            (golden_equal cold_summary.golden_info summary.golden_info
+             && golden_equal g summary.golden_info);
+          Alcotest.(check (pair int int)) (what ^ "rejoin tallies")
+            (cold_stats.rejoined, cold_stats.steps_skipped)
+            (stats.rejoined, stats.steps_skipped))
+        [ 1; 2 ])
+    [ 0; 1000 ]
+
+let test_memo_other_input_misses () =
+  (* The same program on another input runs its own pass.  kmeans' Train
+     input also differs in its arguments; the two array-sum inputs differ
+     in memory only, which the key must see. *)
+  let w = Workloads.Registry.find "kmeans" in
+  let p = Softft.protect w Softft.Dup_valchk in
+  let test_g = Softft.golden p ~role:Workloads.Workload.Test in
+  let _, _, train_stats =
+    campaign_stats (Softft.subject p ~role:Workloads.Workload.Train)
+      ~trials:2
+  in
+  Alcotest.(check bool) "kmeans train misses" false train_stats.golden_reused;
+  let a = array_sum_subject () in
+  let b = array_sum_subject ~mult:7 ~prog:(Some a.prog) () in
+  let cold_b = Faults.Campaign.golden_run b in
+  let ga = Faults.Campaign.golden_run a in
+  let summary, _, stats = campaign_stats b ~trials:2 in
+  Alcotest.(check bool) "other memory misses" false stats.golden_reused;
+  Alcotest.(check bool) "its golden record is its own" true
+    (golden_equal cold_b summary.golden_info);
+  Alcotest.(check bool) "and differs from the kept pass's" false
+    (golden_equal ga summary.golden_info);
+  Alcotest.(check bool) "kmeans records differ too" false
+    (golden_equal test_g
+       (Softft.golden p ~role:Workloads.Workload.Train));
+  (* The interval and the stride are part of the key as well. *)
+  let ga = Faults.Campaign.golden_run a in
+  let summary, _, stats = campaign_stats ~checkpoint_interval:100 a ~trials:2 in
+  Alcotest.(check bool) "another interval misses" false stats.golden_reused;
+  Alcotest.(check bool) "and prices its checkpoints" true
+    (summary.golden_info.cycles > ga.cycles);
+  ignore (Faults.Campaign.golden_run a);
+  let stats = ref None in
+  ignore (Faults.Campaign.run a ~trials:2 ~fork_stride:64 ~stats_out:stats);
+  Alcotest.(check bool) "another stride misses" false
+    (Option.get !stats).golden_reused
+
+let test_memo_profiled_untouched () =
+  (* A profiled golden run neither takes nor replaces the kept pass, and
+     its record equals the capturing run's. *)
+  let subject = dupval "g721enc" in
+  let other = array_sum_subject () in
+  let g = Faults.Campaign.golden_run subject in
+  let profile = Interp.Profile.create () in
+  let profiled = Faults.Campaign.golden_run ~profile other in
+  Alcotest.(check bool) "the profiled run ran" true
+    (Interp.Profile.total_instrs profile > 0);
+  let profiled_own =
+    Faults.Campaign.golden_run ~profile:(Interp.Profile.create ()) subject
+  in
+  Alcotest.(check bool) "profiled record equals the capturing one" true
+    (golden_equal g profiled_own);
+  let _, _, stats = campaign_stats subject ~trials:2 in
+  Alcotest.(check bool) "entry survives profiled runs" true
+    stats.golden_reused;
+  Alcotest.(check bool) "profiled record is the subject's own" true
+    (golden_equal profiled (Faults.Campaign.golden_run other))
+
 let tests =
   [ Alcotest.test_case "classify: masked" `Quick test_classify_masked;
     Alcotest.test_case "classify: asdc" `Quick test_classify_asdc;
@@ -868,4 +975,10 @@ let tests =
       test_trial_equal_sees_stratum;
     Alcotest.test_case "fork: golden record unchanged by capture" `Quick
       test_fork_golden_record;
+    Alcotest.test_case "memo: campaign after golden run identical" `Quick
+      test_memo_campaign_identical;
+    Alcotest.test_case "memo: another input, interval or stride misses" `Quick
+      test_memo_other_input_misses;
+    Alcotest.test_case "memo: profiled golden run leaves the entry" `Quick
+      test_memo_profiled_untouched;
   ]

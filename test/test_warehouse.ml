@@ -497,6 +497,53 @@ let test_heatmap_renderings () =
   Alcotest.(check bool) "HTML names the run" true
     (contains hm.Heatmap.hm_label)
 
+(* ----- Torn and corrupt index lines ----- *)
+
+(* Cut the last [n] bytes off a file, as a crash mid-append would. *)
+let cut_tail path n =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+    output_string oc (String.sub text 0 (String.length text - n)))
+
+let test_torn_index () =
+  (* A torn last line is skipped; once a later run is filed after it, it
+     is corruption mid-file, named by its line number.  The later run's
+     record starts on a line of its own and stays readable. *)
+  let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
+  let dir = tmp_dir () in
+  let index = Filename.concat dir "index.jsonl" in
+  let file seed =
+    ignore
+      (Store.file_run ~prog_digest:(Store.prog_digest p.Softft.prog) ~dir
+         ~manifest:(manifest_of ~seed summary) ~trials:results ())
+  in
+  file 1;
+  file 2;
+  cut_tail index 40;
+  (match Store.entries ~dir with
+   | [ e ] -> Alcotest.(check int) "the whole line survives" 1 e.Store.e_seq
+   | es -> Alcotest.failf "expected one entry, got %d" (List.length es));
+  file 3;
+  (match Store.entries ~dir with
+   | _ -> Alcotest.fail "a malformed line mid-file was accepted"
+   | exception Failure msg ->
+     let want = index ^ ":2:" in
+     Alcotest.(check string) "error names the line" want
+       (String.sub msg 0 (min (String.length msg) (String.length want))));
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin index In_channel.input_all)
+  in
+  Alcotest.(check int) "three lines and a final newline" 4
+    (List.length lines);
+  match Obs.Json.parse (List.nth lines 2) with
+  | j ->
+    Alcotest.(check int) "the new record is whole" 2
+      (Option.value ~default:0
+         (Option.bind (Obs.Json.member "seq" j) Obs.Json.to_int))
+  | exception Obs.Json.Parse_error msg ->
+    Alcotest.failf "the record filed after the torn line is torn: %s" msg
+
 let tests =
   [ Alcotest.test_case "stats: interval disjointness" `Quick test_disjoint;
     Alcotest.test_case "key: stable across domains and git" `Quick
@@ -530,4 +577,6 @@ let tests =
     Alcotest.test_case "heatmap: static vs measured ranking" `Quick
       test_heatmap_static_vs_measured_ranking;
     Alcotest.test_case "heatmap: CSV and HTML renderings" `Quick
-      test_heatmap_renderings ]
+      test_heatmap_renderings;
+    Alcotest.test_case "index: torn last line, corrupt line named" `Quick
+      test_torn_index ]
