@@ -6,9 +6,40 @@
 
 open Cmdliner
 
+(* Bad names and counts are command-line errors: Cmdliner exits 124 and
+   lists the valid values, instead of the run failing part-way. *)
+let non_negative_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 ->
+      Error (`Msg (Printf.sprintf "invalid value '%d', expected a non-negative integer" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let workload_conv =
+  let names = Arg.enum (List.map (fun n -> (n, n)) Workloads.Registry.names) in
+  Arg.conv
+    ( (fun s -> Result.map Workloads.Registry.find (Arg.conv_parser names s)),
+      fun ppf (w : Workloads.Workload.t) -> Format.pp_print_string ppf w.name )
+
+(* Technique names are case-insensitive, with the long aliases. *)
+let technique_conv =
+  let names =
+    Arg.enum
+      [ ("original", Softft.Original); ("dup", Softft.Dup_only);
+        ("dup_only", Softft.Dup_only); ("dupval", Softft.Dup_valchk);
+        ("dup_valchk", Softft.Dup_valchk); ("full", Softft.Full_dup);
+        ("full_dup", Softft.Full_dup); ("cfc", Softft.Cfc_only);
+        ("dupvalcfc", Softft.Dup_valchk_cfc) ]
+  in
+  Arg.conv
+    ( (fun s -> Arg.conv_parser names (String.lowercase_ascii s)),
+      Arg.conv_printer names )
+
 let trials_arg =
   let doc = "Fault-injection trials per (benchmark, technique)." in
-  Arg.(value & opt int 1000 & info [ "trials"; "t" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative_int 1000 & info [ "trials"; "t" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Master random seed (campaigns are deterministic per seed)." in
@@ -19,7 +50,10 @@ let benchmarks_arg =
     "Comma-separated benchmark subset (default: all 13; for `study', the \
      study's own subset)."
   in
-  Arg.(value & opt (some string) None & info [ "benchmarks"; "b" ] ~docv:"NAMES" ~doc)
+  Arg.(
+    value
+    & opt (some (list workload_conv)) None
+    & info [ "benchmarks"; "b" ] ~docv:"NAMES" ~doc)
 
 (* [--domains] accepts a positive integer or the word "auto"; "auto"
    resolves to {!Faults.Pool.recommended_domains} at parse time, so every
@@ -60,10 +94,7 @@ let log_json_arg =
   let doc = "Also append structured log events to $(docv) as JSON lines." in
   Arg.(value & opt (some string) None & info [ "log-json" ] ~docv:"FILE" ~doc)
 
-let resolve_benchmarks = function
-  | None -> Workloads.Registry.all
-  | Some names ->
-    List.map Workloads.Registry.find (String.split_on_char ',' names)
+let resolve_benchmarks = Option.value ~default:Workloads.Registry.all
 
 (** Structured logger for the process: pretty events on stderr (warnings
     only under [--quiet]), plus an optional JSONL sink. *)
@@ -78,22 +109,8 @@ let logger_of quiet log_json =
    | None -> ());
   log
 
-let technique_of_string s =
-  match String.lowercase_ascii s with
-  | "original" -> Softft.Original
-  | "dup" | "dup_only" -> Softft.Dup_only
-  | "dupval" | "dup_valchk" -> Softft.Dup_valchk
-  | "full" | "full_dup" -> Softft.Full_dup
-  | "cfc" -> Softft.Cfc_only
-  | "dupvalcfc" -> Softft.Dup_valchk_cfc
-  | other ->
-    invalid_arg
-      (Printf.sprintf
-         "unknown technique %S (original|dup|dupval|full|cfc|dupvalcfc)"
-         other)
-
 let write_file path contents =
-  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Faults.Journal.replace_file ~path (fun oc -> output_string oc contents);
   Printf.printf "written: %s\n" path
 
 (* Load a journal, or name the file and exit 1: a journal with broken
@@ -204,12 +221,10 @@ let studies =
          E.print_recovery w (E.recovery ~trials ~seed ~domains w))) ]
 
 let run_study (defaults, run) trials seed benchmarks domains =
-  let names =
-    match benchmarks with
-    | Some names -> String.split_on_char ',' names
-    | None -> defaults
-  in
-  run ~trials ~seed ~domains (List.map Workloads.Registry.find names)
+  run ~trials ~seed ~domains
+    (match benchmarks with
+     | Some ws -> ws
+     | None -> List.map Workloads.Registry.find defaults)
 
 let study_arg =
   let doc =
@@ -242,11 +257,12 @@ let study_cmd =
 
 let name_arg =
   let doc = "Benchmark name (see `table1')." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc)
+  Arg.(
+    required & pos 0 (some workload_conv) None & info [] ~docv:"BENCHMARK" ~doc)
 
 let technique_arg =
   let doc = "Protection technique: original, dup, dupval, full, cfc or dupvalcfc." in
-  Arg.(value & pos 1 string "dupval" & info [] ~docv:"TECHNIQUE" ~doc)
+  Arg.(value & pos 1 technique_conv Softft.Dup_valchk & info [] ~docv:"TECHNIQUE" ~doc)
 
 let journal_arg =
   let doc =
@@ -275,7 +291,7 @@ let taint_arg =
   let doc =
     "Trace fault propagation: every trial carries a shadow taint bit per \
      register and memory word, seeded at the injection, and records a \
-     propagation summary in the journal (schema v3).  Observation-only: \
+     propagation summary in the journal (schema v4).  Observation-only: \
      outcomes and costs are bit-identical either way."
   in
   Arg.(value & flag & info [ "taint" ] ~doc)
@@ -311,7 +327,7 @@ let timeline_arg =
    static-coverage × ring-residency strata, Neyman allocation,
    per-stratum early stopping, mass-reweighted whole-program rates.  Both
    print the static stats and the golden run the campaign itself made. *)
-let run_campaign name technique_name adaptive ci trials max_trials bands
+let run_campaign (w : Workloads.Workload.t) technique adaptive ci trials max_trials bands
     seed domains checkpoint taint progress progress_jsonl journal warehouse
     timeline profile_flag quiet log_json =
   if adaptive && profile_flag then begin
@@ -321,8 +337,6 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
     exit Cmd.Exit.cli_error
   end;
   let log = logger_of quiet log_json in
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
   let p = Softft.protect w technique in
   Printf.printf "%s / %s%s\n" w.name
     (Softft.technique_name technique)
@@ -524,9 +538,7 @@ let campaign_cmd =
       $ journal_arg $ warehouse_sink_arg $ timeline_arg $ profile_arg
       $ quiet_arg $ log_json_arg)
 
-let run_coverage name technique_name dynamic csv regs_csv =
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
+let run_coverage (w : Workloads.Workload.t) technique dynamic csv regs_csv =
   let p = Softft.protect w technique in
   let exec_counts =
     if not dynamic then None
@@ -602,10 +614,9 @@ let optimize_frontier_csv (fr : Softft.Optimize.frontier) =
     (fr.fr_points @ fr.fr_fixed);
   Buffer.contents buf
 
-let run_optimize name budget beam checkpoint validate_n seed domains ci
+let run_optimize (w : Workloads.Workload.t) budget beam checkpoint validate_n seed domains ci
     max_trials warehouse csv plan_out quiet log_json =
   let log = logger_of quiet log_json in
-  let w = Workloads.Registry.find name in
   let prog = w.build () in
   (* The paper's offline step: value-profile on the training input so the
      search knows which sites are check-amenable. *)
@@ -717,8 +728,8 @@ let validate_arg =
 
 let plan_out_arg =
   let doc =
-    "Write the frontier (plans included) to $(docv) as JSON; any plan in \
-     the file can be re-executed through `Pipeline.of_plan'."
+    "Write the frontier (plans included) to $(docv) as JSON, a record for \
+     inspection and plotting: no command reads plan files back."
   in
   Arg.(value & opt (some string) None & info [ "plan-out" ] ~docv:"FILE" ~doc)
 
@@ -1008,7 +1019,7 @@ let outcome_rate (e : Warehouse.Store.entry) pred =
 
 let run_history dir bench tech =
   let want_tech =
-    Option.map (fun t -> Softft.technique_name (technique_of_string t)) tech
+    Option.map Softft.technique_name tech
   in
   let rows =
     List.filter
@@ -1062,7 +1073,7 @@ let history_bench_arg =
 
 let history_tech_arg =
   let doc = "Restrict to one technique (default: all)." in
-  Arg.(value & pos 1 (some string) None & info [] ~docv:"TECHNIQUE" ~doc)
+  Arg.(value & pos 1 (some technique_conv) None & info [] ~docv:"TECHNIQUE" ~doc)
 
 let history_cmd =
   let doc =
@@ -1146,10 +1157,10 @@ let load_index path =
       Warehouse.Store.entries ~dir:path
     else Warehouse.Store.entries_of_file path)
 
-let run_regress baseline current tolerance =
+let run_regress baseline current =
   let g =
-    Warehouse.Store.regress ?tolerance_pct:tolerance
-      ~baseline:(load_index baseline) ~current:(load_index current) ()
+    Warehouse.Store.regress ~baseline:(load_index baseline)
+      ~current:(load_index current)
   in
   (match g.Warehouse.Store.rx_rows with
    | [] -> print_endline "no configuration present in both indexes"
@@ -1168,10 +1179,7 @@ let run_regress baseline current tolerance =
                        -. r.rg_sdc.dr_old.ci_estimate));
                 (if r.rg_regressed then "REGRESSED"
                  else if r.rg_improved then "improved"
-                 else "ok")
-                ^ (match r.rg_throughput_ratio with
-                   | Some ratio -> Printf.sprintf "  (%.2fx trials/s)" ratio
-                   | None -> "") ])
+                 else "ok") ])
             rows));
   let list_only what entries =
     if entries <> [] then
@@ -1183,12 +1191,6 @@ let run_regress baseline current tolerance =
   in
   list_only "baseline" g.rx_only_old;
   list_only "current" g.rx_only_new;
-  (* The throughput gate standing down must never be silent. *)
-  if g.rx_throughput_skipped <> [] then
-    prerr_endline
-      ("experiments regress: WARNING: throughput not compared, host_cores \
-        differ: "
-      ^ String.concat ", " g.rx_throughput_skipped);
   match g.rx_failures with
   | [] -> print_endline "regress: gate green"
   | failures ->
@@ -1208,31 +1210,18 @@ let current_arg =
   Arg.(
     required & opt (some string) None & info [ "current" ] ~docv:"PATH" ~doc)
 
-let regress_tolerance_arg =
-  let doc =
-    "Also gate throughput: fail when trials/s drops more than $(docv) \
-     percent between runs on the same host_cores; pairs from different \
-     host_cores are not compared and are named in a warning on stderr \
-     (default: coverage gate only)."
-  in
-  Arg.(
-    value & opt (some float) None & info [ "tolerance" ] ~docv:"PCT" ~doc)
-
 let regress_cmd =
   let doc =
     "The cross-run regression gate: match baseline and current runs by \
      configuration identity and fail (exit 1) when any SDC rate rose with \
-     disjoint Wilson 95% intervals.  With $(b,--tolerance) it also gates \
-     throughput between runs on the same host_cores."
+     disjoint Wilson 95% intervals."
   in
   Cmd.v
     (Cmd.info "regress" ~doc)
     Term.(
-      const run_regress $ baseline_arg $ current_arg $ regress_tolerance_arg)
+      const run_regress $ baseline_arg $ current_arg)
 
-let run_heatmap name technique_name journal warehouse csv html =
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
+let run_heatmap (w : Workloads.Workload.t) technique journal warehouse csv html =
   let pretty = Softft.technique_name technique in
   let journal_path =
     match journal, warehouse with
@@ -1350,9 +1339,7 @@ let table1_cmd =
     (Cmd.info "table1" ~doc:"Print the benchmark inventory (Table I).")
     Term.(const run_table1 $ const ())
 
-let run_dump name technique_name =
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
+let run_dump (w : Workloads.Workload.t) technique =
   let p = Softft.protect w technique in
   print_string (Ir.Printer.prog_to_string p.prog)
 
@@ -1360,8 +1347,7 @@ let dump_cmd =
   let doc = "Print the (optionally protected) IR of a benchmark." in
   Cmd.v (Cmd.info "dump" ~doc) Term.(const run_dump $ name_arg $ technique_arg)
 
-let run_trace name limit =
-  let w = Workloads.Registry.find name in
+let run_trace (w : Workloads.Workload.t) limit =
   let prog = w.build () in
   let state = w.fresh_state Workloads.Workload.Test in
   let events, result =
@@ -1380,9 +1366,7 @@ let trace_cmd =
   let doc = "Trace the first values a benchmark's kernel produces." in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run_trace $ name_arg $ limit_arg)
 
-let run_trace_fault name technique_name seed trial_index =
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
+let run_trace_fault (w : Workloads.Workload.t) technique seed trial_index =
   let p = Softft.protect w technique in
   let subject = Softft.subject p ~role:Workloads.Workload.Test in
   let golden = Faults.Campaign.golden_run subject in
@@ -1436,7 +1420,7 @@ let trial_index_arg =
     "Campaign trial index to replay (same seed discipline as a uniform \
      `campaign')."
   in
-  Arg.(value & opt int 0 & info [ "trial"; "i" ] ~docv:"INDEX" ~doc)
+  Arg.(value & opt non_negative_int 0 & info [ "trial"; "i" ] ~docv:"INDEX" ~doc)
 
 let trace_fault_cmd =
   let doc =

@@ -55,44 +55,147 @@ let add_check p s = normalize { p with checks = s :: p.checks }
 (* A chain candidate is a loop-header phi with at least one register
    operand arriving over a back edge — the same gathering rule as
    [Transform.State_vars.of_func], restated here because the analysis
-   layer sits below the transforms. *)
+   layer sits below the transforms.  Returns each candidate phi with its
+   back-edge operands, building the function's CFG and loops once. *)
+let func_chains (f : Ir.Func.t) =
+  let cfg = Cfg.of_func f in
+  let loops = Loops.compute cfg in
+  Loops.header_phis loops
+  |> List.filter_map (fun ((loop : Loops.loop), _header, (phi : Ir.Instr.phi)) ->
+         let latch_labels = List.map (Cfg.label cfg) loop.Loops.latches in
+         match
+           List.filter
+             (fun (lbl, _) -> List.mem lbl latch_labels)
+             phi.Ir.Instr.incoming
+         with
+         | [] -> None
+         | back_edges -> Some (phi, back_edges))
+
+let chain_of (f : Ir.Func.t) (phi : Ir.Instr.phi) =
+  { ch_func = f.Ir.Func.name; ch_phi_uid = phi.Ir.Instr.phi_uid }
+
+let site_of (f : Ir.Func.t) (ins : Ir.Instr.t) =
+  { vs_func = f.Ir.Func.name; vs_uid = ins.Ir.Instr.uid }
+
 let candidate_chains prog =
   List.concat_map
-    (fun (f : Ir.Func.t) ->
-      let cfg = Cfg.of_func f in
-      let loops = Loops.compute cfg in
-      Loops.header_phis loops
-      |> List.filter_map (fun ((loop : Loops.loop), _header, (phi : Ir.Instr.phi)) ->
-             let latch_labels =
-               List.map (fun i -> (Cfg.block cfg i).Ir.Block.label) loop.Loops.latches
-             in
-             let has_back_edge =
-               List.exists
-                 (fun (lbl, _) -> List.mem lbl latch_labels)
-                 phi.Ir.Instr.incoming
-             in
-             if has_back_edge then
-               Some { ch_func = f.Ir.Func.name; ch_phi_uid = phi.Ir.Instr.phi_uid }
-             else None))
+    (fun f -> List.map (fun (phi, _) -> chain_of f phi) (func_chains f))
     prog.Ir.Prog.funcs
   |> dedup_sorted chain_key
 
+(* The stand-alone check candidate rule: an original value-producing
+   instruction whose profile knows a check shape. *)
+let func_candidates ~profile (f : Ir.Func.t) =
+  List.concat_map
+    (fun (b : Ir.Block.t) ->
+      Array.to_list b.Ir.Block.body
+      |> List.filter (fun (ins : Ir.Instr.t) ->
+             Ir.Instr.produces_value ins
+             && ins.Ir.Instr.origin = Ir.Instr.From_source
+             && profile ins.Ir.Instr.uid <> None))
+    f.Ir.Func.blocks
+
 let candidate_sites ~profile prog =
   List.concat_map
-    (fun (f : Ir.Func.t) ->
-      List.concat_map
-        (fun (b : Ir.Block.t) ->
-          Array.to_list b.Ir.Block.body
-          |> List.filter_map (fun (ins : Ir.Instr.t) ->
-                 if
-                   Ir.Instr.produces_value ins
-                   && ins.Ir.Instr.origin = Ir.Instr.From_source
-                   && profile ins.Ir.Instr.uid <> None
-                 then Some { vs_func = f.Ir.Func.name; vs_uid = ins.Ir.Instr.uid }
-                 else None))
-        f.Ir.Func.blocks)
+    (fun f -> List.map (site_of f) (func_candidates ~profile f))
     prog.Ir.Prog.funcs
   |> dedup_sorted site_key
+
+(* Optimization 2 as the duplication pass applies it: walk the producer
+   web from a chain's back edges, stopping at chain terminators and at
+   the first instruction with a check shape, which becomes a terminator
+   site. *)
+let opt2_sites ~profile ud f back_edges =
+  let seen : (Ir.Instr.reg, unit) Hashtbl.t = Hashtbl.create 32 in
+  let sites = ref [] in
+  let rec walk = function
+    | Ir.Instr.Imm _ -> ()
+    | Ir.Instr.Reg r when Hashtbl.mem seen r -> ()
+    | Ir.Instr.Reg r -> (
+      Hashtbl.replace seen r ();
+      match Usedef.def_of ud r with
+      | None | Some Usedef.Param -> ()
+      | Some (Usedef.Phi_def (_, phi)) ->
+        List.iter (fun (_, op) -> walk op) phi.Ir.Instr.incoming
+      | Some (Usedef.Instr_def (_, ins)) ->
+        if Usedef.chain_terminator ins then ()
+        else if ins.Ir.Instr.dest <> None && profile ins.Ir.Instr.uid <> None
+        then sites := site_of f ins :: !sites
+        else List.iter (fun r -> walk (Ir.Instr.Reg r)) (Ir.Instr.uses ins))
+  in
+  List.iter (fun (_, op) -> walk op) back_edges;
+  !sites
+
+(* Optimization 1: drop every candidate that sits inside another
+   candidate's producer chain, so only the deepest check of a chain
+   survives. *)
+let opt1_survivors ud candidates =
+  let covered : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (ins : Ir.Instr.t) ->
+      List.iter
+        (fun r ->
+          let chain, (_ : Ir.Instr.reg list) = Usedef.producer_chain ud r in
+          List.iter
+            (fun (producer : Ir.Instr.t) ->
+              Hashtbl.replace covered producer.Ir.Instr.uid ())
+            chain)
+        (Ir.Instr.uses ins))
+    candidates;
+  List.filter
+    (fun (ins : Ir.Instr.t) -> not (Hashtbl.mem covered ins.Ir.Instr.uid))
+    candidates
+
+let chain_terminators ~profile prog =
+  List.concat_map
+    (fun (f : Ir.Func.t) ->
+      match func_chains f with
+      | [] -> []
+      | chains ->
+        let ud = Usedef.compute f in
+        List.map
+          (fun (phi, back_edges) ->
+            ( chain_of f phi,
+              dedup_sorted site_key (opt2_sites ~profile ud f back_edges) ))
+          chains)
+    prog.Ir.Prog.funcs
+  |> List.sort (fun (a, _) (b, _) -> compare (chain_key a) (chain_key b))
+
+let all_chains prog = normalize { empty with chains = candidate_chains prog }
+
+let paper ?(opt1 = true) ?(opt2 = true) ~profile prog =
+  let per_func (f : Ir.Func.t) =
+    let chains = func_chains f in
+    let ud = lazy (Usedef.compute f) in
+    let terminators =
+      if opt2 then
+        List.concat_map
+          (fun (_, back_edges) ->
+            opt2_sites ~profile (Lazy.force ud) f back_edges)
+          chains
+      else []
+    in
+    let taken = List.map (fun s -> s.vs_uid) terminators in
+    let candidates =
+      List.filter
+        (fun (ins : Ir.Instr.t) -> not (List.mem ins.Ir.Instr.uid taken))
+        (func_candidates ~profile f)
+    in
+    let checks =
+      if opt1 && candidates <> [] then
+        opt1_survivors (Lazy.force ud) candidates
+      else candidates
+    in
+    ( List.map (fun (phi, _) -> chain_of f phi) chains,
+      terminators,
+      List.map (site_of f) checks )
+  in
+  let parts = List.map per_func prog.Ir.Prog.funcs in
+  normalize
+    { chains = List.concat_map (fun (c, _, _) -> c) parts;
+      terminators = List.concat_map (fun (_, t, _) -> t) parts;
+      checks = List.concat_map (fun (_, _, v) -> v) parts;
+      checkpoint = 0 }
 
 let describe p =
   let p = normalize p in
@@ -118,39 +221,7 @@ let to_json p =
       ("terminators", Obs.Json.List (List.map site_json p.terminators));
       ("checks", Obs.Json.List (List.map site_json p.checks)) ]
 
-let of_json j =
-  let str k o =
-    match Option.bind (Obs.Json.member k o) Obs.Json.to_str with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "plan: missing string field %S" k)
-  in
-  (match Option.bind (Obs.Json.member "schema" j) Obs.Json.to_str with
-  | Some s when s = schema -> ()
-  | Some s -> failwith (Printf.sprintf "plan: unknown schema %S" s)
-  | None -> failwith "plan: missing schema field");
-  let int_field k o =
-    match Option.bind (Obs.Json.member k o) Obs.Json.to_int with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "plan: missing int field %S" k)
-  in
-  let list_field k =
-    match Obs.Json.member k j with
-    | Some (Obs.Json.List l) -> l
-    | Some _ -> failwith (Printf.sprintf "plan: field %S is not a list" k)
-    | None -> failwith (Printf.sprintf "plan: missing field %S" k)
-  in
-  let chain_of o = { ch_func = str "func" o; ch_phi_uid = int_field "phi_uid" o } in
-  let site_of o = { vs_func = str "func" o; vs_uid = int_field "uid" o } in
-  normalize
-    {
-      chains = List.map chain_of (list_field "chains");
-      terminators = List.map site_of (list_field "terminators");
-      checks = List.map site_of (list_field "checks");
-      checkpoint = int_field "checkpoint" j;
-    }
-
 let to_string p = Obs.Json.to_string (to_json p)
-let of_string s = of_json (Obs.Json.parse s)
 
 let slug p =
   let p = normalize p in

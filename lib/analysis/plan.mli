@@ -1,18 +1,19 @@
-(** First-class protection plans (ROADMAP item 3, DESIGN.md §16).
+(** First-class protection plans (DESIGN.md §16).
 
-    The paper ships three fixed protection pipelines; a {e plan} makes the
-    configuration space between them a value: which state-variable
-    producer chains to duplicate, where a chain should terminate early in
-    an expected-value check (the paper's Optimization 2 as an explicit
-    per-site decision), which stand-alone expected-value checks to place
-    (Optimization 1's outcome as an explicit site list), and the
-    checkpoint interval.  [Transform.Pipeline.of_plan] executes a plan;
-    {!Predict} prices one without running anything.
+    A {e plan} is one protection configuration as a value: which
+    state-variable producer chains to duplicate, where a chain should
+    terminate early in an expected-value check (the paper's Optimization 2
+    as an explicit per-site decision), which stand-alone expected-value
+    checks to place (Optimization 1's outcome as an explicit site list),
+    and the checkpoint interval.  [Transform.Pipeline.of_plan] executes a
+    plan; {!Predict} prices one without running anything.  The paper's
+    fixed duplicating pipelines are plans too ({!all_chains}, {!paper}),
+    so Optimizations 1 and 2 are decided here and nowhere else.
 
     Plans reference the {e original} program: chains by the uid of their
     loop-header phi, check sites by instruction uid.  Uids are minted per
     program and stable across the deterministic workload builds, so a plan
-    serialized against one build applies to any other build of the same
+    computed against one build applies to any other build of the same
     workload. *)
 
 (** One state-variable producer chain, named by its loop-header phi. *)
@@ -63,9 +64,35 @@ val candidate_chains : Ir.Prog.t -> chain list
 
 (** Every stand-alone check candidate: original value-producing
     instructions whose [profile] knows a check shape, in (function, uid)
-    order — the same gathering rule as [Transform.Value_checks]. *)
+    order.  The one statement of the candidate rule. *)
 val candidate_sites :
   profile:(int -> Ir.Instr.check_kind option) -> Ir.Prog.t -> site list
+
+(** Optimization 2 per candidate chain: the sites the duplication walk
+    reaches first that have a check shape — walking the producer web from
+    the chain's back edges, stopping at chain terminators (loads, calls,
+    allocations, constants, parameters) — in {!candidate_chains} order.
+    Adding a chain's sites as terminators gives its Opt-2 flavor. *)
+val chain_terminators :
+  profile:(int -> Ir.Instr.check_kind option) ->
+  Ir.Prog.t ->
+  (chain * site list) list
+
+(** The [Dup_only] pipeline as a plan: every candidate chain, nothing
+    else. *)
+val all_chains : Ir.Prog.t -> t
+
+(** The paper's [Dup_valchk] pipeline as a plan: every candidate chain;
+    with [opt2] (default on) each chain's {!chain_terminators}; and every
+    candidate site not taken by a terminator as a stand-alone check — with
+    [opt1] (default on) only those not inside another such candidate's
+    producer chain, so the deepest check of a chain survives. *)
+val paper :
+  ?opt1:bool ->
+  ?opt2:bool ->
+  profile:(int -> Ir.Instr.check_kind option) ->
+  Ir.Prog.t ->
+  t
 
 (** Short human label, e.g. ["plan[c3 t1 v4 K0]"]. *)
 val describe : t -> string
@@ -74,17 +101,10 @@ val describe : t -> string
     component counts plus a digest prefix of the canonical JSON. *)
 val slug : t -> string
 
-(** {2 JSON round-trip} *)
+(** {2 JSON rendering} *)
 
 val schema : string
 
 val to_json : t -> Obs.Json.t
 
-(** Raises [Failure] on malformed or wrong-schema input. *)
-val of_json : Obs.Json.t -> t
-
 val to_string : t -> string
-
-(** Parse a JSON plan document; raises [Failure] (or
-    [Obs.Json.Parse_error]) on malformed input. *)
-val of_string : string -> t

@@ -735,6 +735,4 @@ let to_csv results =
   Buffer.contents buf
 
 let write_csv path results =
-  let oc = open_out path in
-  output_string oc (to_csv results);
-  close_out oc
+  Faults.Journal.replace_file ~path (fun oc -> output_string oc (to_csv results))

@@ -11,9 +11,10 @@
     Opt-2 terminator sites applied), then greedily place stand-alone
     value checks on the surviving frontier.  Every evaluated plan is
     archived; the frontier is the non-dominated subset within the
-    overhead budget.  The three fixed pipelines are expressed as plans
-    and evaluated through the same predictor, so the frontier can be
-    compared against them point-for-point. *)
+    overhead budget.  The fixed pipelines are plans too
+    ({!Analysis.Plan.all_chains}, {!Analysis.Plan.paper}), evaluated
+    through the same predictor, so the frontier can be compared against
+    them point-for-point. *)
 
 module Plan = Analysis.Plan
 module Predict = Analysis.Predict
@@ -60,103 +61,6 @@ let cost_model ?(checkpoint_words = 256) () =
     cm_slack_cost = Interp.Cost.slack_cost;
     cm_checkpoint_cycles = Interp.Cost.checkpoint ~words:checkpoint_words;
   }
-
-(* The sites Opt-2 would check if [c] were duplicated with every amenable
-   site allowed as a terminator: walk the producer web from the chain's
-   back edges, stopping at chain terminators and at the first amenable
-   instruction — the same order the duplication pass visits them. *)
-let chain_opt2_sites ~profile (prog : Ir.Prog.t) (c : Plan.chain) =
-  match
-    List.find_opt
-      (fun (f : Ir.Func.t) -> f.Ir.Func.name = c.Plan.ch_func)
-      prog.Ir.Prog.funcs
-  with
-  | None -> []
-  | Some f ->
-    let ud = Analysis.Usedef.compute f in
-    let cfg = Analysis.Cfg.of_func f in
-    let loops = Analysis.Loops.compute cfg in
-    let seen : (Ir.Instr.reg, unit) Hashtbl.t = Hashtbl.create 32 in
-    let sites = ref [] in
-    let rec walk r =
-      if not (Hashtbl.mem seen r) then begin
-        Hashtbl.replace seen r ();
-        match Analysis.Usedef.def_of ud r with
-        | None | Some Analysis.Usedef.Param -> ()
-        | Some (Analysis.Usedef.Phi_def (_, phi)) ->
-          List.iter
-            (fun (_, op) ->
-              match op with Ir.Instr.Reg r' -> walk r' | Ir.Instr.Imm _ -> ())
-            phi.Ir.Instr.incoming
-        | Some (Analysis.Usedef.Instr_def (_, ins)) ->
-          if Analysis.Usedef.chain_terminator ins then ()
-          else if ins.Ir.Instr.dest <> None && profile ins.Ir.Instr.uid <> None
-          then
-            sites :=
-              { Plan.vs_func = f.Ir.Func.name; vs_uid = ins.Ir.Instr.uid }
-              :: !sites
-          else List.iter walk (Ir.Instr.uses ins)
-      end
-    in
-    List.iter
-      (fun ((l : Analysis.Loops.loop), _, (phi : Ir.Instr.phi)) ->
-        if phi.Ir.Instr.phi_uid = c.Plan.ch_phi_uid then
-          List.iter
-            (fun latch ->
-              let lbl = Analysis.Cfg.label cfg latch in
-              List.iter
-                (fun (l', op) ->
-                  if l' = lbl then
-                    match op with
-                    | Ir.Instr.Reg r -> walk r
-                    | Ir.Instr.Imm _ -> ())
-                phi.Ir.Instr.incoming)
-            l.Analysis.Loops.latches)
-      (Analysis.Loops.header_phis loops);
-    !sites
-
-(* Mirror of Value_checks' Optimization 1 on the original program: among
-   the amenable sites not already taken by Opt-2, suppress any that sits
-   inside another kept candidate's producer chain. *)
-let opt1_surviving ~profile ~(taken : (int, unit) Hashtbl.t)
-    (prog : Ir.Prog.t) =
-  List.concat_map
-    (fun (f : Ir.Func.t) ->
-      let ud = Analysis.Usedef.compute f in
-      let candidates =
-        List.concat_map
-          (fun (b : Ir.Block.t) ->
-            Array.to_list b.Ir.Block.body
-            |> List.filter_map (fun (ins : Ir.Instr.t) ->
-                   if
-                     Ir.Instr.produces_value ins
-                     && ins.Ir.Instr.origin = Ir.Instr.From_source
-                     && (not (Hashtbl.mem taken ins.Ir.Instr.uid))
-                     && profile ins.Ir.Instr.uid <> None
-                   then Some ins
-                   else None))
-          f.Ir.Func.blocks
-      in
-      let covered : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun (ins : Ir.Instr.t) ->
-          List.iter
-            (fun r ->
-              let chain, (_ : Ir.Instr.reg list) =
-                Analysis.Usedef.producer_chain ud r
-              in
-              List.iter
-                (fun (producer : Ir.Instr.t) ->
-                  Hashtbl.replace covered producer.Ir.Instr.uid ())
-                chain)
-            (Ir.Instr.uses ins))
-        candidates;
-      List.filter_map
-        (fun (ins : Ir.Instr.t) ->
-          if Hashtbl.mem covered ins.Ir.Instr.uid then None
-          else Some { Plan.vs_func = f.Ir.Func.name; vs_uid = ins.Ir.Instr.uid })
-        candidates)
-    prog.Ir.Prog.funcs
 
 (* Non-dominated subset, overhead ascending with strictly decreasing SDC;
    ties resolved toward the smaller plan then the label, so the frontier
@@ -244,41 +148,21 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
       p
   in
   let chains = Plan.candidate_chains prog in
-  let prof = match profile with Some f -> f | None -> fun _ -> None in
-  let sites =
+  let sites, opt2 =
     match profile with
-    | Some _ -> Plan.candidate_sites ~profile:prof prog
-    | None -> []
+    | Some profile ->
+      (Plan.candidate_sites ~profile prog, Plan.chain_terminators ~profile prog)
+    | None -> ([], [])
   in
-  let opt2_cache : (int, Plan.site list) Hashtbl.t = Hashtbl.create 16 in
-  let opt2_sites (c : Plan.chain) =
-    match Hashtbl.find_opt opt2_cache c.Plan.ch_phi_uid with
-    | Some s -> s
-    | None ->
-      let s =
-        match profile with
-        | None -> []
-        | Some p -> chain_opt2_sites ~profile:p prog c
-      in
-      Hashtbl.replace opt2_cache c.Plan.ch_phi_uid s;
-      s
-  in
+  let opt2_sites c = Option.value ~default:[] (List.assoc_opt c opt2) in
   (* Fixed-pipeline equivalents, priced through the same predictor. *)
   let p_orig = consider ~fixed:true ~label:"original" Plan.empty in
-  let p_dup =
-    consider ~fixed:true ~label:"dup_only" { Plan.empty with Plan.chains }
-  in
+  let p_dup = consider ~fixed:true ~label:"dup_only" (Plan.all_chains prog) in
   let p_dupval =
-    match profile with
-    | None -> None
-    | Some _ ->
-      let terminators = List.concat_map opt2_sites chains in
-      let taken = Hashtbl.create 16 in
-      List.iter (fun (s : Plan.site) -> Hashtbl.replace taken s.Plan.vs_uid ()) terminators;
-      let checks = opt1_surviving ~profile:prof ~taken prog in
-      Some
-        (consider ~fixed:true ~label:"dup_valchk"
-           { Plan.empty with Plan.chains; terminators; checks })
+    Option.map
+      (fun profile ->
+        consider ~fixed:true ~label:"dup_valchk" (Plan.paper ~profile prog))
+      profile
   in
   (* Beam over chain subsets: each round adds one chain to each kept
      state, in plain and Opt-2-terminated flavors, ranked by marginal

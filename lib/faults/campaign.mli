@@ -104,7 +104,7 @@ val percent_many : summary -> Classify.outcome list -> float
     {!run}'s forked trials are bit-identical to.  With the seed
     [derive_seeds ~seed ~trials].(i) it reproduces trial [i] of a uniform
     campaign (what [experiments trace-fault --trial] replays); also used
-    by the bench harness and the image-pipeline example.  [compiled] lets
+    by the image-pipeline example.  [compiled] lets
     a driver lower the subject program once and reuse it across trials;
     when omitted the per-program compile cache is consulted. *)
 val run_trial :

@@ -13,7 +13,7 @@
     proportions at small counts: it never leaves [0,1] and stays
     informative at k=0 and k=n, where the naive Wald interval collapses
     to a width of zero.  This is the substrate adaptive early stopping
-    (ROADMAP item 5) decides on. *)
+    (DESIGN.md §14) decides on. *)
 
 (** The two-sided 95% standard-normal quantile (≈1.96), the default [z]. *)
 val z95 : float

@@ -1,86 +1,35 @@
 open Ir
 
-(** Stand-alone expected-value check insertion (paper §III-C, Figure 6),
-    with Optimization 1 (paper Figure 8): when several instructions on one
-    producer chain are amenable to checks, only the instruction lowest in
-    the chain — the one closest to the consumer — is checked, since a fault
-    anywhere above it propagates into its output. *)
+(** Stand-alone expected-value check insertion (paper §III-C, Figure 6).
+    Which instructions receive a check — Optimization 1 (paper Figure 8)
+    included — is a protection plan's decision ({!Analysis.Plan.paper});
+    this pass only places them. *)
 
-type stats = {
-  mutable candidates : int;
-  mutable suppressed_by_opt1 : int;
-  mutable inserted : int;
-}
-
-let empty_stats () = { candidates = 0; suppressed_by_opt1 = 0; inserted = 0 }
-
-let run_func prog (func : Func.t) ~use_opt1 ~only ~profile ~already_checked
-    ~stats =
-  let usedef = Analysis.Usedef.compute func in
-  (* Gather candidates: original value-producing instructions whose profile
-     is amenable and that Optimization 2 did not already cover. *)
-  let candidates = ref [] in
-  Func.iter_blocks
-    (fun b ->
-      Array.iter
-        (fun (ins : Instr.t) ->
-          if Instr.produces_value ins
-             && ins.origin = Instr.From_source
-             && only ins.uid
-             && not (Hashtbl.mem already_checked ins.uid) then begin
-            match profile ins.uid with
-            | Some ck -> candidates := (b, ins, ck) :: !candidates
-            | None -> ()
-          end)
-        b.body)
-    func;
-  let candidates = List.rev !candidates in
-  stats.candidates <- stats.candidates + List.length candidates;
-  (* Optimization 1: mark candidates that sit strictly inside the producer
-     chain of another candidate; only the deepest check survives. *)
-  let covered = Hashtbl.create 16 in
-  if use_opt1 then
+(** Insert a value check after every instruction whose uid [profile]
+    maps to a check shape; returns how many were inserted. *)
+let run (prog : Prog.t) ~profile =
+  let inserted = ref 0 in
   List.iter
-    (fun ((_ : Block.t), (ins : Instr.t), (_ : Instr.check_kind)) ->
+    (fun func ->
+      let sites = ref [] in
+      Func.iter_blocks
+        (fun b ->
+          Array.iter
+            (fun (ins : Instr.t) ->
+              match (ins.dest, profile ins.uid) with
+              | Some dest, Some ck -> sites := (b, ins.uid, dest, ck) :: !sites
+              | _ -> ())
+            b.body)
+        func;
       List.iter
-        (fun r ->
-          let chain, (_ : Instr.reg list) =
-            Analysis.Usedef.producer_chain usedef r
-          in
-          List.iter
-            (fun (producer : Instr.t) ->
-              Hashtbl.replace covered producer.uid ())
-            chain)
-        (Instr.uses ins))
-    candidates;
-  List.iter
-    (fun (b, (ins : Instr.t), ck) ->
-      if Hashtbl.mem covered ins.uid then
-        stats.suppressed_by_opt1 <- stats.suppressed_by_opt1 + 1
-      else begin
-        match ins.dest with
-        | None -> ()
-        | Some dest ->
+        (fun (b, after_uid, dest, ck) ->
           let check =
             { Instr.uid = Prog.fresh_uid prog; dest = None;
               kind = Instr.Value_check (ck, Instr.Reg dest);
               origin = Instr.Check_insertion }
           in
-          Block.insert_after b ~after_uid:ins.uid [ check ];
-          stats.inserted <- stats.inserted + 1
-      end)
-    candidates
-
-(** Insert value checks across the program.  [profile] maps an instruction
-    uid to its derived check shape; [already_checked] holds uids covered by
-    Optimization 2 during duplication.  [only], when given, restricts
-    candidates to the uids it accepts — protection plans use it to place
-    checks at an explicit site list. *)
-let run ?(use_opt1 = true) ?only (prog : Prog.t) ~profile ~already_checked =
-  let stats = empty_stats () in
-  let only = match only with None -> fun _ -> true | Some f -> f in
-  List.iter
-    (fun func ->
-      run_func prog func ~use_opt1 ~only ~profile ~already_checked ~stats)
+          Block.insert_after b ~after_uid [ check ];
+          incr inserted)
+        (List.rev !sites))
     prog.funcs;
-  stats
+  !inserted

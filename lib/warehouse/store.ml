@@ -568,7 +568,6 @@ type regress_row = {
   rg_sdc : diff_row;
   rg_regressed : bool;
   rg_improved : bool;
-  rg_throughput_ratio : float option;
 }
 
 type regress = {
@@ -576,7 +575,6 @@ type regress = {
   rx_only_old : entry list;
   rx_only_new : entry list;
   rx_failures : string list;
-  rx_throughput_skipped : string list;
 }
 
 (* The configuration identity deliberately excludes seed, trials and the
@@ -608,11 +606,11 @@ let sdc_count e =
     (fun acc (o, k) -> if is_sdc_name o then acc + k else acc)
     0 e.e_counts
 
-let regress ?tolerance_pct ~baseline ~current () =
+let regress ~baseline ~current =
   let old_tbl = latest_per_identity baseline in
   let new_tbl = latest_per_identity current in
   let rows = ref [] and failures = ref [] in
-  let only_old = ref [] and only_new = ref [] and skipped = ref [] in
+  let only_old = ref [] and only_new = ref [] in
   Hashtbl.iter
     (fun id old_e ->
       match Hashtbl.find_opt new_tbl id with
@@ -643,11 +641,6 @@ let regress ?tolerance_pct ~baseline ~current () =
           sdc.dr_significant
           && sdc.dr_new.ci_estimate < sdc.dr_old.ci_estimate
         in
-        let throughput_ratio =
-          match (old_e.e_trials_per_sec, new_e.e_trials_per_sec) with
-          | Some o, Some n when o > 0.0 -> Some (n /. o)
-          | _ -> None
-        in
         if regressed then
           failures :=
             Printf.sprintf
@@ -660,25 +653,13 @@ let regress ?tolerance_pct ~baseline ~current () =
               (100.0 *. sdc.dr_new.ci_low)
               (100.0 *. sdc.dr_new.ci_high)
             :: !failures;
-        (match (tolerance_pct, throughput_ratio) with
-         | Some _, Some _ when old_e.e_host_cores <> new_e.e_host_cores ->
-           skipped := id :: !skipped
-         | Some tol, Some ratio when ratio < 1.0 -. (tol /. 100.0) ->
-           failures :=
-             Printf.sprintf
-               "%s: throughput dropped %.1f%% (beyond %.1f%% tolerance)" id
-               (100.0 *. (1.0 -. ratio))
-               tol
-             :: !failures
-         | _ -> ());
         rows :=
           { rg_identity = id;
             rg_old = old_e;
             rg_new = new_e;
             rg_sdc = sdc;
             rg_regressed = regressed;
-            rg_improved = improved;
-            rg_throughput_ratio = throughput_ratio }
+            rg_improved = improved }
           :: !rows)
     old_tbl;
   Hashtbl.iter
@@ -691,5 +672,4 @@ let regress ?tolerance_pct ~baseline ~current () =
       List.sort (fun a b -> compare a.e_seq b.e_seq) !only_old;
     rx_only_new =
       List.sort (fun a b -> compare a.e_seq b.e_seq) !only_new;
-    rx_failures = List.rev !failures;
-    rx_throughput_skipped = List.sort compare !skipped }
+    rx_failures = List.rev !failures }

@@ -15,8 +15,8 @@
       journal schema);
     - [runs/<key>.jsonl] — the journal, byte-for-byte.
 
-    This is the seed of the campaign-server result cache (ROADMAP item
-    2): a request whose key is already filed costs one index lookup. *)
+    This is the seed of a campaign-server result cache: a request whose
+    key is already filed costs one index lookup. *)
 
 (** Index record schema identifier: ["softft.warehouse.v1"]. *)
 val schema : string
@@ -146,8 +146,6 @@ type regress_row = {
   rg_sdc : diff_row;             (** old vs new SDC aggregate *)
   rg_regressed : bool;           (** SDC rate up with disjoint intervals *)
   rg_improved : bool;            (** SDC rate down with disjoint intervals *)
-  rg_throughput_ratio : float option;
-      (** new/old trials-per-sec, only when both sides report it *)
 }
 
 type regress = {
@@ -156,20 +154,8 @@ type regress = {
   rx_only_new : entry list;
   rx_failures : string list;     (** human messages; nonempty fails the
                                      gate *)
-  rx_throughput_skipped : string list;
-      (** with [tolerance_pct]: matched identities whose throughput was
-          not compared because their [host_cores] differ *)
 }
 
 (** Compare two index snapshots.  Coverage gate: any matched pair whose
-    SDC rate rose with disjoint intervals is a failure.  Throughput gate
-    (opt-in): with [tolerance_pct], a matched pair whose throughput
-    dropped more than that is also a failure.  Throughputs are compared
-    on the same [host_cores] only; pairs from different hosts are listed
-    in [rx_throughput_skipped] instead. *)
-val regress :
-  ?tolerance_pct:float ->
-  baseline:entry list ->
-  current:entry list ->
-  unit ->
-  regress
+    SDC rate rose with disjoint intervals is a failure. *)
+val regress : baseline:entry list -> current:entry list -> regress

@@ -46,7 +46,7 @@ let surface =
     ("ingest", [ "--warehouse" ]);
     ("history", [ "--warehouse" ]);
     ("diff-runs", [ "--warehouse" ]);
-    ("regress", [ "--baseline"; "--current"; "--tolerance" ]);
+    ("regress", [ "--baseline"; "--current" ]);
     ("heatmap", [ "--warehouse"; "--journal"; "--csv"; "--html" ]);
     ("table1", []);
     ("dump", []);
@@ -55,8 +55,9 @@ let surface =
 
 (* Flags removed from a subcommand, which its help must no longer offer:
    `report --strata' is the one join of a journal against static
-   coverage. *)
-let retired = [ ("coverage", "--journal") ]
+   coverage, and `regress' gates coverage only (speed is the ledger's
+   job). *)
+let retired = [ ("coverage", "--journal"); ("regress", "--tolerance") ]
 
 let test_subcommand_help () =
   List.iter
@@ -116,6 +117,33 @@ let test_unknown_subcommand_fails () =
 
 let studies =
   [ "crossval"; "ablation"; "latency"; "branchfault"; "sources"; "recovery" ]
+
+(* A bad benchmark or technique name, or a negative count, is a
+   command-line error: exit 124 with the valid values listed, before any
+   work starts. *)
+let test_bad_arguments () =
+  List.iter
+    (fun (args, expected) ->
+      let rc, text = run_exe args in
+      Alcotest.(check int) (args ^ " exits 124") 124 rc;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names %s" args expected)
+        true (contains text expected);
+      Alcotest.(check bool) (args ^ " raises nothing") false
+        (contains text "uncaught exception"))
+    [ ("dump kmeans bogus", "'dupvalcfc'");
+      ("history -w no-such-dir kmeans bogus", "'dupval'");
+      ("heatmap kmeans bogus", "'original'");
+      ("dump nosuch dupval", "'kmeans'");
+      ("all -b kmeans,nosuch", "'jpegdec'");
+      ("campaign kmeans dupval --trials=-3", "non-negative");
+      ("trace-fault kmeans dupval --trial=-1", "non-negative") ];
+  (* The aliases and the case-insensitive spelling still parse. *)
+  List.iter
+    (fun args ->
+      let rc, _ = run_exe args in
+      Alcotest.(check int) (args ^ " exits 0") 0 rc)
+    [ "trace-fault kmeans DupVal"; "trace-fault kmeans dup_valchk" ]
 
 let test_unknown_study_fails () =
   let rc, text = run_exe "study no-such-study" in
@@ -255,43 +283,12 @@ let test_old_warehouse () =
     (contains text "1 run(s)");
   let rc, text =
     run_exe
-      (Printf.sprintf "regress --baseline %s --current %s --tolerance 15"
+      (Printf.sprintf "regress --baseline %s --current %s"
          (Filename.quote index) wh)
   in
   Alcotest.(check int) "regress exits 0" 0 rc;
   Alcotest.(check bool) "regress is green" true
     (contains text "regress: gate green");
-  Alcotest.(check bool) "same host: no stand-down warning" false
-    (contains text "not compared");
-  (* The same baseline from a host with other core counts: the throughput
-     comparison stands down with a warning, and the exit code holds. *)
-  let other_host = Filename.temp_file "softft_index" ".jsonl" in
-  Out_channel.with_open_text other_host (fun oc ->
-    List.iter
-      (fun line ->
-        match Obs.Json.parse line with
-        | Obs.Json.Obj fields ->
-          output_string oc
-            (Obs.Json.to_string
-               (Obs.Json.Obj
-                  (List.map
-                     (function
-                       | ("host_cores", Obs.Json.Int n) ->
-                         ("host_cores", Obs.Json.Int (n + 1))
-                       | kv -> kv)
-                     fields)));
-          output_char oc '\n'
-        | _ -> ())
-      (read_lines index));
-  let rc, text =
-    run_exe
-      (Printf.sprintf "regress --baseline %s --current %s --tolerance 15"
-         (Filename.quote other_host) wh)
-  in
-  Alcotest.(check int) "host mismatch: regress still exits 0" 0 rc;
-  Alcotest.(check bool) "and warns that throughput was not compared" true
-    (contains text "throughput not compared");
-  Sys.remove other_host;
   let before = In_channel.with_open_text index In_channel.input_all in
   let bench = Filename.temp_file "softft_bench" ".json" in
   Out_channel.with_open_text bench (fun oc ->
@@ -358,6 +355,8 @@ let tests =
     Alcotest.test_case "old warehouse: history, regress, ingest" `Quick
       test_old_warehouse;
     Alcotest.test_case "unknown study" `Quick test_unknown_study_fails;
+    Alcotest.test_case "bad names and counts: exit 124" `Quick
+      test_bad_arguments;
     Alcotest.test_case "every study runs" `Quick test_every_study_runs;
     Alcotest.test_case "all: headline section sign and --csv" `Quick
       test_all_headline_and_csv;

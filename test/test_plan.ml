@@ -38,9 +38,9 @@ let sample_plan (w : Workloads.Workload.t) =
     | c0 :: c1 :: _ ->
       let p = Plan.add_chain (Plan.add_chain Plan.empty c0) c1 in
       let p =
-        match Optimize.chain_opt2_sites ~profile prog c0 with
-        | t :: _ -> Plan.add_terminator p t
-        | [] -> p
+        match List.assoc_opt c0 (Plan.chain_terminators ~profile prog) with
+        | Some (t :: _) -> Plan.add_terminator p t
+        | Some [] | None -> p
       in
       (match
          List.find_opt
@@ -53,46 +53,21 @@ let sample_plan (w : Workloads.Workload.t) =
   in
   Plan.normalize { plan with Plan.checkpoint = 500 }
 
-(* ----- plan JSON round-trip ----- *)
-
-let test_json_roundtrip () =
-  let plan = sample_plan (workload "kmeans") in
-  let back = Plan.of_string (Plan.to_string plan) in
-  Alcotest.(check bool) "round-trips" true (Plan.equal plan back);
-  Alcotest.(check string) "slug stable" (Plan.slug plan) (Plan.slug back);
-  (match Plan.of_string "{}" with
-   | exception Failure _ -> ()
-   | (_ : Plan.t) -> Alcotest.fail "of_string accepted a schema-less plan")
-
-(* A plan serialized, parsed back and executed through the pipeline must
-   produce the same transform — the CLI's --plan-out files feed of_plan. *)
-let test_json_roundtrip_through_of_plan () =
-  let w = workload "kmeans" in
-  let plan = sample_plan w in
-  let back = Plan.of_string (Plan.to_string plan) in
-  let a = Softft.protect_plan ~lint:true w plan in
-  let b = Softft.protect_plan ~lint:true w back in
-  Alcotest.(check bool) "same static stats" true
-    (a.Softft.static_stats = b.Softft.static_stats);
-  Alcotest.(check bool) "plan stats are Planned" true
-    (a.Softft.static_stats.Transform.Pipeline.technique
-     = Transform.Pipeline.Planned)
-
 (* ----- of_plan generalizes the fixed pipelines ----- *)
 
 let test_all_chains_equals_dup_only () =
   List.iter
-    (fun name ->
-      let w = workload name in
+    (fun (w : Workloads.Workload.t) ->
+      let name = w.Workloads.Workload.name in
       let prog = w.build () in
-      let plan =
-        Plan.normalize
-          { Plan.empty with Plan.chains = Plan.candidate_chains prog }
-      in
-      let planned = Softft.protect_plan ~lint:true w plan in
+      let planned = Softft.protect_plan ~lint:true w (Plan.all_chains prog) in
       let fixed = Softft.protect ~lint:true w Softft.Dup_only in
       let ps = planned.Softft.static_stats
       and fs = fixed.Softft.static_stats in
+      Alcotest.(check string)
+        (name ^ ": same program as Dup_only")
+        (Warehouse.Store.prog_digest fixed.Softft.prog)
+        (Warehouse.Store.prog_digest planned.Softft.prog);
       Alcotest.(check int)
         (name ^ ": duplicated instrs match Dup_only")
         fs.Transform.Pipeline.duplicated_instrs
@@ -100,10 +75,87 @@ let test_all_chains_equals_dup_only () =
       Alcotest.(check int)
         (name ^ ": dup checks match Dup_only")
         fs.Transform.Pipeline.dup_checks ps.Transform.Pipeline.dup_checks;
+      (* The plan's chain rule and the transform's state-variable rule
+         are stated separately; they must pick the same phis. *)
+      Alcotest.(check int)
+        (name ^ ": one chain per state variable")
+        (Transform.State_vars.count_prog prog)
+        (List.length (Plan.candidate_chains prog));
       Alcotest.(check int)
         (name ^ ": state vars match Dup_only")
         fs.Transform.Pipeline.state_vars ps.Transform.Pipeline.state_vars)
-    [ "kmeans"; "g721enc" ]
+    Workloads.Registry.all
+
+(* The duplicating pipelines run as plans; their protected programs are
+   pinned by digest, recorded when each pipeline still had a code path of
+   its own.  Any change to the Opt-1/Opt-2 decisions, the chain rule or
+   the passes shows up here as a digest mismatch. *)
+let protect_configurations =
+  [ ("dup", Softft.Dup_only, true, true);
+    ("dupval", Softft.Dup_valchk, true, true);
+    ("dupval-no-opt1", Softft.Dup_valchk, false, true);
+    ("dupval-no-opt2", Softft.Dup_valchk, true, false);
+    ("dupval-no-opt12", Softft.Dup_valchk, false, false);
+    ("dupvalcfc", Softft.Dup_valchk_cfc, true, true) ]
+
+let test_protect_digests_pinned () =
+  let pinned =
+    In_channel.with_open_text "fixtures/protect_digests.txt"
+      In_channel.input_lines
+  in
+  let actual =
+    List.concat_map
+      (fun (w : Workloads.Workload.t) ->
+        List.map
+          (fun (config, technique, opt1, opt2) ->
+            let p = Softft.protect ~opt1 ~opt2 w technique in
+            Printf.sprintf "%s %s %s" w.Workloads.Workload.name config
+              (Warehouse.Store.prog_digest p.Softft.prog))
+          protect_configurations)
+      Workloads.Registry.all
+  in
+  Alcotest.(check int) "78 configurations" 78 (List.length actual);
+  Alcotest.(check (list string)) "protected programs unchanged" pinned actual
+
+(* The paper's plan on every workload: all chains; terminators and
+   stand-alone checks are candidate sites and never overlap; Opt-1 only
+   removes checks; without Opt-2 there are no terminators. *)
+let test_paper_plan_invariants () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let name = w.Workloads.Workload.name in
+      let prog = w.build () in
+      let vp = Workloads.Workload.profile ~prog w in
+      let profile uid = Profiling.Value_profile.check_kind vp uid in
+      let uids = List.map (fun (s : Plan.site) -> s.Plan.vs_uid) in
+      let candidates = uids (Plan.candidate_sites ~profile prog) in
+      let subset what a b =
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true
+          (List.for_all (fun u -> List.mem u b) a)
+      in
+      let paper = Plan.paper ~profile prog in
+      let no_opt1 = Plan.paper ~opt1:false ~profile prog in
+      let no_opt2 = Plan.paper ~opt2:false ~profile prog in
+      Alcotest.(check bool) (name ^ ": every chain") true
+        (paper.Plan.chains = Plan.candidate_chains prog);
+      subset "terminators are candidates" (uids paper.Plan.terminators)
+        candidates;
+      subset "checks are candidates" (uids paper.Plan.checks) candidates;
+      Alcotest.(check bool) (name ^ ": terminators and checks disjoint") true
+        (List.for_all
+           (fun u -> not (Plan.mem_terminator paper u))
+           (uids paper.Plan.checks));
+      subset "Opt-1 only removes checks" (uids paper.Plan.checks)
+        (uids no_opt1.Plan.checks);
+      Alcotest.(check int) (name ^ ": without Opt-2, no terminators") 0
+        (List.length no_opt2.Plan.terminators);
+      Alcotest.(check bool) (name ^ ": terminators are the chain walks'") true
+        (paper.Plan.terminators
+         = (Plan.chain_terminators ~profile prog
+            |> List.concat_map snd
+            |> fun terminators ->
+            (Plan.normalize { Plan.empty with Plan.terminators }).Plan.terminators)))
+    Workloads.Registry.all
 
 (* Plans with check placements survive the plan-derived lint and the
    protected program still computes the right answer. *)
@@ -317,11 +369,12 @@ let test_rank_agreement_kmeans () = test_rank_agreement "kmeans"
 let test_rank_agreement_jpegdec () = test_rank_agreement "jpegdec"
 
 let tests =
-  [ Alcotest.test_case "plan JSON round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "plan JSON executes identically" `Quick
-      test_json_roundtrip_through_of_plan;
-    Alcotest.test_case "all-chains plan = Dup_only" `Quick
+  [ Alcotest.test_case "all-chains plan = Dup_only" `Quick
       test_all_chains_equals_dup_only;
+    Alcotest.test_case "fixed pipelines: program digests pinned" `Quick
+      test_protect_digests_pinned;
+    Alcotest.test_case "paper plan: Opt-1/Opt-2 invariants" `Quick
+      test_paper_plan_invariants;
     Alcotest.test_case "planned program lints and runs" `Quick
       test_planned_program_lints_and_runs;
     Alcotest.test_case "predicted SDC monotone in chains" `Quick

@@ -175,10 +175,11 @@ let test_value_checks_inserted () =
   | stop -> Alcotest.failf "fault-free run stopped: %a" Interp.Machine.pp_stop stop
 
 let test_opt1_suppression () =
-  (* A chain of adds where many instructions are amenable: only the deepest
-     should receive a check. *)
+  (* A chain of arithmetic where many instructions are amenable: the
+     paper's plan checks only the deepest. *)
   let prog = Prog.create () in
   let b = Builder.create prog ~name:"main" ~n_params:0 in
+  let shallowest = ref None and deepest = ref None in
   let total =
     Builder.for_up b ~from:(Builder.imm 0) ~until:(Builder.imm 100)
       ~carried:[ Builder.imm 0 ]
@@ -190,7 +191,10 @@ let test_opt1_suppression () =
           let d = Builder.mul b c (Builder.imm 3) in
           let e = Builder.and_ b d (Builder.imm 31) in
           ignore (Builder.add b (Reg acc) e);
-          [ Builder.add b (Reg acc) e ]
+          let next = Builder.add b (Reg acc) e in
+          shallowest := Some a;
+          deepest := Some next;
+          [ next ]
         | _ -> assert false)
       ()
   in
@@ -201,13 +205,31 @@ let test_opt1_suppression () =
     Profiling.Value_profile.collect prog ~entry:"main" ~args:[] ~mem
   in
   let profile uid = Profiling.Value_profile.check_kind p uid in
-  let already = Hashtbl.create 4 in
-  let stats = Transform.Value_checks.run prog ~profile ~already_checked:already in
-  Alcotest.(check bool) "optimization 1 suppressed some checks" true
-    (stats.suppressed_by_opt1 > 0);
-  Alcotest.(check bool) "still inserted some" true (stats.inserted > 0);
-  Alcotest.(check bool) "inserted fewer than candidates" true
-    (stats.inserted < stats.candidates)
+  let uid_of = function
+    | Some (Instr.Reg r) ->
+      let found = ref None in
+      Prog.iter_funcs
+        (Func.iter_instrs (fun (ins : Instr.t) ->
+           if ins.dest = Some r then found := Some ins.uid))
+        prog;
+      Option.get !found
+    | _ -> Alcotest.fail "expected a register"
+  in
+  let module Plan = Analysis.Plan in
+  let candidates = Plan.candidate_sites ~profile prog in
+  let checked (plan : Plan.t) uid = Plan.mem_check plan uid in
+  let plan = Plan.paper ~opt2:false ~profile prog in
+  let without = Plan.paper ~opt1:false ~opt2:false ~profile prog in
+  Alcotest.(check bool) "optimization 1 drops some candidates" true
+    (List.length plan.Plan.checks < List.length candidates);
+  Alcotest.(check bool) "still checks something" true (plan.Plan.checks <> []);
+  Alcotest.(check int) "without opt 1 every candidate is checked"
+    (List.length candidates) (List.length without.Plan.checks);
+  Alcotest.(check bool) "the shallowest candidate is dropped" true
+    (checked without (uid_of !shallowest)
+     && not (checked plan (uid_of !shallowest)));
+  Alcotest.(check bool) "the deepest candidate is kept" true
+    (checked plan (uid_of !deepest))
 
 (* ----- full duplication ----- *)
 

@@ -231,50 +231,25 @@ let entry ~seq ~label ~sdc_k ~trials ~tps ~cores : Store.entry =
 let test_regress_gate () =
   let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
   let worse = [ entry ~seq:2 ~label:"a/test" ~sdc_k:100 ~trials:1000 ~tps:100.0 ~cores:8 ] in
-  let g = Store.regress ~baseline:base ~current:worse () in
+  let g = Store.regress ~baseline:base ~current:worse in
   Alcotest.(check int) "one matched pair" 1 (List.length g.Store.rx_rows);
   Alcotest.(check bool) "SDC up with disjoint intervals regresses" true
     (List.hd g.Store.rx_rows).Store.rg_regressed;
   Alcotest.(check bool) "the gate fails" true (g.Store.rx_failures <> []);
   (* The same movement downward is an improvement, not a failure. *)
-  let g' = Store.regress ~baseline:worse ~current:base () in
+  let g' = Store.regress ~baseline:worse ~current:base in
   Alcotest.(check bool) "SDC down improves" true
     (List.hd g'.Store.rx_rows).Store.rg_improved;
   Alcotest.(check (list string)) "and passes" [] g'.Store.rx_failures;
   (* Self-comparison is always green. *)
-  let g'' = Store.regress ~baseline:base ~current:base () in
+  let g'' = Store.regress ~baseline:base ~current:base in
   Alcotest.(check (list string)) "self-regress is green" []
     g''.Store.rx_failures
-
-let test_regress_throughput_gate () =
-  let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
-  let slow = [ entry ~seq:2 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:50.0 ~cores:8 ] in
-  let g = Store.regress ~tolerance_pct:15.0 ~baseline:base ~current:slow () in
-  Alcotest.(check bool) "same-host slowdown beyond tolerance fails" true
-    (g.Store.rx_failures <> []);
-  Alcotest.(check (list string)) "same host: nothing skipped" []
-    g.Store.rx_throughput_skipped;
-  (* Without opting in, throughput never gates. *)
-  let g' = Store.regress ~baseline:base ~current:slow () in
-  Alcotest.(check (list string)) "coverage-only gate ignores throughput" []
-    g'.Store.rx_failures;
-  (* A different machine stands the throughput gate down, and says so. *)
-  let other = [ entry ~seq:2 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:50.0 ~cores:4 ] in
-  let g'' = Store.regress ~tolerance_pct:15.0 ~baseline:base ~current:other () in
-  Alcotest.(check (list string)) "host mismatch stands down" []
-    g''.Store.rx_failures;
-  Alcotest.(check (list string)) "host mismatch names the identity"
-    [ (List.hd g''.Store.rx_rows).Store.rg_identity ]
-    g''.Store.rx_throughput_skipped;
-  (* No tolerance: no throughput comparison to skip. *)
-  let untolerant = Store.regress ~baseline:base ~current:other () in
-  Alcotest.(check (list string)) "no tolerance: nothing skipped" []
-    untolerant.Store.rx_throughput_skipped
 
 let test_regress_unmatched_identities () =
   let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
   let curr = [ entry ~seq:2 ~label:"b/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
-  let g = Store.regress ~baseline:base ~current:curr () in
+  let g = Store.regress ~baseline:base ~current:curr in
   Alcotest.(check int) "no matched pairs" 0 (List.length g.Store.rx_rows);
   Alcotest.(check int) "baseline-only identity" 1
     (List.length g.Store.rx_only_old);
@@ -330,8 +305,8 @@ let test_old_index_with_bench_record () =
   Alcotest.(check int) "a bare index file reads the same" 1
     (List.length (Store.entries_of_file index));
   let g =
-    Store.regress ~tolerance_pct:15.0 ~baseline:(Store.entries_of_file index)
-      ~current:(Store.entries ~dir) ()
+    Store.regress ~baseline:(Store.entries_of_file index)
+      ~current:(Store.entries ~dir)
   in
   Alcotest.(check int) "regress matches the run against itself" 1
     (List.length g.Store.rx_rows);
@@ -560,8 +535,6 @@ let tests =
     Alcotest.test_case "diff-runs: disjoint rates flag" `Quick
       test_diff_detects_disjoint_rates;
     Alcotest.test_case "regress: coverage gate" `Quick test_regress_gate;
-    Alcotest.test_case "regress: throughput gate" `Quick
-      test_regress_throughput_gate;
     Alcotest.test_case "regress: unmatched identities" `Quick
       test_regress_unmatched_identities;
     Alcotest.test_case "resolve: key prefixes" `Quick test_resolve_key_prefix;
