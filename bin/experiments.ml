@@ -8,14 +8,27 @@ open Cmdliner
 
 (* Bad names and counts are command-line errors: Cmdliner exits 124 and
    lists the valid values, instead of the run failing part-way. *)
-let non_negative_int =
+let int_at_least lo what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n < 0 ->
-      Error (`Msg (Printf.sprintf "invalid value '%d', expected a non-negative integer" n))
+    | Ok n when n < lo ->
+      Error (`Msg (Printf.sprintf "invalid value '%d', expected a %s integer" n what))
     | r -> r
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let non_negative_int = int_at_least 0 "non-negative"
+let positive_int = int_at_least 1 "positive"
+
+(* A percentage: nan, infinities and negatives are refused. *)
+let non_negative_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (Float.is_finite x && x >= 0.0) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected a finite non-negative number" s))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let workload_conv =
   let names = Arg.enum (List.map (fun n -> (n, n)) Workloads.Registry.names) in
@@ -277,7 +290,7 @@ let checkpoint_arg =
      dynamic instructions (0 = off).  Trials whose software check fires \
      then roll back and replay, reclassifying as Recovered/Unrecoverable."
   in
-  Arg.(value & opt int 0 & info [ "checkpoint"; "k" ] ~docv:"INTERVAL" ~doc)
+  Arg.(value & opt non_negative_int 0 & info [ "checkpoint"; "k" ] ~docv:"INTERVAL" ~doc)
 
 let profile_arg =
   let doc =
@@ -712,11 +725,11 @@ let budget_arg =
     "Overhead budget as a percentage (e.g. 15 caps the frontier at 15% \
      predicted runtime overhead).  Default: unbounded."
   in
-  Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"PCT" ~doc)
+  Arg.(value & opt (some non_negative_float) None & info [ "budget" ] ~docv:"PCT" ~doc)
 
 let beam_arg =
   let doc = "Beam width over chain subsets during the search." in
-  Arg.(value & opt int 4 & info [ "beam" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 4 & info [ "beam" ] ~docv:"N" ~doc)
 
 let validate_arg =
   let doc =
@@ -724,7 +737,7 @@ let validate_arg =
      adaptive fault campaigns and report predicted-vs-measured deltas \
      (0 = skip validation)."
   in
-  Arg.(value & opt int 0 & info [ "validate" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative_int 0 & info [ "validate" ] ~docv:"N" ~doc)
 
 let plan_out_arg =
   let doc =

@@ -85,48 +85,112 @@ let simulate ~(plan : Plan.t) ~profile ~(ud : Usedef.t) ~on_clone_instr
   in
   (sim, memo, opt2_sites)
 
-let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
-  let plan = Plan.normalize plan in
+(* What no plan changes, per function: the analyses the chain walk and
+   the check sites read, the block weights, and the exposure rows in the
+   exposure table's [Hashtbl.iter] order, so per-plan sums add in the
+   same order as a one-shot pricing would. *)
+type func_ctx = {
+  ud : Usedef.t;
+  cfg : Cfg.t;
+  header_phis : (Loops.loop * Ir.Block.t * Ir.Instr.phi) list;
+  weights : float array;
+  block_of_uid : (int, int) Hashtbl.t;
+  exposure_rows : (Ir.Instr.reg * float) list;
+}
+
+(* Program stage: one pass per function; the priced baseline, the
+   dynamic step count and the exposure total are plan-independent too. *)
+let func_context ?exec_counts ~cost ~baseline ~steps ~exposure_total
+    (f : Ir.Func.t) =
+  let ud = Usedef.compute f in
+  let cfg = Cfg.of_func f in
+  let live = Liveness.compute cfg in
+  let loops = Loops.compute cfg in
+  let n = Cfg.n_blocks cfg in
+  let weights =
+    match Option.bind exec_counts (fun g -> g f.Ir.Func.name) with
+    | Some c when Array.length c = n -> Array.map float_of_int c
+    | Some _ | None -> Array.make n 1.0
+  in
+  let block_of_uid : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    let b = Cfg.block cfg i in
+    List.iter
+      (fun (phi : Ir.Instr.phi) ->
+        Hashtbl.replace block_of_uid phi.phi_uid i)
+      b.Ir.Block.phis;
+    Array.iter
+      (fun (ins : Ir.Instr.t) -> Hashtbl.replace block_of_uid ins.uid i)
+      b.Ir.Block.body;
+    (* Priced baseline and dynamic step count of the original. *)
+    let body_cost =
+      Array.fold_left (fun a ins -> a + cost.cm_instr ins) 0 b.Ir.Block.body
+    in
+    let phi_cost = cost.cm_phi * List.length b.Ir.Block.phis in
+    baseline :=
+      !baseline
+      +. (weights.(i) *. float_of_int (body_cost + phi_cost + term_cost cost b.Ir.Block.term));
+    steps :=
+      !steps
+      +. (weights.(i)
+          *. float_of_int (Array.length b.Ir.Block.body + List.length b.Ir.Block.phis + 1))
+  done;
+  (* Exposure of original registers, as Coverage.analyze computes it:
+     live-in residency weighted by block frequency, with every defined
+     register seeded so intra-block values get a row. *)
+  let exposure : (Ir.Instr.reg, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace exposure r 0.0) f.Ir.Func.params;
+  for i = 0 to n - 1 do
+    let b = Cfg.block cfg i in
+    List.iter
+      (fun (phi : Ir.Instr.phi) -> if not (Hashtbl.mem exposure phi.phi_dest) then Hashtbl.replace exposure phi.phi_dest 0.0)
+      b.Ir.Block.phis;
+    Array.iter
+      (fun (ins : Ir.Instr.t) ->
+        match ins.dest with
+        | Some r -> if not (Hashtbl.mem exposure r) then Hashtbl.replace exposure r 0.0
+        | None -> ())
+      b.Ir.Block.body
+  done;
+  for i = 0 to n - 1 do
+    Hashtbl.iter
+      (fun r () ->
+        let prev = try Hashtbl.find exposure r with Not_found -> 0.0 in
+        Hashtbl.replace exposure r (prev +. weights.(i)))
+      live.Liveness.live_in.(i)
+  done;
+  let rows = ref [] in
+  Hashtbl.iter
+    (fun r e ->
+      exposure_total := !exposure_total +. e;
+      rows := (r, e) :: !rows)
+    exposure;
+  { ud; cfg; header_phis = Loops.header_phis loops; weights; block_of_uid;
+    exposure_rows = List.rev !rows }
+
+let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
   let profile = match profile with Some f -> f | None -> fun _ -> None in
-  let exposure_total = ref 0.0 and exposure_unprot = ref 0.0 in
-  let baseline = ref 0.0 and added = ref 0.0 and steps = ref 0.0 in
-  let cloned_instrs = ref 0 and cloned_phis = ref 0 in
-  let dup_checks = ref 0 and value_checks = ref 0 in
+  let baseline = ref 0.0 and steps = ref 0.0 and exposure_total = ref 0.0 in
+  let funcs = ref [] in
   Ir.Prog.iter_funcs
     (fun f ->
-      let ud = Usedef.compute f in
-      let cfg = Cfg.of_func f in
-      let live = Liveness.compute cfg in
-      let loops = Loops.compute cfg in
+      funcs :=
+        func_context ?exec_counts ~cost ~baseline ~steps ~exposure_total f
+        :: !funcs)
+    prog;
+  let funcs = List.rev !funcs in
+  let baseline = !baseline and steps = !steps
+  and exposure_total = !exposure_total in
+  (* Plan stage: only what the plan decides.  Every table is local to
+     one call, so no plan sees another's state. *)
+  fun (plan : Plan.t) ->
+  let plan = Plan.normalize plan in
+  let exposure_unprot = ref 0.0 and added = ref 0.0 in
+  let cloned_instrs = ref 0 and cloned_phis = ref 0 in
+  let dup_checks = ref 0 and value_checks = ref 0 in
+  List.iter
+    (fun { ud; cfg; header_phis; weights; block_of_uid; exposure_rows } ->
       let n = Cfg.n_blocks cfg in
-      let weights =
-        match Option.bind exec_counts (fun g -> g f.Ir.Func.name) with
-        | Some c when Array.length c = n -> Array.map float_of_int c
-        | Some _ | None -> Array.make n 1.0
-      in
-      let block_of_uid : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      for i = 0 to n - 1 do
-        let b = Cfg.block cfg i in
-        List.iter
-          (fun (phi : Ir.Instr.phi) ->
-            Hashtbl.replace block_of_uid phi.phi_uid i)
-          b.Ir.Block.phis;
-        Array.iter
-          (fun (ins : Ir.Instr.t) -> Hashtbl.replace block_of_uid ins.uid i)
-          b.Ir.Block.body;
-        (* Priced baseline and dynamic step count of the original. *)
-        let body_cost =
-          Array.fold_left (fun a ins -> a + cost.cm_instr ins) 0 b.Ir.Block.body
-        in
-        let phi_cost = cost.cm_phi * List.length b.Ir.Block.phis in
-        baseline :=
-          !baseline
-          +. (weights.(i) *. float_of_int (body_cost + phi_cost + term_cost cost b.Ir.Block.term));
-        steps :=
-          !steps
-          +. (weights.(i)
-              *. float_of_int (Array.length b.Ir.Block.body + List.length b.Ir.Block.phis + 1))
-      done;
       let weight_of_uid uid =
         match Hashtbl.find_opt block_of_uid uid with
         | Some i -> weights.(i)
@@ -178,7 +242,7 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
                       | Ir.Instr.Imm _ -> ())
                   phi.Ir.Instr.incoming)
               loop.Loops.latches)
-        (Loops.header_phis loops);
+        header_phis;
       (* Stand-alone planned check sites (skipping sites the chain walk
          already converted into Opt-2 checks, as the transform does via
          [already_checked]). *)
@@ -219,52 +283,28 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
             !added +. (weights.(i) *. (n_sh -. free) *. float_of_int cost.cm_shadow_slot)
         end
       done;
-      (* Exposure of unprotected original registers, as Coverage.analyze
-         computes it: live-in residency weighted by block frequency, with
-         every defined register seeded so intra-block values get a row. *)
-      let exposure : (Ir.Instr.reg, float) Hashtbl.t = Hashtbl.create 64 in
-      List.iter (fun r -> Hashtbl.replace exposure r 0.0) f.Ir.Func.params;
-      for i = 0 to n - 1 do
-        let b = Cfg.block cfg i in
-        List.iter
-          (fun (phi : Ir.Instr.phi) -> if not (Hashtbl.mem exposure phi.phi_dest) then Hashtbl.replace exposure phi.phi_dest 0.0)
-          b.Ir.Block.phis;
-        Array.iter
-          (fun (ins : Ir.Instr.t) ->
-            match ins.dest with
-            | Some r -> if not (Hashtbl.mem exposure r) then Hashtbl.replace exposure r 0.0
-            | None -> ())
-          b.Ir.Block.body
-      done;
-      for i = 0 to n - 1 do
-        Hashtbl.iter
-          (fun r () ->
-            let prev = try Hashtbl.find exposure r with Not_found -> 0.0 in
-            Hashtbl.replace exposure r (prev +. weights.(i)))
-          live.Liveness.live_in.(i)
-      done;
-      Hashtbl.iter
-        (fun r e ->
-          exposure_total := !exposure_total +. e;
+      (* Exposure of the original registers no check covers. *)
+      List.iter
+        (fun (r, e) ->
           let protected_ =
             (match Hashtbl.find_opt covered r with Some b -> b | None -> false)
             || Hashtbl.mem value_checked r
           in
           if not protected_ then exposure_unprot := !exposure_unprot +. e)
-        exposure)
-    prog;
+        exposure_rows)
+    funcs;
   (* Checkpoint overhead: one lump cost every K dynamic steps. *)
   (if plan.Plan.checkpoint > 0 then
      let k = float_of_int plan.Plan.checkpoint in
-     added := !added +. (!steps /. k *. float_of_int cost.cm_checkpoint_cycles));
+     added := !added +. (steps /. k *. float_of_int cost.cm_checkpoint_cycles));
   {
     pe_sdc_fraction =
-      (if !exposure_total > 0.0 then !exposure_unprot /. !exposure_total else 0.0);
-    pe_exposure_total = !exposure_total;
+      (if exposure_total > 0.0 then !exposure_unprot /. exposure_total else 0.0);
+    pe_exposure_total = exposure_total;
     pe_exposure_unprotected = !exposure_unprot;
-    pe_baseline_cycles = !baseline;
+    pe_baseline_cycles = baseline;
     pe_added_cycles = !added;
-    pe_overhead = (if !baseline > 0.0 then !added /. !baseline else 0.0);
+    pe_overhead = (if baseline > 0.0 then !added /. baseline else 0.0);
     pe_cloned_instrs = !cloned_instrs;
     pe_cloned_phis = !cloned_phis;
     pe_dup_checks = !dup_checks;

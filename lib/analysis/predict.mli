@@ -50,7 +50,17 @@ type estimate = {
     block execution counts in layout order (same convention as
     [Coverage.analyze]; uniform weights otherwise).  [profile] decides
     which sites are check-amenable; without it, planned terminators and
-    checks are inert, exactly as the transform would treat them. *)
+    checks are inert, exactly as the transform would treat them.
+
+    The function is staged.  [estimate ?exec_counts ?profile ~cost prog]
+    builds the program context once — use-def, CFG, liveness and loops
+    per function, block weights, the priced baseline, the step count and
+    the exposure table — and returns the pricing closure.  Each call of
+    that closure is independent: it allocates its own tables and reads
+    the context only, so plans may be priced in any order and every
+    estimate is bit-identical to a full application.  Price many plans
+    of one program by applying [estimate] once and reusing the closure,
+    as [Softft.Optimize.search] does. *)
 val estimate :
   ?exec_counts:(string -> int array option) ->
   ?profile:(int -> Ir.Instr.check_kind option) ->

@@ -131,7 +131,10 @@ let knee_points ?(n = 2) (front : point list) =
 let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
     (prog : Ir.Prog.t) =
   let budget = match budget with Some b -> b | None -> infinity in
-  let cost = cost_model () in
+  (* The program stage runs once; each plan is priced by the closure. *)
+  let price =
+    Predict.estimate ?exec_counts ?profile ~cost:(cost_model ()) prog
+  in
   let explored = ref 0 in
   let archive : (string, point) Hashtbl.t = Hashtbl.create 64 in
   let consider ?(fixed = false) ?label plan =
@@ -141,7 +144,7 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
     | Some p -> p
     | None ->
       incr explored;
-      let est = Predict.estimate ?exec_counts ?profile ~cost prog plan in
+      let est = price plan in
       let label = match label with Some l -> l | None -> "plan:" ^ key in
       let p = { op_plan = plan; op_label = label; op_fixed = fixed; op_est = est } in
       Hashtbl.replace archive key p;
@@ -352,9 +355,9 @@ let validate ?(seed = 42) ?domains ?(ci = 0.03) ?max_trials
     points
 
 (** Do predicted and measured SDC agree in rank order?  Concordant when no
-    pair is strictly inverted: a strictly lower prediction must not come
-    with a strictly higher measurement partner being strictly lower.
-    Measured ties are compatible with any predicted order. *)
+    pair is strictly inverted, i.e. no pair where one point has the
+    strictly lower prediction and the strictly higher measurement.  Ties
+    on either axis are compatible with any order on the other. *)
 let rank_order_agrees (vals : validation list) =
   let arr = Array.of_list vals in
   let ok = ref true in

@@ -387,20 +387,38 @@ let copy_file src dst =
 let find_key dir key =
   List.find_opt (fun e -> e.e_key = key) (entries ~dir)
 
+(* Filing processes take turns on an exclusive lock of [index.lock]: the
+   duplicate-key check, the seq and the index append must see no other
+   filer in between, or one key is filed twice, one seq handed out twice,
+   or two records' bytes interleave.  The lock is per process (fcntl), and
+   closing the descriptor releases it. *)
+let with_filing_lock dir f =
+  mkdir_p dir;
+  let fd =
+    Unix.openfile (Filename.concat dir "index.lock")
+      [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.lockf fd Unix.F_LOCK 0;
+      f ())
+
 let file_indexed ?prog_digest ~dir ~manifest ~n ~counts write_journal =
   let key = run_key ?prog_digest manifest in
-  match find_key dir key with
-  | Some e -> `Duplicate e
-  | None ->
-    let rel = Filename.concat "runs" (key ^ ".jsonl") in
-    mkdir_p (Filename.concat dir "runs");
-    write_journal (Filename.concat dir rel);
-    let seq = next_seq (index_lines dir) in
-    let e =
-      entry_of_manifest ?prog_digest ~key ~seq ~path:rel ~n ~counts manifest
-    in
-    append_index dir (entry_json e);
-    `Ingested e
+  with_filing_lock dir (fun () ->
+    match find_key dir key with
+    | Some e -> `Duplicate e
+    | None ->
+      let rel = Filename.concat "runs" (key ^ ".jsonl") in
+      mkdir_p (Filename.concat dir "runs");
+      write_journal (Filename.concat dir rel);
+      let seq = next_seq (index_lines dir) in
+      let e =
+        entry_of_manifest ?prog_digest ~key ~seq ~path:rel ~n ~counts manifest
+      in
+      append_index dir (entry_json e);
+      `Ingested e)
 
 let ingest ?prog_digest ~dir path =
   let manifest, n, counts = summarize_journal path in

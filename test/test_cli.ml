@@ -137,7 +137,16 @@ let test_bad_arguments () =
       ("dump nosuch dupval", "'kmeans'");
       ("all -b kmeans,nosuch", "'jpegdec'");
       ("campaign kmeans dupval --trials=-3", "non-negative");
-      ("trace-fault kmeans dupval --trial=-1", "non-negative") ];
+      ("trace-fault kmeans dupval --trial=-1", "non-negative");
+      ("campaign kmeans dupval --trials 4 --checkpoint=-5", "non-negative");
+      ("campaign kmeans dupval --trials 4 -k-5", "non-negative");
+      ("optimize kmeans --checkpoint=-1", "non-negative");
+      ("optimize kmeans --validate=-1", "non-negative");
+      ("optimize kmeans --beam=0", "positive");
+      ("optimize kmeans --beam=-2", "positive");
+      ("optimize g721enc --budget=nan", "non-negative number");
+      ("optimize g721enc --budget=inf", "non-negative number");
+      ("optimize g721enc --budget=-5", "non-negative number") ];
   (* The aliases and the case-insensitive spelling still parse. *)
   List.iter
     (fun args ->
@@ -341,6 +350,74 @@ let test_torn_warehouse_index () =
   Alcotest.(check bool) "naming PATH:LINE" true
     (contains text (index ^ ":2: malformed index line"))
 
+let test_concurrent_ingest () =
+  (* Two ingest processes filing into one warehouse at once, first with
+     disjoint journals and then with the same ones: each run is filed
+     exactly once, under a seq of its own, on a line of its own. *)
+  let fresh_dir () =
+    let dir = Filename.temp_file "softft_cliwh" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    dir
+  in
+  let jdir = fresh_dir () in
+  let journals =
+    List.init 8 (fun i ->
+      let path = Filename.concat jdir (Printf.sprintf "j%d.jsonl" i) in
+      let rc, _ =
+        run_exe
+          (Printf.sprintf
+             "campaign g721enc dupval --trials 4 --domains 1 --seed %d -q \
+              --journal %s"
+             (i + 1) (Filename.quote path))
+      in
+      Alcotest.(check int) "campaign --journal exits 0" 0 rc;
+      Filename.quote path)
+  in
+  let ingest_pair what a b =
+    let dir = fresh_dir () in
+    let ingest files =
+      Printf.sprintf "%s ingest --warehouse %s %s > /dev/null 2>&1" exe
+        (Filename.quote dir) (String.concat " " files)
+    in
+    let rc =
+      Sys.command
+        (Printf.sprintf "%s & p=$!; %s; b=$?; wait $p && exit $b" (ingest a)
+           (ingest b))
+    in
+    Alcotest.(check int) (what ^ ": both ingests exit 0") 0 rc;
+    let lines =
+      In_channel.with_open_text (Filename.concat dir "index.jsonl")
+        In_channel.input_lines
+    in
+    let records =
+      List.map
+        (fun line ->
+          match Obs.Json.parse line with
+          | j -> j
+          | exception Obs.Json.Parse_error msg ->
+            Alcotest.failf "%s: index line does not parse (%s): %s" what msg
+              line)
+        lines
+    in
+    let field name conv j =
+      match Option.bind (Obs.Json.member name j) conv with
+      | Some v -> v
+      | None -> Alcotest.failf "%s: index record without %s" what name
+    in
+    let keys = List.map (field "key" Obs.Json.to_str) records in
+    let seqs = List.map (field "seq" Obs.Json.to_int) records in
+    Alcotest.(check int) (what ^ ": every run filed once") 8
+      (List.length (List.sort_uniq compare keys));
+    Alcotest.(check int) (what ^ ": no key filed twice") 8 (List.length keys);
+    Alcotest.(check int) (what ^ ": distinct seqs") 8
+      (List.length (List.sort_uniq compare seqs))
+  in
+  ingest_pair "disjoint journals"
+    (List.filteri (fun i _ -> i < 4) journals)
+    (List.filteri (fun i _ -> i >= 4) journals);
+  ingest_pair "same journals" journals journals
+
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
       test_subcommand_help;
@@ -363,4 +440,6 @@ let tests =
     Alcotest.test_case "report: fixture journals v1..v5 pinned" `Quick
       test_report_fixtures_pinned;
     Alcotest.test_case "torn warehouse index: exit 0, then 1" `Quick
-      test_torn_warehouse_index ]
+      test_torn_warehouse_index;
+    Alcotest.test_case "concurrent ingest: one filing per run" `Quick
+      test_concurrent_ingest ]

@@ -365,6 +365,75 @@ let test_rank_agreement name =
     (name ^ ": predicted vs measured SDC rank order concordant") true
     (Optimize.rank_order_agrees vals)
 
+(* ----- staged predictor and pinned search output ----- *)
+
+(* Every workload searched under the CLI defaults of `optimize --budget
+   15`, once for the suite. *)
+let searched =
+  lazy
+    (List.map
+       (fun (w : Workloads.Workload.t) ->
+         let prog, profile, exec_counts = search_inputs w in
+         let fr =
+           Optimize.search ~beam:4 ~budget:0.15 ~exec_counts ~profile prog
+         in
+         (w, (prog, profile, exec_counts), fr))
+       Workloads.Registry.all)
+
+(* One closure prices the frontier and fixed points forwards and then
+   backwards; each estimate must equal a fresh full application, so no
+   plan sees state another plan left behind. *)
+let test_staged_predictor_stateless () =
+  List.iter
+    (fun ((w : Workloads.Workload.t), (prog, profile, exec_counts), fr) ->
+      let name = w.Workloads.Workload.name in
+      let price = Predict.estimate ~exec_counts ~profile ~cost prog in
+      let plans =
+        List.map
+          (fun (p : Optimize.point) -> p.Optimize.op_plan)
+          (fr.Optimize.fr_points @ fr.Optimize.fr_fixed)
+      in
+      List.iteri
+        (fun i plan ->
+          let fresh = Predict.estimate ~exec_counts ~profile ~cost prog plan in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: plan %d (%s) priced as fresh" name i
+               (Plan.slug plan))
+            true
+            (price plan = fresh))
+        (plans @ List.rev plans))
+    (Lazy.force searched)
+
+(* Label, SDC and overhead (bit-exact, %h) and the clone and check counts
+   of every frontier and fixed point, plus the plans explored. *)
+let frontier_digest (fr : Optimize.frontier) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "explored %d\n" fr.Optimize.fr_explored;
+  List.iter
+    (fun (p : Optimize.point) ->
+      let e = p.Optimize.op_est in
+      Printf.bprintf b "%s %h %h %d %d %d %d\n" p.Optimize.op_label
+        (Optimize.sdc p) (Optimize.overhead p) e.Predict.pe_cloned_instrs
+        e.Predict.pe_cloned_phis e.Predict.pe_dup_checks
+        e.Predict.pe_value_checks)
+    (fr.Optimize.fr_points @ fr.Optimize.fr_fixed);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned from the search before the predictor was staged; a deliberate
+   change to the predictor or the search regenerates the fixture. *)
+let test_frontier_digests_pinned () =
+  let pinned =
+    In_channel.with_open_text "fixtures/frontier_digests.txt"
+      In_channel.input_lines
+  in
+  let actual =
+    List.map
+      (fun ((w : Workloads.Workload.t), _, fr) ->
+        Printf.sprintf "%s %s" w.Workloads.Workload.name (frontier_digest fr))
+      (Lazy.force searched)
+  in
+  Alcotest.(check (list string)) "search output unchanged" pinned actual
+
 let test_rank_agreement_kmeans () = test_rank_agreement "kmeans"
 let test_rank_agreement_jpegdec () = test_rank_agreement "jpegdec"
 
@@ -388,6 +457,10 @@ let tests =
       test_ranked_regs_deterministic;
     Alcotest.test_case "Pareto frontier properties (kmeans)" `Quick
       test_frontier_properties;
+    Alcotest.test_case "staged predictor carries no state" `Quick
+      test_staged_predictor_stateless;
+    Alcotest.test_case "search output: frontier digests pinned" `Quick
+      test_frontier_digests_pinned;
     Alcotest.test_case "knee-point rank agreement (kmeans)" `Slow
       test_rank_agreement_kmeans;
     Alcotest.test_case "knee-point rank agreement (jpegdec)" `Slow
