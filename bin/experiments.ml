@@ -448,8 +448,10 @@ let run_campaign (w : Workloads.Workload.t) technique adaptive ci trials max_tri
     Faults.Classify.all;
   (match !stats with
    | Some (rs : Faults.Campaign.run_stats) ->
-     Printf.printf "  rejoined golden run  : %d trials, %d steps skipped\n"
-       rs.rejoined rs.steps_skipped
+     Printf.printf
+       "  rejoined golden run  : %d trials (%d settled at the flip), %d \
+        steps skipped\n"
+       rs.rejoined rs.settled rs.steps_skipped
    | None -> ());
   (match adaptive_out with
    | Some (ad : Faults.Campaign.adaptive) ->

@@ -243,22 +243,28 @@ let percent_many summary outcomes =
 (* Shared trial epilogue: classify the stopped run against the golden
    reference and package the trial record.  Identical for from-scratch and
    snapshot-forked executions — the [result] already carries the full
-   counters either way. *)
+   counters either way.  A run that rejoined the golden run returned the
+   golden end image and return value and never rolled back, so its output
+   is the golden output: it is Masked without being read. *)
 let finish_trial subject ~(golden : golden) ~hw_window ~seed ~at_step
     ~(state : run_state) (result : Interp.Machine.result) =
   let outcome =
-    let output = lazy (
-      match result.stop with
-      | Interp.Machine.Finished ret -> state.read_output ret
-      | Interp.Machine.Trapped _ | Interp.Machine.Sw_detected _
-      | Interp.Machine.Out_of_fuel -> [||])
-    in
-    Classify.classify ~hw_window ~result
-      ~identical:(fun () ->
-        Fidelity.Metric.identical ~reference:golden.output (Lazy.force output))
-      ~acceptable:(fun () ->
-        Fidelity.Metric.acceptable subject.metric ~reference:golden.output
-          (Lazy.force output))
+    match result.rejoined_at with
+    | Some _ -> Classify.Masked
+    | None ->
+      let output = lazy (
+        match result.stop with
+        | Interp.Machine.Finished ret -> state.read_output ret
+        | Interp.Machine.Trapped _ | Interp.Machine.Sw_detected _
+        | Interp.Machine.Out_of_fuel -> [||])
+      in
+      Classify.classify ~hw_window ~result
+        ~identical:(fun () ->
+          Fidelity.Metric.identical ~reference:golden.output
+            (Lazy.force output))
+        ~acceptable:(fun () ->
+          Fidelity.Metric.acceptable subject.metric ~reference:golden.output
+            (Lazy.force output))
   in
   let detect_latency =
     (* For recovered runs the latency is measured at the detection that
@@ -351,9 +357,15 @@ type worker_ctx = {
 
 (* Rejoin tallies of one campaign ({!run_stats}), bumped from any worker
    domain.  Sums, so their final values do not depend on scheduling. *)
-type rejoins = { rj_trials : int Atomic.t; rj_steps : int Atomic.t }
+type rejoins = {
+  rj_trials : int Atomic.t;
+  rj_settled : int Atomic.t;
+  rj_steps : int Atomic.t;
+}
 
-let rejoins () = { rj_trials = Atomic.make 0; rj_steps = Atomic.make 0 }
+let rejoins () =
+  { rj_trials = Atomic.make 0; rj_settled = Atomic.make 0;
+    rj_steps = Atomic.make 0 }
 
 (* The arena/fork trial runner: bit-identical to {!run_trial} by the
    determinism argument of DESIGN.md §12 — the snapshot restores exactly
@@ -387,6 +399,7 @@ let run_trial_in ?profile ~plan:(at_step, fault) ~compiled
   (match result.rejoined_at with
    | Some step ->
      Atomic.incr rejoins.rj_trials;
+     if result.settled then Atomic.incr rejoins.rj_settled;
      ignore (Atomic.fetch_and_add rejoins.rj_steps (result.steps - step))
    | None -> ());
   finish_trial subject ~golden ~hw_window ~seed ~at_step ~state result
@@ -454,6 +467,7 @@ type run_stats = {
   domains : int;         (** worker domains the campaign was asked to use *)
   pool : Pool.stats option;  (** per-domain breakdown of the trial phase *)
   rejoined : int;        (** trials that rejoined the golden run *)
+  settled : int;         (** those of them settled at their flip *)
   steps_skipped : int;   (** golden-suffix steps those trials did not run *)
   golden_reused : bool;  (** the golden run was the memoized pass *)
 }
@@ -549,6 +563,7 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
       domains = max 1 domains;
       pool = !pool_stats;
       rejoined = Atomic.get rejoins.rj_trials;
+      settled = Atomic.get rejoins.rj_settled;
       steps_skipped = Atomic.get rejoins.rj_steps;
       golden_reused }
   in

@@ -139,9 +139,15 @@ type run_stats = {
   wall_sec : float;      (** whole campaign, entry to exit *)
   domains : int;         (** worker domains the campaign was asked to use *)
   pool : Pool.stats option;  (** per-domain breakdown of the trial phase *)
-  rejoined : int;        (** trials whose state rejoined the golden run at
-                             a fork snapshot and stopped there (DESIGN.md
-                             §12); deterministic at any [domains] *)
+  rejoined : int;        (** trials that rejoined the golden run and
+                             stopped there, at a fork snapshot whose state
+                             they matched or settled at their flip
+                             (DESIGN.md §12); deterministic at any
+                             [domains] *)
+  settled : int;         (** those of them whose flipped register was
+                             provably dead, so they rejoined at the flip
+                             without a snapshot compare; deterministic
+                             too *)
   steps_skipped : int;   (** the golden-suffix steps those trials skipped *)
   golden_reused : bool;  (** the campaign took the fault-free pass and
                              fork snapshots of the {!golden_run} just

@@ -123,6 +123,7 @@ let stats_json (rs : Campaign.run_stats) =
        ("wall_sec", Json.Float rs.wall_sec);
        ("domains", Json.Int rs.domains);
        ("rejoined", Json.Int rs.rejoined);
+       ("settled", Json.Int rs.settled);
        ("steps_skipped", Json.Int rs.steps_skipped);
        ("golden_reused", Json.Bool rs.golden_reused) ]
      @ opt_field "pool" pool_stats_json rs.pool)

@@ -72,6 +72,14 @@ type cblock = {
                                    matching *)
   cb_has_call : bool;          (** whether any body instruction is a call *)
   cb_term : cterm;
+  cb_instrs : Instr.t array;   (** the source body, copied at lowering so
+                                   later edits of the program do not reach
+                                   it; what {!Machine}'s dead-flip test scans *)
+  cb_live_out : int array option;
+      (** registers live on exit from the block, sorted, from
+          {!Analysis.Liveness}; [None] when the function's control flow
+          cannot be modelled (see {!live_outs}) and every register counts
+          as live *)
 }
 
 (** Origin codes packed into {!cblock.cb_meta}. *)
@@ -151,8 +159,29 @@ let compile_instr ~func_index ~pool (ins : Instr.t) =
   | Instr.Value_check (ck, a) ->
     CValue_check { uid = ins.uid; ck; a = imm a }
 
+(* Per block of [f], in layout order: the registers live on exit, sorted.
+   {!Analysis.Cfg} resolves labels strictly while lowering tolerates a
+   label that names no block (and resolves a duplicated one to its first
+   block), so a function with either gets [None]: no liveness claim. *)
+let live_outs (f : Func.t) =
+  let labels = List.map (fun (b : Block.t) -> b.label) f.blocks in
+  if List.length (List.sort_uniq String.compare labels) <> List.length labels
+  then None
+  else
+    match Analysis.Cfg.of_func f with
+    | exception Not_found -> None
+    | cfg ->
+      let live = Analysis.Liveness.compute cfg in
+      Some
+        (Array.map
+           (fun tbl ->
+             Hashtbl.fold (fun r () acc -> r :: acc) tbl []
+             |> List.sort Int.compare |> Array.of_list)
+           live.Analysis.Liveness.live_out)
+
 let compile_func ~func_index ~pool (f : Func.t) =
   let blocks = Array.of_list f.blocks in
+  let live_out = live_outs f in
   let block_index = Hashtbl.create (Array.length blocks * 2) in
   Array.iteri
     (fun i (b : Block.t) ->
@@ -193,7 +222,9 @@ let compile_func ~func_index ~pool (f : Func.t) =
          | Instr.Ret op -> Cret op
          | Instr.Jmp l -> Cjmp (resolve_block l, l)
          | Instr.Br (c, l1, l2) ->
-           Cbr (c, resolve_block l1, l1, resolve_block l2, l2)) }
+           Cbr (c, resolve_block l1, l1, resolve_block l2, l2));
+      cb_instrs = Array.copy b.body;
+      cb_live_out = Option.map (fun outs -> outs.(i)) live_out }
   in
   { cf_name = f.name;
     cf_params = f.params;

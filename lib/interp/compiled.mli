@@ -61,6 +61,12 @@ type cblock = {
                                    {!meta_cost} / {!meta_origin} *)
   cb_has_call : bool;          (** whether any body instruction is a call *)
   cb_term : cterm;
+  cb_instrs : Ir.Instr.t array;  (** the source body, copied at lowering *)
+  cb_live_out : int array option;
+      (** registers live on exit from the block, sorted
+          ({!Analysis.Liveness}); [None] for every block of a function
+          whose labels do not all resolve to distinct blocks — no
+          liveness claim, every register counts as live *)
 }
 
 (** Origin codes stored in {!cblock.cb_meta}. *)

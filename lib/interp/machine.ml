@@ -80,8 +80,12 @@ type result = {
   taint : Taint.summary option;   (** propagation summary; [Some] iff the
                                       run was configured with [taint_trace] *)
   rejoined_at : int option;       (** the step at which the run's state
-                                      matched a golden snapshot and the run
-                                      returned the golden end state *)
+                                      matched a golden snapshot, or was
+                                      settled, and the run returned the
+                                      golden end state *)
+  settled : bool;                 (** the run rejoined because its flipped
+                                      register was dead, without a snapshot
+                                      compare; implies [rejoined_at] *)
 }
 
 type valchk_mode =
@@ -218,6 +222,12 @@ type state = {
   mutable fault_at : int;         (** step of the pending fault; [max_int]
                                       when none, so the per-step check is a
                                       single integer compare *)
+  mutable fast_fuel : int;        (** the call-free fast path runs a block
+                                      only if it ends before this step: the
+                                      fuel, and until the fault lands also
+                                      its step, so the injecting block runs
+                                      in the slow path where [fr.idx] is
+                                      exact *)
   mutable branch_fault_armed : Rng.t option;
       (** a pending branch-target corruption waiting for the next branch *)
   mutable slack_credit : int;     (** spare-issue-slot account, see Cost *)
@@ -247,6 +257,8 @@ type state = {
   mutable next_rejoin : int;      (** step of the next rejoin check;
                                       [max_int] when none is left *)
   mutable rejoined_at : int option;
+  mutable settled : bool;         (** the flipped register was provably
+                                      dead: the run is on the golden path *)
 }
 
 (** The modelled architectural register file holds the 16 most recently
@@ -402,9 +414,57 @@ let call_frame (st : state) (cfunc : Compiled.cfunc) ~(caller : frame) ~args
   note_frame_profile st cfunc;
   fr
 
+(* Where a {!tick} sits relative to the instruction it charges, which
+   fixes the instruction a fault landing on that tick precedes. *)
+type tick_site =
+  | Body   (* before a body instruction's reads; a fault lands only in the
+              slow path ([fast_fuel]), where [fr.idx - 1] is that
+              instruction *)
+  | Phis   (* after every phi write of a block: [fr.idx] is next *)
+  | Term   (* before the terminator reads its operand *)
+
+(* Is register [reg] of [fr], flipped at a tick of kind [site], written
+   again — or its frame popped — before anything reads it?  Scans forward
+   from the instruction the tick precedes: the first read means live, the
+   first write dead.  A call reads its arguments, then writes its
+   destination when the callee returns; [Select] counts both arms as
+   reads.  At the terminator, an operand read means live, a return pops
+   the frame, and a jump or branch leaves [reg] live iff it is live on
+   exit ([cb_live_out], which includes the successors' phi reads).
+   Liveness over-approximates every dynamic read on any path, so "dead"
+   holds for the run. *)
+let flip_is_dead (fr : frame) reg site =
+  let cb = fr.cblock in
+  match cb.Compiled.cb_live_out with
+  | None -> false
+  | Some live_out ->
+    let body = cb.Compiled.cb_instrs in
+    let n = Array.length body in
+    let reads = function Instr.Reg r -> r = reg | Instr.Imm _ -> false in
+    let rec scan i =
+      if i < n then begin
+        let ins = body.(i) in
+        if List.exists reads (Instr.operands ins) then false
+        else ins.Instr.dest = Some reg || scan (i + 1)
+      end
+      else
+        match cb.Compiled.cb_term with
+        | Compiled.Cret (Some op) | Compiled.Cbr (op, _, _, _, _)
+          when reads op -> false
+        | Compiled.Cret _ -> true
+        | Compiled.Cjmp _ | Compiled.Cbr _ ->
+          not (Array.exists (fun r -> r = reg) live_out)
+    in
+    scan (match site with Body -> fr.idx - 1 | Phis -> fr.idx | Term -> n)
+
 (** Flip a random bit of a random recently-written register of the active
-    frame — the paper's register-file single-event upset. *)
-let inject_fault st (plan : fault_plan) =
+    frame — the paper's register-file single-event upset.  The trial's
+    prefix is the golden run's, so when the flipped register is dead
+    ({!flip_is_dead}) the run's state is the golden state from the
+    overwrite on: where the run may rejoin the golden run without
+    checkpointing, it is settled and rejoins at the next loop head
+    without a snapshot compare. *)
+let inject_fault st (plan : fault_plan) site =
   match plan.kind with
   | Branch_target -> st.branch_fault_armed <- Some plan.fault_rng
   | Register_bit ->
@@ -451,7 +511,14 @@ let inject_fault st (plan : fault_plan) =
                     inj_reg = reg; inj_bit = bit; before; after };
            (match st.trace with
             | Some tr -> Taint.seed tr fr.taint ~reg ~step:st.steps
-            | None -> ())
+            | None -> ());
+           if Option.is_some st.rejoin_final
+              && st.config.checkpoint_interval = 0
+              && flip_is_dead fr reg site
+           then begin
+             st.settled <- true;
+             st.next_rejoin <- st.steps
+           end
          end
        end)
 
@@ -460,7 +527,7 @@ let inject_fault st (plan : fault_plan) =
    in a mass-measurement replay ([st.obs]), on every step ([fault_at] is
    pinned to 0): the replay accumulates the ring's per-group occupancy at
    exactly the point {!inject_fault} would sample it. *)
-let slow_tick st =
+let slow_tick st site =
   match st.obs with
   | Some o ->
     let t = st.steps in
@@ -477,16 +544,18 @@ let slow_tick st =
     end
   | None ->
     st.fault_at <- max_int;
+    st.fast_fuel <- st.config.fuel;
     (match st.fault_pending with
      | Some plan ->
        st.fault_pending <- None;
-       inject_fault st plan
+       inject_fault st plan site
      | None -> ())
 
-let tick st ~cycles =
+(* [site] is a constant at every call and only {!slow_tick} reads it. *)
+let tick st ~cycles ~site =
   st.steps <- st.steps + 1;
   st.cycles <- st.cycles + cycles;
-  if st.steps >= st.fault_at then slow_tick st
+  if st.steps >= st.fault_at then slow_tick st site
   [@@inline]
 
 (** Evaluate the phi batch of a block on entry from [fr.prev_block]:
@@ -541,7 +610,7 @@ let run_phis st (fr : frame) =
              ~step:st.steps
        done
      | None -> ());
-    for _ = 1 to n do tick st ~cycles:Cost.phi done
+    for _ = 1 to n do tick st ~cycles:Cost.phi ~site:Phis done
   end
 
 let goto st (fr : frame) target ~label =
@@ -664,7 +733,7 @@ let taint_step st tr (fr : frame) (ci : Compiled.cinstr) =
    run, so {!run_compiled} translates them to traps in its single outer
    handler instead of paying for a trap frame on every step. *)
 let exec_instr st (fr : frame) (ci : Compiled.cinstr) meta =
-  tick st ~cycles:(instr_cycles st meta);
+  tick st ~cycles:(instr_cycles st meta) ~site:Body;
   (match st.profile with Some p -> Profile.note_instr p ci | None -> ());
   (match ci with
   | Compiled.CAdd { uid; dest; a; b } ->
@@ -776,11 +845,11 @@ let exec_instr st (fr : frame) (ci : Compiled.cinstr) meta =
 let exec_terminator st (fr : frame) =
   match fr.cblock.Compiled.cb_term with
   | Compiled.Cjmp (target, label) ->
-    tick st ~cycles:Cost.jmp;
+    tick st ~cycles:Cost.jmp ~site:Term;
     goto st fr target ~label;
     None
   | Compiled.Cbr (c, t1, l1, t2, l2) ->
-    tick st ~cycles:Cost.br;
+    tick st ~cycles:Cost.br ~site:Term;
     let cond = Value.truthy (read st fr c) in
     (match st.trace with
      | Some tr ->
@@ -792,7 +861,7 @@ let exec_terminator st (fr : frame) =
     if cond then goto st fr t1 ~label:l1 else goto st fr t2 ~label:l2;
     None
   | Compiled.Cret op ->
-    tick st ~cycles:Cost.ret;
+    tick st ~cycles:Cost.ret ~site:Term;
     (* Inline match, not [Option.map]: the partial application would
        allocate a closure on every return. *)
     let v = match op with None -> None | Some o -> Some (read st fr o) in
@@ -1060,11 +1129,12 @@ let state_matches st (s : Fork.snap) =
   && frames_match st.stack s.Fork.fk_frames
   && Memory.equal_image st.mem s.Fork.fk_mem
 
-(** At a loop head at or past [next_rejoin]: if the run sits exactly on a
-    golden snapshot's step, its fault has landed, and its whole state
-    equals the snapshot's, the rest of the run would replay the golden
-    suffix instruction for instruction.  Skip it: install the golden end
-    state and report true.  Otherwise advance to the next candidate. *)
+(** At a loop head at or past [next_rejoin]: if the run is settled (its
+    flip was dead, see {!inject_fault}), or it sits exactly on a golden
+    snapshot's step, its fault has landed, and its whole state equals the
+    snapshot's, the rest of the run would replay the golden suffix
+    instruction for instruction.  Skip it: install the golden end state
+    and report true.  Otherwise advance to the next candidate. *)
 let try_rejoin st =
   let snaps = st.rejoin_snaps in
   let n = Array.length snaps in
@@ -1080,7 +1150,8 @@ let try_rejoin st =
     && Option.is_none st.recovered && not st.rollback_denied
   in
   match st.rejoin_final with
-  | Some fin when here && eligible () && state_matches st snaps.(!i) ->
+  | Some fin
+    when st.settled || (here && eligible () && state_matches st snaps.(!i)) ->
     Memory.restore_image st.mem fin.Fork.fe_mem;
     st.rejoined_at <- Some st.steps;
     st.steps <- fin.Fork.fe_steps;
@@ -1151,6 +1222,10 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
          | Some p, _ -> p.at_step
          | None, Some _ -> 0     (* observe the ring at every step *)
          | None, None -> max_int);
+      fast_fuel =
+        (match config.fault with
+         | Some p -> min config.fuel p.at_step
+         | None -> config.fuel);
       obs = config.obs;
       branch_fault_armed = None;
       slack_credit = 0;
@@ -1167,7 +1242,7 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
          | Some p -> p.Fork.fp_stride
          | None -> max_int);
       rejoin_snaps; rejoin_final; rejoin_idx = 0; next_rejoin;
-      rejoined_at = None }
+      rejoined_at = None; settled = false }
   in
   let finish stop =
     (* Frames still on the stack feed the next trial's allocations. *)
@@ -1194,7 +1269,8 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
       recovered = st.recovered; rollback_denied = st.rollback_denied;
       checkpoints = st.ckpt_count;
       taint = Option.map (fun tr -> Taint.summarize tr ~end_step:st.steps) st.trace;
-      rejoined_at = st.rejoined_at }
+      rejoined_at = st.rejoined_at;
+      settled = st.settled && Option.is_some st.rejoined_at }
   in
   let exec_loop () =
     let result = ref None in
@@ -1223,11 +1299,12 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
           let n = Array.length code in
           if fr.idx < n then begin
             if (not cblock.Compiled.cb_has_call)
-               && st.steps + (n - fr.idx) < config.fuel
+               && st.steps + (n - fr.idx) < st.fast_fuel
             then begin
-              (* Call-free block comfortably inside the fuel budget: [fr]
-                 stays the top frame and no fuel stop can hit mid-body, so
-                 the whole remainder runs without per-step stack or bounds
+              (* Call-free block comfortably inside the fuel budget, and
+                 not the one the fault lands in ([fast_fuel]): [fr] stays
+                 the top frame and no fuel stop can hit mid-body, so the
+                 whole remainder runs without per-step stack or bounds
                  bookkeeping.  Nothing reads [fr.idx] mid-body, so it can
                  be retired up front. *)
               let meta = cblock.Compiled.cb_meta in

@@ -74,10 +74,15 @@ type result = {
   taint : Taint.summary option; (** propagation summary; [Some] iff the run
                                     was configured with [taint_trace] *)
   rejoined_at : int option;     (** [Some s]: at step [s] the run's state
-                                    equalled a golden snapshot's, and the
-                                    run returned the golden end state
-                                    instead of executing the rest (see
-                                    [rejoin] in {!run_compiled}) *)
+                                    equalled a golden snapshot's, or was
+                                    settled, and the run returned the
+                                    golden end state instead of executing
+                                    the rest (see [rejoin] in
+                                    {!run_compiled}) *)
+  settled : bool;               (** the run rejoined at the first loop head
+                                    after its flip, because the flipped
+                                    register was provably dead (see
+                                    [rejoin]); implies [rejoined_at] *)
 }
 
 type valchk_mode =
@@ -218,7 +223,11 @@ val arena : unit -> arena
     step.  Every other field of the result, and the final memory, are
     exactly those of the full run.  Runs with [taint_trace], [profile],
     [on_def] or [obs], capture runs, and runs whose fuel or disabled
-    checks would make the golden suffix behave differently never rejoin. *)
+    checks would make the golden suffix behave differently never rejoin.
+    Without checkpointing, a register flip whose register static liveness
+    proves dead (the first access after the flip is a write, or the frame
+    returns first) settles: the run rejoins at the next loop head without
+    a snapshot compare, and [settled] is set. *)
 val run_compiled :
   ?config:config ->
   ?arena:arena ->

@@ -44,7 +44,7 @@ let mk_result stop ~steps ~inj_step : Interp.Machine.result =
              inj_reg = 0; inj_bit = 3;
              before = Value.of_int 0; after = Value.of_int 8 };
     recovered = None; rollback_denied = false; checkpoints = 0; taint = None;
-    rejoined_at = None }
+    rejoined_at = None; settled = false }
 
 let classify ?(identical = false) ?(acceptable = false) result =
   Faults.Classify.classify ~hw_window:1000 ~result
@@ -562,35 +562,58 @@ let campaign_stats ?(domains = 1) ?(fork = true) ?(checkpoint_interval = 0)
   (summary, results, Option.get !stats)
 
 let test_rejoin_campaign_identical () =
-  (* Campaigns whose trials rejoin (forking on, 1 and 2 domains) match
-     the from-scratch campaign trial for trial, and their rejoin tallies
-     do not depend on the worker count. *)
-  let rejoined = ref 0 in
+  (* Campaigns whose trials rejoin or settle (forking on, 1 and 2 domains)
+     match the from-scratch campaign trial for trial, and their rejoin
+     tallies do not depend on the worker count.  Only register flips
+     without checkpointing settle; that configuration runs under every
+     paper technique, the others under Dup + val chks. *)
   List.iter
     (fun name ->
-      let subject = dupval name in
+      let rejoined = ref 0 and settled = ref 0 in
       List.iter
-        (fun (checkpoint_interval, fault_kind) ->
-          let run domains fork =
-            campaign_stats ~domains ~fork ~checkpoint_interval ~fault_kind
-              subject ~trials:8
+        (fun technique ->
+          let subject =
+            Softft.subject
+              (Softft.protect (Workloads.Registry.find name) technique)
+              ~role:Workloads.Workload.Test
           in
-          let _, reference, _ = run 1 false in
-          let _, t1, s1 = run 1 true in
-          let _, t2, s2 = run 2 true in
-          Alcotest.(check bool) (name ^ ": 1 domain bit-identical") true
-            (Faults.Campaign.trials_equal reference t1);
-          Alcotest.(check bool) (name ^ ": 2 domains bit-identical") true
-            (Faults.Campaign.trials_equal reference t2);
-          Alcotest.(check (pair int int))
-            (name ^ ": tallies independent of domains")
-            (s1.rejoined, s1.steps_skipped) (s2.rejoined, s2.steps_skipped);
-          rejoined := !rejoined + s1.rejoined)
-        [ (0, Interp.Machine.Register_bit); (1000, Interp.Machine.Register_bit);
-          (0, Interp.Machine.Branch_target);
-          (1000, Interp.Machine.Branch_target) ])
-    [ "kmeans"; "jpegdec"; "tiff2bw"; "g721enc" ];
-  Alcotest.(check bool) "some trials rejoined" true (!rejoined > 0)
+          List.iter
+            (fun (checkpoint_interval, fault_kind) ->
+              let run domains fork =
+                campaign_stats ~domains ~fork ~checkpoint_interval ~fault_kind
+                  subject ~trials:8
+              in
+              let what =
+                Printf.sprintf "%s/%s/k=%d" name
+                  (Softft.technique_name technique) checkpoint_interval
+              in
+              let _, reference, _ = run 1 false in
+              let _, t1, s1 = run 1 true in
+              let _, t2, s2 = run 2 true in
+              Alcotest.(check bool) (what ^ ": 1 domain bit-identical") true
+                (Faults.Campaign.trials_equal reference t1);
+              Alcotest.(check bool) (what ^ ": 2 domains bit-identical") true
+                (Faults.Campaign.trials_equal reference t2);
+              Alcotest.(check (triple int int int))
+                (what ^ ": tallies independent of domains")
+                (s1.rejoined, s1.settled, s1.steps_skipped)
+                (s2.rejoined, s2.settled, s2.steps_skipped);
+              Alcotest.(check bool) (what ^ ": settled trials rejoined") true
+                (s1.settled <= s1.rejoined);
+              rejoined := !rejoined + s1.rejoined;
+              settled := !settled + s1.settled)
+            ((0, Interp.Machine.Register_bit)
+             :: (if technique = Softft.Dup_valchk then
+                   [ (1000, Interp.Machine.Register_bit);
+                     (0, Interp.Machine.Branch_target);
+                     (1000, Interp.Machine.Branch_target) ]
+                 else [])))
+        Softft.all_techniques;
+      Alcotest.(check bool) (name ^ ": some trials rejoined") true
+        (!rejoined > 0);
+      Alcotest.(check bool) (name ^ ": some trials settled") true
+        (!settled > 0))
+    [ "kmeans"; "jpegdec"; "tiff2bw"; "g721enc" ]
 
 let test_rejoin_guard () =
   (* Guards the speed-up against being switched off silently: on kmeans
@@ -605,12 +628,69 @@ let test_rejoin_guard () =
 
 let test_rejoin_never_when_observing () =
   let subject = dupval "kmeans" in
+  let _, _, plain = campaign_stats subject ~trials:30 in
   let _, _, traced = campaign_stats ~taint_trace:true subject ~trials:30 in
   let _, _, profiled =
     campaign_stats ~profile:(Interp.Profile.create ()) subject ~trials:30
   in
-  Alcotest.(check int) "taint-traced campaign" 0 traced.rejoined;
-  Alcotest.(check int) "profiled campaign" 0 profiled.rejoined
+  Alcotest.(check bool) "plain campaign settles" true (plain.settled > 0);
+  Alcotest.(check (pair int int)) "taint-traced campaign" (0, 0)
+    (traced.rejoined, traced.settled);
+  Alcotest.(check (pair int int)) "profiled campaign" (0, 0)
+    (profiled.rejoined, profiled.settled);
+  (* These rejoin, but only after a snapshot compare: settling needs a
+     register flip and no checkpointing. *)
+  let _, _, checkpointed =
+    campaign_stats ~checkpoint_interval:1000 subject ~trials:30
+  in
+  let _, _, branch =
+    campaign_stats ~fault_kind:Interp.Machine.Branch_target subject ~trials:30
+  in
+  Alcotest.(check int) "checkpointing campaign settles nothing" 0
+    checkpointed.settled;
+  Alcotest.(check int) "branch-target campaign settles nothing" 0
+    branch.settled
+
+let test_settled_trials_from_scratch () =
+  (* Every trial of a settling campaign, on every workload under every
+     paper technique, equals its from-scratch run ([run_trial]). *)
+  let trials = 60 and seed = 0xC0FFEE in
+  let seeds = Faults.Campaign.derive_seeds ~seed ~trials in
+  let settled = ref 0 in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      List.iter
+        (fun technique ->
+          let subject =
+            Softft.subject (Softft.protect w technique)
+              ~role:Workloads.Workload.Test
+          in
+          let _, campaign, stats = campaign_stats subject ~trials in
+          settled := !settled + stats.settled;
+          let golden = Faults.Campaign.golden_run subject in
+          let disabled = Hashtbl.create 8 in
+          List.iter
+            (fun uid -> Hashtbl.replace disabled uid ())
+            golden.failing_checks;
+          let reference =
+            Faults.Pool.map ~domains:2
+              (fun i ->
+                Faults.Campaign.run_trial subject ~golden ~disabled
+                  ~hw_window:Faults.Classify.default_hw_window
+                  ~seed:seeds.(i))
+              trials
+          in
+          List.iteri
+            (fun i t ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s: trial %d" w.name
+                   (Softft.technique_name technique) i)
+                true
+                (Faults.Campaign.trial_equal reference.(i) t))
+            campaign)
+        Softft.all_techniques)
+    Workloads.Registry.all;
+  Alcotest.(check bool) "some trials settled" true (!settled > 0)
 
 (* ----- run_trial, the from-scratch reference ----- *)
 
@@ -961,6 +1041,8 @@ let tests =
       test_rejoin_guard;
     Alcotest.test_case "rejoin: never in observing campaigns" `Quick
       test_rejoin_never_when_observing;
+    Alcotest.test_case "settle: every trial equals its from-scratch run" `Slow
+      test_settled_trials_from_scratch;
     Alcotest.test_case "run_trial: reproduces campaign trials and profiles"
       `Quick test_run_trial_reference;
     Alcotest.test_case "adaptive: deterministic across reruns and domains"

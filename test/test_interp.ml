@@ -514,6 +514,95 @@ let test_rejoin_never_when_observing () =
   Alcotest.(check int) "profiled runs never rejoin" 0
     (count ~profile:(Interp.Profile.create ()) ())
 
+(* Two functions, a call in a loop: the three-iteration loop calls
+   [callee] with %r12 and sums the results.  Steps, counted from 1: the
+   entry jump is step 1, the loop's phis steps 2-3; each iteration then
+   runs %r12 (4), the call (5), the callee's three adds and its return
+   (6-9), %r14, %r21, the compare and the branch (10-13) and the next
+   phis (14-15), so iteration k starts 12 steps after iteration k-1. *)
+let call_loop_prog () =
+  Parser.parse
+    {|func @callee(%r0) {
+entry:
+  %r1 = add %r0, 1
+  %r2 = mul %r1, 3
+  %r3 = add %r2, 0
+  ret %r3
+}
+func @main(%r10, %r11) {
+entry:
+  jmp loop
+loop:
+  %r20 = phi [entry: 0], [loop: %r21]
+  %r22 = phi [entry: 0], [loop: %r14]
+  %r12 = add %r11, %r20
+  %r13 = call @callee(%r12)
+  %r14 = add %r13, %r22
+  %r21 = add %r20, 1
+  %r23 = icmp slt %r21, 3
+  br %r23, loop, exit
+exit:
+  store %r10, %r14
+  ret %r14
+}
+|}
+
+let test_settle_calls_and_returns () =
+  (* Each flip targets one register at one step ([restrict] puts only
+     that register in the target group).  A settled run must leave
+     exactly what the same run without [rejoin] leaves. *)
+  let prog = call_loop_prog () in
+  let compiled = Interp.Compiled.of_prog prog in
+  let fresh () =
+    let mem = Interp.Memory.create () in
+    let out = Interp.Memory.alloc mem 1 in
+    (mem, [ Value.of_int out; Value.of_int 5 ])
+  in
+  let plan = Interp.Fork.plan ~stride:4 in
+  let mem, args = fresh () in
+  ignore
+    (Interp.Machine.run_compiled
+       ~config:{ Interp.Machine.default_config with mode = Interp.Machine.Record }
+       ~fork_capture:plan compiled ~entry:"main" ~args ~mem);
+  let final = Option.get plan.Interp.Fork.fp_final in
+  let rejoin = (Interp.Fork.finalize plan, final) in
+  let run ~reg ~at_step rejoin =
+    let groups = Array.make compiled.Interp.Compiled.next_reg 0 in
+    groups.(reg) <- 1;
+    let config =
+      { Interp.Machine.default_config with
+        fault =
+          Some
+            (Interp.Machine.register_fault ~restrict:(groups, 1) ~at_step
+               ~fault_rng:(Rng.create 11) ()) }
+    in
+    let mem, args = fresh () in
+    let r =
+      Interp.Machine.run_compiled ~config ?rejoin compiled ~entry:"main" ~args
+        ~mem
+    in
+    (r, mem)
+  in
+  List.iter
+    (fun (what, reg, at_step, settles) ->
+      let a, mem_a = run ~reg ~at_step (Some rejoin) in
+      let b, mem_b = run ~reg ~at_step None in
+      (match a.injection with
+       | Some inj ->
+         Alcotest.(check (pair int int)) (what ^ ": flip lands")
+           (reg, at_step) (inj.inj_reg, inj.inj_step)
+       | None -> Alcotest.fail (what ^ ": no flip"));
+      Alcotest.(check bool) (what ^ ": settled") settles a.settled;
+      Alcotest.(check bool) (what ^ ": result") true (results_equal a b);
+      Alcotest.(check bool) (what ^ ": final memory") true
+        (Interp.Memory.equal_image mem_a (Interp.Memory.capture mem_b)))
+    [ ("callee register unread before ret", 1, 8, true);
+      ("call destination", 13, 17, true);
+      ("call argument", 12, 17, false);
+      ("phi tick, overwritten in the body", 14, 15, true);
+      ("branch tick, not live out", 12, 13, true);
+      ("branch tick, read by a phi", 21, 13, false) ]
+
 let tests =
   [ Alcotest.test_case "memory: roundtrip" `Quick test_memory_roundtrip;
     Alcotest.test_case "memory: bounds" `Quick test_memory_bounds;
@@ -544,4 +633,6 @@ let tests =
       test_rejoin_needs_equal_state;
     Alcotest.test_case "rejoin: never when observing" `Quick
       test_rejoin_never_when_observing;
+    Alcotest.test_case "rejoin: dead flips settle across calls and returns"
+      `Quick test_settle_calls_and_returns;
   ]
