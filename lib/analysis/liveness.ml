@@ -64,19 +64,16 @@ let compute (cfg : Cfg.t) =
     changed := false;
     for i = n - 1 downto 0 do
       let b = Cfg.block cfg i in
-      (* live_out = union over successors of (their live_in minus their phi
-         defs) plus the phi-edge uses owed to them. *)
+      (* live_out = union over successors of their live_in plus the
+         phi-edge uses owed to them.  A successor's live_in never holds its
+         own phi destinations: [block_use_def] defines them before any use. *)
       let out = live_out.(i) in
       List.iter
         (fun s ->
           let succ_block = Cfg.block cfg s in
-          let succ_phi_defs =
-            List.map (fun (p : Ir.Instr.phi) -> p.phi_dest) succ_block.phis
-          in
           Hashtbl.iter
             (fun r () ->
-              if (not (List.mem r succ_phi_defs)) && not (Hashtbl.mem out r)
-              then begin
+              if not (Hashtbl.mem out r) then begin
                 Hashtbl.replace out r ();
                 changed := true
               end)

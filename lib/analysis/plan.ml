@@ -101,29 +101,63 @@ let candidate_sites ~profile prog =
     prog.Ir.Prog.funcs
   |> dedup_sorted site_key
 
-(* Optimization 2 as the duplication pass applies it: walk the producer
-   web from a chain's back edges, stopping at chain terminators and at
-   the first instruction with a check shape, which becomes a terminator
-   site. *)
-let opt2_sites ~profile ud f back_edges =
-  let seen : (Ir.Instr.reg, unit) Hashtbl.t = Hashtbl.create 32 in
-  let sites = ref [] in
-  let rec walk = function
-    | Ir.Instr.Imm _ -> ()
-    | Ir.Instr.Reg r when Hashtbl.mem seen r -> ()
-    | Ir.Instr.Reg r -> (
-      Hashtbl.replace seen r ();
+(* [Transform.Duplicate.shadow_reg]'s walk, building nothing.  The phi is
+   memoized before its operands are walked, as [clone_phi] pre-registers
+   its clone, so a loop-carried cycle ends; callbacks fire in the
+   transform's order because [Predict] sums floats in that order. *)
+let chain_walk ud ~memo ~stop ~on_phi ~on_clone ~on_stop =
+  let rec walk r =
+    match Hashtbl.find_opt memo r with
+    | Some shadowed -> shadowed
+    | None -> (
       match Usedef.def_of ud r with
-      | None | Some Usedef.Param -> ()
+      | None | Some Usedef.Param ->
+        Hashtbl.replace memo r false;
+        false
       | Some (Usedef.Phi_def (_, phi)) ->
-        List.iter (fun (_, op) -> walk op) phi.Ir.Instr.incoming
+        Hashtbl.replace memo r true;
+        on_phi phi;
+        List.iter
+          (fun (_, op) ->
+            match op with
+            | Ir.Instr.Reg r' -> ignore (walk r')
+            | Ir.Instr.Imm _ -> ())
+          phi.Ir.Instr.incoming;
+        true
       | Some (Usedef.Instr_def (_, ins)) ->
-        if Usedef.chain_terminator ins then ()
-        else if ins.Ir.Instr.dest <> None && profile ins.Ir.Instr.uid <> None
-        then sites := site_of f ins :: !sites
-        else List.iter (fun r -> walk (Ir.Instr.Reg r)) (Ir.Instr.uses ins))
+        if Usedef.chain_terminator ins then (
+          Hashtbl.replace memo r false;
+          false)
+        else if stop ins then (
+          Hashtbl.replace memo r false;
+          on_stop ins;
+          false)
+        else (
+          Hashtbl.replace memo r true;
+          on_clone ins;
+          List.iter (fun r' -> ignore (walk r')) (Ir.Instr.uses ins);
+          true))
   in
-  List.iter (fun (_, op) -> walk op) back_edges;
+  walk
+
+(* Optimization 2 as the duplication pass applies it: walk the producer
+   web from a chain's back edges, stopping at the first instruction with
+   a check shape, which becomes a terminator site. *)
+let opt2_sites ~profile ud f back_edges =
+  let sites = ref [] in
+  let walk =
+    chain_walk ud ~memo:(Hashtbl.create 32)
+      ~stop:(fun (ins : Ir.Instr.t) ->
+        ins.Ir.Instr.dest <> None && profile ins.Ir.Instr.uid <> None)
+      ~on_phi:ignore ~on_clone:ignore
+      ~on_stop:(fun ins -> sites := site_of f ins :: !sites)
+  in
+  List.iter
+    (fun (_, op) ->
+      match op with
+      | Ir.Instr.Reg r -> ignore (walk r)
+      | Ir.Instr.Imm _ -> ())
+    back_edges;
   !sites
 
 (* Optimization 1: drop every candidate that sits inside another

@@ -68,10 +68,30 @@ val candidate_chains : Ir.Prog.t -> chain list
 val candidate_sites :
   profile:(int -> Ir.Instr.check_kind option) -> Ir.Prog.t -> site list
 
+(** [chain_walk ud ~memo ~stop ~on_phi ~on_clone ~on_stop r] walks the
+    producer web of [r] over use-def edges as
+    [Transform.Duplicate.shadow_reg] clones it, and returns whether [r]
+    gets a non-trivial shadow.  It ends at chain terminators (loads,
+    calls, allocations, constants, parameters) and at instructions [stop]
+    accepts, which go to [on_stop]; every other phi and instruction it
+    reaches goes to [on_phi] or [on_clone] before its operands are
+    walked.  [memo] holds each reached register's answer, so each is
+    visited once.  The one statement of the Optimization-2 walk, shared
+    by {!chain_terminators}, {!paper} and {!Predict}. *)
+val chain_walk :
+  Usedef.t ->
+  memo:(Ir.Instr.reg, bool) Hashtbl.t ->
+  stop:(Ir.Instr.t -> bool) ->
+  on_phi:(Ir.Instr.phi -> unit) ->
+  on_clone:(Ir.Instr.t -> unit) ->
+  on_stop:(Ir.Instr.t -> unit) ->
+  Ir.Instr.reg ->
+  bool
+
 (** Optimization 2 per candidate chain: the sites the duplication walk
-    reaches first that have a check shape — walking the producer web from
-    the chain's back edges, stopping at chain terminators (loads, calls,
-    allocations, constants, parameters) — in {!candidate_chains} order.
+    reaches first that have a check shape — {!chain_walk} from the chain's
+    back edges, stopping at every site with a check shape — in
+    {!candidate_chains} order.
     Adding a chain's sites as terminators gives its Opt-2 flavor. *)
 val chain_terminators :
   profile:(int -> Ir.Instr.check_kind option) ->

@@ -31,60 +31,6 @@ let term_cost cost (t : Ir.Instr.terminator) =
   | Ir.Instr.Jmp _ -> cost.cm_jmp
   | Ir.Instr.Br _ -> cost.cm_br
 
-(* Mirrors [Transform.Duplicate.shadow_reg]'s decision tree symbolically:
-   returns whether [r] would receive a non-trivial shadow (a clone).
-   Planned terminators with an amenable profile become mid-chain value
-   checks and stop the walk, exactly like the Opt-2 hook. *)
-let simulate ~(plan : Plan.t) ~profile ~(ud : Usedef.t) ~on_clone_instr
-    ~on_clone_phi ~on_opt2_check =
-  let memo : (Ir.Instr.reg, bool) Hashtbl.t = Hashtbl.create 64 in
-  let opt2_sites : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec sim r =
-    match Hashtbl.find_opt memo r with
-    | Some b -> b
-    | None -> (
-      match Usedef.def_of ud r with
-      | None | Some Usedef.Param ->
-        Hashtbl.replace memo r false;
-        false
-      | Some (Usedef.Phi_def (_, phi)) ->
-        (* Pre-register before recursing, as clone_phi does, so
-           loop-carried references see the clone. *)
-        Hashtbl.replace memo r true;
-        on_clone_phi phi;
-        List.iter
-          (fun (_, op) ->
-            match op with Ir.Instr.Reg r' -> ignore (sim r') | Ir.Instr.Imm _ -> ())
-          phi.Ir.Instr.incoming;
-        true
-      | Some (Usedef.Instr_def (_, ins)) ->
-        if Usedef.chain_terminator ins then (
-          Hashtbl.replace memo r false;
-          false)
-        else
-          let opt2 =
-            Plan.mem_terminator plan ins.Ir.Instr.uid
-            && ins.Ir.Instr.dest <> None
-            &&
-            match profile ins.Ir.Instr.uid with Some _ -> true | None -> false
-          in
-          if opt2 then (
-            Hashtbl.replace memo r false;
-            (if not (Hashtbl.mem opt2_sites ins.Ir.Instr.uid) then (
-               Hashtbl.replace opt2_sites ins.Ir.Instr.uid ();
-               match profile ins.Ir.Instr.uid with
-               | Some ck -> on_opt2_check ins ck
-               | None -> ()));
-            false)
-          else (
-            Hashtbl.replace memo r true;
-            on_clone_instr ins;
-            List.iter (fun r' -> ignore (sim r')) (Ir.Instr.uses ins);
-            true)
-      )
-  in
-  (sim, memo, opt2_sites)
-
 (* What no plan changes, per function: the analyses the chain walk and
    the check sites read, the block weights, and the exposure rows in the
    exposure table's [Hashtbl.iter] order, so per-plan sums add in the
@@ -209,16 +155,26 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
         incr cloned_phis;
         added := !added +. (weight_of_uid phi.phi_uid *. float_of_int cost.cm_phi)
       in
-      let on_opt2_check (ins : Ir.Instr.t) ck =
-        incr value_checks;
-        added :=
-          !added +. (weight_of_uid ins.uid *. float_of_int (cost.cm_value_check ck));
-        match ins.dest with
-        | Some d -> Hashtbl.replace value_checked d ()
-        | None -> ()
+      let on_opt2_check (ins : Ir.Instr.t) =
+        match (profile ins.uid, ins.dest) with
+        | Some ck, Some d ->
+          incr value_checks;
+          added :=
+            !added +. (weight_of_uid ins.uid *. float_of_int (cost.cm_value_check ck));
+          Hashtbl.replace value_checked d ()
+        | _ -> ()
       in
-      let sim, covered, opt2_sites =
-        simulate ~plan ~profile ~ud ~on_clone_instr ~on_clone_phi ~on_opt2_check
+      (* Plan's chain walk: a planned terminator with a check shape becomes
+         a mid-chain value check and stops the walk, like the transform's
+         Opt-2 hook. *)
+      let covered : (Ir.Instr.reg, bool) Hashtbl.t = Hashtbl.create 64 in
+      let shadowed =
+        Plan.chain_walk ud ~memo:covered
+          ~stop:(fun (ins : Ir.Instr.t) ->
+            Plan.mem_terminator plan ins.uid
+            && ins.dest <> None
+            && profile ins.uid <> None)
+          ~on_phi:on_clone_phi ~on_clone:on_clone_instr ~on_stop:on_opt2_check
       in
       (* Walk every planned chain from its back-edge operands, placing a
          latch dup-check whenever the shadow is non-trivial — the same
@@ -234,7 +190,7 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
                     if lbl = latch_lbl then
                       match op with
                       | Ir.Instr.Reg r ->
-                        if sim r then (
+                        if shadowed r then (
                           incr dup_checks;
                           added :=
                             !added
@@ -243,9 +199,9 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
                   phi.Ir.Instr.incoming)
               loop.Loops.latches)
         header_phis;
-      (* Stand-alone planned check sites (skipping sites the chain walk
-         already converted into Opt-2 checks, as the transform does via
-         [already_checked]). *)
+      (* Stand-alone planned check sites.  A site the chain walk already
+         turned into an Opt-2 check has its destination in
+         [value_checked] and keeps its one check, as in the transform. *)
       for i = 0 to n - 1 do
         let b = Cfg.block cfg i in
         Array.iter
@@ -254,10 +210,9 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
               Plan.mem_check plan ins.Ir.Instr.uid
               && ins.Ir.Instr.origin = Ir.Instr.From_source
               && Ir.Instr.produces_value ins
-              && not (Hashtbl.mem opt2_sites ins.Ir.Instr.uid)
             then
               match (profile ins.Ir.Instr.uid, ins.Ir.Instr.dest) with
-              | Some ck, Some d ->
+              | Some ck, Some d when not (Hashtbl.mem value_checked d) ->
                 incr value_checks;
                 added :=
                   !added +. (weights.(i) *. float_of_int (cost.cm_value_check ck));

@@ -2,10 +2,11 @@
 
     Prices a {!Plan.t} without transforming, interpreting or injecting:
 
-    - {b SDC-prone fraction} — replays the duplication pass's chain walk
-      symbolically over use-def edges to decide which original registers
-      would end up covered by a latch dup-check or an expected-value
-      check, then reuses the §11 AVF residency model (liveness live-in
+    - {b SDC-prone fraction} — runs {!Plan.chain_walk}, the duplication
+      pass's chain walk over use-def edges, stopping at the plan's
+      terminators, to decide which original registers would end up
+      covered by a latch dup-check or an expected-value check, then
+      reuses the §11 AVF residency model (liveness live-in
       residency × profiled block weights) to weight what remains
       unprotected.  The denominator is fixed by the original program, so
       adding chains to a plan can only shrink the estimate.

@@ -108,12 +108,6 @@ let produces_value t =
   | (Store _ | Dup_check _ | Value_check _), _ -> false
   | (Binop _ | Unop _ | Load _ | Select _), None -> false
 
-(** Side-effecting or detection instructions that a pass must never clone. *)
-let has_side_effect t =
-  match t.kind with
-  | Store _ | Call _ | Alloc _ | Dup_check _ | Value_check _ -> true
-  | Binop _ | Unop _ | Icmp _ | Fcmp _ | Select _ | Const _ | Load _ -> false
-
 let is_check t =
   match t.kind with
   | Dup_check _ | Value_check _ -> true

@@ -6,11 +6,6 @@ let pp_operand ppf = function
   | Instr.Reg r -> fprintf ppf "%%r%d" r
   | Instr.Imm v -> Value.pp ppf v
 
-(** Stable textual key of an operand, used by value-numbering passes. *)
-let operand_key = function
-  | Instr.Reg r -> Printf.sprintf "r%d" r
-  | Instr.Imm v -> Value.to_string v
-
 let pp_check_kind ppf = function
   | Instr.Single v -> fprintf ppf "single %a" Value.pp v
   | Instr.Double (a, b) -> fprintf ppf "double %a, %a" Value.pp a Value.pp b

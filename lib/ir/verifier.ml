@@ -39,8 +39,7 @@ let verify_func (f : Func.t) ~seen_uid ~check_uid =
   if not (Func.mem_block f f.entry) then
     fail ~func:fname ~block:f.entry "missing entry block";
   (* Every block is reachable from the entry; transformation passes assume
-     it (unreachable blocks would also make dominance vacuous), and
-     [Transform.Dce] prunes the blocks constant folding strands. *)
+     it, and unreachable blocks would make dominance vacuous. *)
   let reachable = Hashtbl.create 16 in
   let rec dfs label =
     if not (Hashtbl.mem reachable label) then begin

@@ -287,6 +287,47 @@ let test_liveness_phi_edge_dedupe () =
   Alcotest.(check (list int)) "nothing live into c (phi defs at entry)" []
     (Analysis.Liveness.live_in live "c")
 
+(* ----- liveness ----- *)
+
+let test_liveness_loop () =
+  let prog = Prog.create () in
+  let b = Builder.create prog ~name:"main" ~n_params:1 in
+  let n = Builder.param b 0 in
+  let s =
+    Workloads.Kutil.for1 b ~from:(Builder.imm 0) ~until:n
+      ~init:(Builder.imm 0)
+      ~body:(fun ~i acc -> Builder.add b acc i)
+  in
+  Builder.ret b s;
+  Builder.finish b;
+  let f = Prog.find_func prog "main" in
+  let cfg = Analysis.Cfg.of_func f in
+  let live = Analysis.Liveness.compute cfg in
+  (* The loop bound (parameter) is live into the loop header. *)
+  let header =
+    List.find
+      (fun (bl : Block.t) -> bl.phis <> [])
+      f.blocks
+  in
+  let n_reg = List.hd f.params in
+  Alcotest.(check bool) "bound live at header" true
+    (List.mem n_reg (Analysis.Liveness.live_in live header.label));
+  Alcotest.(check bool) "pressure positive" true
+    (Analysis.Liveness.max_pressure live > 0)
+
+let test_liveness_dead_value () =
+  let prog = Prog.create () in
+  let b = Builder.create prog ~name:"main" ~n_params:1 in
+  let x = Builder.param b 0 in
+  let (_dead : Instr.operand) = Builder.mul b x x in
+  Builder.ret b x;
+  Builder.finish b;
+  let f = Prog.find_func prog "main" in
+  let live = Analysis.Liveness.compute (Analysis.Cfg.of_func f) in
+  (* The dead product is not live anywhere (single block: live_in = uses). *)
+  let entry_live = Analysis.Liveness.live_in live f.entry in
+  Alcotest.(check (list int)) "only the param is live-in" f.params entry_live
+
 let tests =
   [ Alcotest.test_case "cfg: structure" `Quick test_cfg_structure;
     Alcotest.test_case "cfg: rpo entry first" `Quick test_rpo_starts_at_entry;
@@ -308,4 +349,6 @@ let tests =
       test_self_loop;
     Alcotest.test_case "liveness: phi edge dedupe" `Quick
       test_liveness_phi_edge_dedupe;
+    Alcotest.test_case "liveness: loop bound" `Quick test_liveness_loop;
+    Alcotest.test_case "liveness: dead value" `Quick test_liveness_dead_value;
   ]

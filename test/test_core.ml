@@ -14,7 +14,6 @@ let () =
       ("fidelity", Test_fidelity.tests);
       ("profiling", Test_profiling.tests);
       ("transform", Test_transform.tests);
-      ("optimizer", Test_optimizer.tests);
       ("faults", Test_faults.tests);
       ("taint", Test_taint.tests);
       ("workloads", Test_workloads.tests);

@@ -603,6 +603,62 @@ let test_settle_calls_and_returns () =
       ("branch tick, not live out", 12, 13, true);
       ("branch tick, read by a phi", 21, 13, false) ]
 
+(* ----- tracer ----- *)
+
+let test_trace_captures_values () =
+  let prog = Prog.create () in
+  let b = Builder.create prog ~name:"main" ~n_params:0 in
+  let x = Builder.add b (Builder.imm 2) (Builder.imm 3) in
+  let y = Builder.mul b x (Builder.imm 10) in
+  Builder.ret b y;
+  Builder.finish b;
+  let mem = Interp.Memory.create () in
+  let events, result =
+    Interp.Trace.first_values ~limit:10 prog ~entry:"main" ~args:[] ~mem
+  in
+  (match result.stop with
+   | Interp.Machine.Finished _ -> ()
+   | _ -> Alcotest.fail "run failed");
+  Alcotest.(check int) "two events" 2 (List.length events);
+  (match events with
+   | [ e1; e2 ] ->
+     Alcotest.(check int64) "first value" 5L (Value.to_int64 e1.value);
+     Alcotest.(check int64) "second value" 50L (Value.to_int64 e2.value)
+   | _ -> Alcotest.fail "unexpected events");
+  let rendered = Interp.Trace.render prog events in
+  Alcotest.(check int) "rendered lines" 2 (List.length rendered)
+
+let test_trace_respects_limit () =
+  let prog = Prog.create () in
+  let b = Builder.create prog ~name:"main" ~n_params:0 in
+  let s =
+    Workloads.Kutil.for1 b ~from:(Builder.imm 0) ~until:(Builder.imm 1000)
+      ~init:(Builder.imm 0)
+      ~body:(fun ~i acc -> Builder.add b acc i)
+  in
+  Builder.ret b s;
+  Builder.finish b;
+  let mem = Interp.Memory.create () in
+  let events, (_ : Interp.Machine.result) =
+    Interp.Trace.first_values ~limit:25 prog ~entry:"main" ~args:[] ~mem
+  in
+  Alcotest.(check int) "limited" 25 (List.length events)
+
+(* ----- branch-target faults ----- *)
+
+let test_branch_fault_changes_flow () =
+  (* A branch-target fault on an unprotected program must produce at least
+     some non-masked outcome over many trials. *)
+  let w = Workloads.Registry.find "g721enc" in
+  let p = Softft.protect w Softft.Original in
+  let subject = Softft.subject p ~role:Workloads.Workload.Test in
+  let summary, (_ : Faults.Campaign.trial list) =
+    Faults.Campaign.run ~seed:6 ~fault_kind:Interp.Machine.Branch_target
+      subject ~trials:80
+  in
+  Alcotest.(check bool) "not everything masked" true
+    (Faults.Campaign.count summary Faults.Classify.Masked < 80)
+
 let tests =
   [ Alcotest.test_case "memory: roundtrip" `Quick test_memory_roundtrip;
     Alcotest.test_case "memory: bounds" `Quick test_memory_bounds;
@@ -635,4 +691,8 @@ let tests =
       test_rejoin_never_when_observing;
     Alcotest.test_case "rejoin: dead flips settle across calls and returns"
       `Quick test_settle_calls_and_returns;
+    Alcotest.test_case "trace: captures values" `Quick test_trace_captures_values;
+    Alcotest.test_case "trace: respects limit" `Quick test_trace_respects_limit;
+    Alcotest.test_case "branch fault: perturbs flow" `Quick
+      test_branch_fault_changes_flow;
   ]

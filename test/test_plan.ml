@@ -404,6 +404,38 @@ let test_staged_predictor_stateless () =
         (plans @ List.rev plans))
     (Lazy.force searched)
 
+(* The predictor's clone and check counts are the transform's: every
+   workload's all-chains and paper plans and every frontier and fixed
+   point, priced statically and then applied to a fresh build. *)
+let test_predictor_matches_transform () =
+  List.iter
+    (fun ((w : Workloads.Workload.t), (prog, profile, exec_counts), fr) ->
+      let name = w.Workloads.Workload.name in
+      let price = Predict.estimate ~exec_counts ~profile ~cost prog in
+      let plans =
+        Plan.all_chains prog :: Plan.paper ~profile prog
+        :: List.map
+             (fun (p : Optimize.point) -> p.Optimize.op_plan)
+             (fr.Optimize.fr_points @ fr.Optimize.fr_fixed)
+      in
+      List.iter
+        (fun plan ->
+          let e = price plan in
+          let s = Transform.Pipeline.of_plan ~profile (w.build ()) plan in
+          let check what predicted applied =
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s: %s" name (Plan.slug plan) what)
+              applied predicted
+          in
+          check "cloned" (e.Predict.pe_cloned_instrs + e.Predict.pe_cloned_phis)
+            s.Transform.Pipeline.duplicated_instrs;
+          check "dup checks" e.Predict.pe_dup_checks
+            s.Transform.Pipeline.dup_checks;
+          check "value checks" e.Predict.pe_value_checks
+            s.Transform.Pipeline.value_checks)
+        plans)
+    (Lazy.force searched)
+
 (* Label, SDC and overhead (bit-exact, %h) and the clone and check counts
    of every frontier and fixed point, plus the plans explored. *)
 let frontier_digest (fr : Optimize.frontier) =
@@ -461,6 +493,8 @@ let tests =
       test_staged_predictor_stateless;
     Alcotest.test_case "search output: frontier digests pinned" `Quick
       test_frontier_digests_pinned;
+    Alcotest.test_case "predictor counts match the transform" `Quick
+      test_predictor_matches_transform;
     Alcotest.test_case "knee-point rank agreement (kmeans)" `Slow
       test_rank_agreement_kmeans;
     Alcotest.test_case "knee-point rank agreement (jpegdec)" `Slow

@@ -1,5 +1,6 @@
 (** Tests for the protection passes: state-variable identification,
-    producer-chain duplication, value checks, full duplication. *)
+    producer-chain duplication, value checks, full duplication and
+    signature-based control-flow checking. *)
 
 open Ir
 
@@ -279,6 +280,45 @@ let test_overhead_ordering () =
   Alcotest.(check bool) "dup_only > original" true (dup_only > original);
   Alcotest.(check bool) "full_dup > dup_only" true (full_dup > dup_only)
 
+(* ----- control-flow checking ----- *)
+
+let test_cfc_preserves_semantics () =
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.find name in
+      let reference = Workloads.Workload.golden w ~role:Workloads.Workload.Test in
+      let p = Softft.protect w Softft.Cfc_only in
+      let protected_run = Softft.golden p ~role:Workloads.Workload.Test in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s output preserved under CFC" name)
+        true
+        (Fidelity.Metric.identical ~reference:reference.output
+           protected_run.output))
+    [ "g721enc"; "tiff2bw"; "kmeans" ]
+
+let test_cfc_inserts_checks () =
+  let p = Softft.protect (Workloads.Registry.find "jpegdec") Softft.Cfc_only in
+  Alcotest.(check bool) "signature checks inserted" true
+    (p.static_stats.value_checks > 5)
+
+let test_cfc_detects_branch_faults () =
+  let w = Workloads.Registry.find "g721enc" in
+  let detections technique =
+    let p = Softft.protect w technique in
+    let subject = Softft.subject p ~role:Workloads.Workload.Test in
+    let summary, (_ : Faults.Campaign.trial list) =
+      Faults.Campaign.run ~seed:5 ~fault_kind:Interp.Machine.Branch_target
+        subject ~trials:80
+    in
+    Faults.Campaign.count summary Faults.Classify.Sw_detect
+  in
+  let without = detections Softft.Dup_valchk in
+  let with_cfc = detections Softft.Dup_valchk_cfc in
+  Alcotest.(check bool)
+    (Printf.sprintf "CFC detects branch faults (%d -> %d)" without with_cfc)
+    true
+    (with_cfc > without)
+
 let tests =
   [ Alcotest.test_case "state vars: crc loop" `Quick test_state_vars_found;
     Alcotest.test_case "state vars: straight line" `Quick
@@ -296,4 +336,8 @@ let tests =
     Alcotest.test_case "value checks: optimization 1" `Quick test_opt1_suppression;
     Alcotest.test_case "full dup: structure" `Quick test_full_dup_structure;
     Alcotest.test_case "overhead ordering" `Quick test_overhead_ordering;
+    Alcotest.test_case "cfc: preserves semantics" `Quick test_cfc_preserves_semantics;
+    Alcotest.test_case "cfc: inserts checks" `Quick test_cfc_inserts_checks;
+    Alcotest.test_case "cfc: detects branch faults" `Quick
+      test_cfc_detects_branch_faults;
   ]
