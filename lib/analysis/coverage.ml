@@ -222,6 +222,36 @@ let phi_status st (phi : Ir.Instr.phi) =
     if Hashtbl.mem st.covered phi.phi_dest then Shadow else Dup_unchecked
   | Ir.Instr.From_source -> reg_status st phi.phi_dest
 
+(* Every defined register gets a row: a value live only inside one block
+   has zero block-boundary residency but can still be hit, and the
+   journal join needs a status for it.  Registers are unique keys, so
+   sorting by id alone is a total order; never let hashtable iteration
+   order leak into the rows. *)
+let exposure ~weights (cfg : Cfg.t) =
+  let live = Liveness.compute cfg in
+  let exposure = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace exposure r 0.0) cfg.Cfg.func.Ir.Func.params;
+  Array.iter
+    (fun (b : Ir.Block.t) ->
+      List.iter
+        (fun (phi : Ir.Instr.phi) -> Hashtbl.replace exposure phi.phi_dest 0.0)
+        b.phis;
+      Array.iter
+        (fun (ins : Ir.Instr.t) ->
+          Option.iter (fun r -> Hashtbl.replace exposure r 0.0) ins.dest)
+        b.body)
+    cfg.Cfg.blocks;
+  Array.iteri
+    (fun i live_in ->
+      Hashtbl.iter
+        (fun r () ->
+          let prev = Option.value (Hashtbl.find_opt exposure r) ~default:0.0 in
+          Hashtbl.replace exposure r (prev +. weights.(i)))
+        live_in)
+    live.Liveness.live_in;
+  Hashtbl.fold (fun r e acc -> (r, e) :: acc) exposure []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let analyze ?exec_counts (p : Ir.Prog.t) =
   let instrs = ref [] and regs = ref [] in
   let counts = Hashtbl.create 8 in
@@ -233,7 +263,6 @@ let analyze ?exec_counts (p : Ir.Prog.t) =
     (fun f ->
       let st = build_fstate f in
       let cfg = Cfg.of_func f in
-      let live = Liveness.compute cfg in
       let n = Cfg.n_blocks cfg in
       let weights =
         match Option.bind exec_counts (fun g -> g f.name) with
@@ -264,29 +293,7 @@ let analyze ?exec_counts (p : Ir.Prog.t) =
               :: !instrs)
           b.body
       done;
-      (* Register exposure: residency of each live value, weighted by how
-         often its blocks execute. *)
-      let exposure = Hashtbl.create 64 in
-      (* Every defined register gets a row: a value live only inside one
-         block has zero block-boundary residency but can still be hit, and
-         the journal join needs a status for it. *)
-      List.iter (fun r -> Hashtbl.replace exposure r 0.0) f.params;
-      Hashtbl.iter (fun r _ -> Hashtbl.replace exposure r 0.0) st.def_uid;
-      for i = 0 to n - 1 do
-        Hashtbl.iter
-          (fun r () ->
-            let prev =
-              match Hashtbl.find_opt exposure r with
-              | Some e -> e
-              | None -> 0.0
-            in
-            Hashtbl.replace exposure r (prev +. weights.(i)))
-          live.Liveness.live_in.(i)
-      done;
-      (* Registers are unique keys, so sorting by id alone is a total
-         order; never let hashtable iteration order leak into [regs]. *)
-      Hashtbl.fold (fun r e acc -> (r, e) :: acc) exposure []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      exposure ~weights cfg
       |> List.iter (fun (r, e) ->
              let s = reg_status st r in
              exposure_total := !exposure_total +. e;

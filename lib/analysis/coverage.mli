@@ -66,6 +66,14 @@ type t = {
   dynamic_weights : bool;            (** true if any function had counts *)
 }
 
+(** [exposure ~weights cfg] is the register-exposure model, shared with
+    {!Predict}: every parameter and defined register of [cfg]'s function,
+    in register order, with the sum of [weights] (indexed by block) over
+    the blocks it is live into ({!Liveness}).  Block weights are
+    integer-valued, so every sum, and every sum of rows, is exact in any
+    order. *)
+val exposure : weights:float array -> Cfg.t -> (Ir.Instr.reg * float) list
+
 (** [analyze ?exec_counts prog] classifies the whole program.
     [exec_counts f] returns per-block dynamic execution counts for
     function [f] in block layout order (e.g. [Interp.Profile.func_block_counts]);

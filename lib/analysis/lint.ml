@@ -295,10 +295,11 @@ let check_func ~expect ~profile (f : Ir.Func.t) ~emit =
          b.body
      done;
      (* Every duplicated state variable is compared in the latch before the
-        back edge: mirrors {!Transform.Duplicate.protect_state_var}.  Under
-        a plan the rule inverts for chains the plan leaves out: a latch
-        comparison there means the pipeline protected more than it was
-        asked to. *)
+        back edge, as [Transform.Duplicate.run] places it; derived here
+        from [Loops] on its own, so the check stays independent of
+        [Plan.func_chains].  Under a plan the rule inverts for chains the
+        plan leaves out: a latch comparison there means the pipeline
+        protected more than it was asked to. *)
      let plan = match expect with Plan p -> Some p | _ -> None in
      let loops = Loops.compute cfg in
      (* Back-edge registers of planned chains, so a shared back-edge

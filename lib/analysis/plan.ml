@@ -52,11 +52,10 @@ let add_chain p c = normalize { p with chains = c :: p.chains }
 let add_terminator p s = normalize { p with terminators = s :: p.terminators }
 let add_check p s = normalize { p with checks = s :: p.checks }
 
-(* A chain candidate is a loop-header phi with at least one register
-   operand arriving over a back edge — the same gathering rule as
-   [Transform.State_vars.of_func], restated here because the analysis
-   layer sits below the transforms.  Returns each candidate phi with its
-   back-edge operands, building the function's CFG and loops once. *)
+(* The paper's state-variable rule (§III-B): a loop-header phi with at
+   least one operand arriving over a back edge.  Returns each such phi
+   with its back-edge operands, building the function's CFG and loops
+   once. *)
 let func_chains (f : Ir.Func.t) =
   let cfg = Cfg.of_func f in
   let loops = Loops.compute cfg in
@@ -101,10 +100,10 @@ let candidate_sites ~profile prog =
     prog.Ir.Prog.funcs
   |> dedup_sorted site_key
 
-(* [Transform.Duplicate.shadow_reg]'s walk, building nothing.  The phi is
-   memoized before its operands are walked, as [clone_phi] pre-registers
-   its clone, so a loop-carried cycle ends; callbacks fire in the
-   transform's order because [Predict] sums floats in that order. *)
+(* A phi's operands are walked first to last and an instruction's last
+   to first, the order the pinned protected programs were minted in, so
+   they keep their registers and uids.  A phi or clone is memoized before
+   its operands are walked, so a loop-carried cycle ends. *)
 let chain_walk ud ~memo ~stop ~on_phi ~on_clone ~on_stop =
   let rec walk r =
     match Hashtbl.find_opt memo r with
@@ -114,9 +113,9 @@ let chain_walk ud ~memo ~stop ~on_phi ~on_clone ~on_stop =
       | None | Some Usedef.Param ->
         Hashtbl.replace memo r false;
         false
-      | Some (Usedef.Phi_def (_, phi)) ->
+      | Some (Usedef.Phi_def (b, phi)) ->
         Hashtbl.replace memo r true;
-        on_phi phi;
+        on_phi b phi;
         List.iter
           (fun (_, op) ->
             match op with
@@ -124,18 +123,19 @@ let chain_walk ud ~memo ~stop ~on_phi ~on_clone ~on_stop =
             | Ir.Instr.Imm _ -> ())
           phi.Ir.Instr.incoming;
         true
-      | Some (Usedef.Instr_def (_, ins)) ->
+      | Some (Usedef.Instr_def (b, ins)) ->
         if Usedef.chain_terminator ins then (
           Hashtbl.replace memo r false;
           false)
         else if stop ins then (
           Hashtbl.replace memo r false;
-          on_stop ins;
+          on_stop b ins;
           false)
         else (
           Hashtbl.replace memo r true;
-          on_clone ins;
-          List.iter (fun r' -> ignore (walk r')) (Ir.Instr.uses ins);
+          let finish = on_clone b ins in
+          List.iter (fun r' -> ignore (walk r')) (List.rev (Ir.Instr.uses ins));
+          finish ();
           true))
   in
   walk
@@ -149,8 +149,9 @@ let opt2_sites ~profile ud f back_edges =
     chain_walk ud ~memo:(Hashtbl.create 32)
       ~stop:(fun (ins : Ir.Instr.t) ->
         ins.Ir.Instr.dest <> None && profile ins.Ir.Instr.uid <> None)
-      ~on_phi:ignore ~on_clone:ignore
-      ~on_stop:(fun ins -> sites := site_of f ins :: !sites)
+      ~on_phi:(fun _ _ -> ())
+      ~on_clone:(fun _ _ () -> ())
+      ~on_stop:(fun _ ins -> sites := site_of f ins :: !sites)
   in
   List.iter
     (fun (_, op) ->

@@ -58,8 +58,17 @@ val add_chain : t -> chain -> t
 val add_terminator : t -> site -> t
 val add_check : t -> site -> t
 
-(** Every state-variable chain of the program: loop-header phis with at
-    least one back-edge operand, in (function, phi uid) order. *)
+(** The state variables of one function (paper §III-B): loop-header
+    phis with at least one operand arriving over a back edge, each with
+    those back-edge operands and their latch labels, in loop-header then
+    phi order.  The one statement of the state-variable rule, shared by
+    {!candidate_chains}, [Transform.Duplicate], [Transform.Pipeline]'s
+    [state_vars] statistic and {!Predict}. *)
+val func_chains :
+  Ir.Func.t -> (Ir.Instr.phi * (string * Ir.Instr.operand) list) list
+
+(** Every state-variable chain of the program, by {!func_chains}, in
+    (function, phi uid) order. *)
 val candidate_chains : Ir.Prog.t -> chain list
 
 (** Every stand-alone check candidate: original value-producing
@@ -69,22 +78,29 @@ val candidate_sites :
   profile:(int -> Ir.Instr.check_kind option) -> Ir.Prog.t -> site list
 
 (** [chain_walk ud ~memo ~stop ~on_phi ~on_clone ~on_stop r] walks the
-    producer web of [r] over use-def edges as
-    [Transform.Duplicate.shadow_reg] clones it, and returns whether [r]
-    gets a non-trivial shadow.  It ends at chain terminators (loads,
-    calls, allocations, constants, parameters) and at instructions [stop]
-    accepts, which go to [on_stop]; every other phi and instruction it
-    reaches goes to [on_phi] or [on_clone] before its operands are
-    walked.  [memo] holds each reached register's answer, so each is
-    visited once.  The one statement of the Optimization-2 walk, shared
-    by {!chain_terminators}, {!paper} and {!Predict}. *)
+    producer web of [r] over use-def edges and returns whether [r] gets a
+    non-trivial shadow.  It ends at chain terminators (loads, calls,
+    allocations, constants, parameters) and at instructions [stop]
+    accepts, which go to [on_stop].  Every other phi it reaches goes to
+    [on_phi] before its operands are walked, first to last; every other
+    instruction goes to [on_clone] before its operands are walked, last to
+    first, and the function [on_clone] returns is called after them.
+    Callbacks get the definition's block.  [memo] holds each reached
+    register's answer, set before its operands are walked, so each
+    register is visited once and a loop-carried cycle ends.
+
+    The one statement of the Optimization-2 walk: [Transform.Duplicate]
+    builds its clones from these callbacks, and {!chain_terminators},
+    {!paper} and {!Predict} run it building nothing.  The visiting order
+    is the order in which the transform mints registers and uids, so it
+    fixes the protected programs bit for bit. *)
 val chain_walk :
   Usedef.t ->
   memo:(Ir.Instr.reg, bool) Hashtbl.t ->
   stop:(Ir.Instr.t -> bool) ->
-  on_phi:(Ir.Instr.phi -> unit) ->
-  on_clone:(Ir.Instr.t -> unit) ->
-  on_stop:(Ir.Instr.t -> unit) ->
+  on_phi:(Ir.Block.t -> Ir.Instr.phi -> unit) ->
+  on_clone:(Ir.Block.t -> Ir.Instr.t -> unit -> unit) ->
+  on_stop:(Ir.Block.t -> Ir.Instr.t -> unit) ->
   Ir.Instr.reg ->
   bool
 

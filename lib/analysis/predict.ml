@@ -32,15 +32,13 @@ let term_cost cost (t : Ir.Instr.terminator) =
   | Ir.Instr.Br _ -> cost.cm_br
 
 (* What no plan changes, per function: the analyses the chain walk and
-   the check sites read, the block weights, and the exposure rows in the
-   exposure table's [Hashtbl.iter] order, so per-plan sums add in the
-   same order as a one-shot pricing would. *)
+   the check sites read, the state variables, the block weights and the
+   exposure rows. *)
 type func_ctx = {
   ud : Usedef.t;
   cfg : Cfg.t;
-  header_phis : (Loops.loop * Ir.Block.t * Ir.Instr.phi) list;
+  chains : (Ir.Instr.phi * (string * Ir.Instr.operand) list) list;
   weights : float array;
-  block_of_uid : (int, int) Hashtbl.t;
   exposure_rows : (Ir.Instr.reg * float) list;
 }
 
@@ -48,26 +46,15 @@ type func_ctx = {
    dynamic step count and the exposure total are plan-independent too. *)
 let func_context ?exec_counts ~cost ~baseline ~steps ~exposure_total
     (f : Ir.Func.t) =
-  let ud = Usedef.compute f in
   let cfg = Cfg.of_func f in
-  let live = Liveness.compute cfg in
-  let loops = Loops.compute cfg in
   let n = Cfg.n_blocks cfg in
   let weights =
     match Option.bind exec_counts (fun g -> g f.Ir.Func.name) with
     | Some c when Array.length c = n -> Array.map float_of_int c
     | Some _ | None -> Array.make n 1.0
   in
-  let block_of_uid : (int, int) Hashtbl.t = Hashtbl.create 64 in
   for i = 0 to n - 1 do
     let b = Cfg.block cfg i in
-    List.iter
-      (fun (phi : Ir.Instr.phi) ->
-        Hashtbl.replace block_of_uid phi.phi_uid i)
-      b.Ir.Block.phis;
-    Array.iter
-      (fun (ins : Ir.Instr.t) -> Hashtbl.replace block_of_uid ins.uid i)
-      b.Ir.Block.body;
     (* Priced baseline and dynamic step count of the original. *)
     let body_cost =
       Array.fold_left (fun a ins -> a + cost.cm_instr ins) 0 b.Ir.Block.body
@@ -81,38 +68,11 @@ let func_context ?exec_counts ~cost ~baseline ~steps ~exposure_total
       +. (weights.(i)
           *. float_of_int (Array.length b.Ir.Block.body + List.length b.Ir.Block.phis + 1))
   done;
-  (* Exposure of original registers, as Coverage.analyze computes it:
-     live-in residency weighted by block frequency, with every defined
-     register seeded so intra-block values get a row. *)
-  let exposure : (Ir.Instr.reg, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace exposure r 0.0) f.Ir.Func.params;
-  for i = 0 to n - 1 do
-    let b = Cfg.block cfg i in
-    List.iter
-      (fun (phi : Ir.Instr.phi) -> if not (Hashtbl.mem exposure phi.phi_dest) then Hashtbl.replace exposure phi.phi_dest 0.0)
-      b.Ir.Block.phis;
-    Array.iter
-      (fun (ins : Ir.Instr.t) ->
-        match ins.dest with
-        | Some r -> if not (Hashtbl.mem exposure r) then Hashtbl.replace exposure r 0.0
-        | None -> ())
-      b.Ir.Block.body
-  done;
-  for i = 0 to n - 1 do
-    Hashtbl.iter
-      (fun r () ->
-        let prev = try Hashtbl.find exposure r with Not_found -> 0.0 in
-        Hashtbl.replace exposure r (prev +. weights.(i)))
-      live.Liveness.live_in.(i)
-  done;
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun r e ->
-      exposure_total := !exposure_total +. e;
-      rows := (r, e) :: !rows)
-    exposure;
-  { ud; cfg; header_phis = Loops.header_phis loops; weights; block_of_uid;
-    exposure_rows = List.rev !rows }
+  (* Exposure of original registers: Coverage's model. *)
+  let exposure_rows = Coverage.exposure ~weights cfg in
+  List.iter (fun (_, e) -> exposure_total := !exposure_total +. e) exposure_rows;
+  { ud = Usedef.compute f; cfg; chains = Plan.func_chains f; weights;
+    exposure_rows }
 
 let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
   let profile = match profile with Some f -> f | None -> fun _ -> None in
@@ -135,32 +95,29 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
   let cloned_instrs = ref 0 and cloned_phis = ref 0 in
   let dup_checks = ref 0 and value_checks = ref 0 in
   List.iter
-    (fun { ud; cfg; header_phis; weights; block_of_uid; exposure_rows } ->
+    (fun { ud; cfg; chains; weights; exposure_rows } ->
       let n = Cfg.n_blocks cfg in
-      let weight_of_uid uid =
-        match Hashtbl.find_opt block_of_uid uid with
-        | Some i -> weights.(i)
-        | None -> 1.0
-      in
+      let block_index (b : Ir.Block.t) = Cfg.index cfg b.Ir.Block.label in
       (* Shadow ops per block, for the slack approximation. *)
       let shadows_per_block = Array.make n 0 in
       let value_checked : (Ir.Instr.reg, unit) Hashtbl.t = Hashtbl.create 16 in
-      let on_clone_instr (ins : Ir.Instr.t) =
+      let on_clone_instr b (_ : Ir.Instr.t) =
         incr cloned_instrs;
-        match Hashtbl.find_opt block_of_uid ins.uid with
-        | Some i -> shadows_per_block.(i) <- shadows_per_block.(i) + 1
-        | None -> ()
+        let i = block_index b in
+        shadows_per_block.(i) <- shadows_per_block.(i) + 1;
+        ignore
       in
-      let on_clone_phi (phi : Ir.Instr.phi) =
+      let on_clone_phi b (_ : Ir.Instr.phi) =
         incr cloned_phis;
-        added := !added +. (weight_of_uid phi.phi_uid *. float_of_int cost.cm_phi)
+        added := !added +. (weights.(block_index b) *. float_of_int cost.cm_phi)
       in
-      let on_opt2_check (ins : Ir.Instr.t) =
+      let on_opt2_check b (ins : Ir.Instr.t) =
         match (profile ins.uid, ins.dest) with
         | Some ck, Some d ->
           incr value_checks;
           added :=
-            !added +. (weight_of_uid ins.uid *. float_of_int (cost.cm_value_check ck));
+            !added
+            +. (weights.(block_index b) *. float_of_int (cost.cm_value_check ck));
           Hashtbl.replace value_checked d ()
         | _ -> ()
       in
@@ -177,28 +134,24 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
           ~on_phi:on_clone_phi ~on_clone:on_clone_instr ~on_stop:on_opt2_check
       in
       (* Walk every planned chain from its back-edge operands, placing a
-         latch dup-check whenever the shadow is non-trivial — the same
-         rule as [Duplicate.protect_state_var]. *)
+         latch dup-check whenever the shadow is non-trivial, as
+         [Transform.Duplicate] does. *)
       List.iter
-        (fun ((loop : Loops.loop), _header, (phi : Ir.Instr.phi)) ->
+        (fun ((phi : Ir.Instr.phi), back_edges) ->
           if Plan.mem_chain plan ~phi_uid:phi.Ir.Instr.phi_uid then
             List.iter
-              (fun latch_idx ->
-                let latch_lbl = Cfg.label cfg latch_idx in
-                List.iter
-                  (fun (lbl, op) ->
-                    if lbl = latch_lbl then
-                      match op with
-                      | Ir.Instr.Reg r ->
-                        if shadowed r then (
-                          incr dup_checks;
-                          added :=
-                            !added
-                            +. (weights.(latch_idx) *. float_of_int cost.cm_dup_check))
-                      | Ir.Instr.Imm _ -> ())
-                  phi.Ir.Instr.incoming)
-              loop.Loops.latches)
-        header_phis;
+              (fun (latch, op) ->
+                match op with
+                | Ir.Instr.Reg r ->
+                  if shadowed r then (
+                    incr dup_checks;
+                    added :=
+                      !added
+                      +. (weights.(Cfg.index cfg latch)
+                          *. float_of_int cost.cm_dup_check))
+                | Ir.Instr.Imm _ -> ())
+              back_edges)
+        chains;
       (* Stand-alone planned check sites.  A site the chain walk already
          turned into an Opt-2 check has its destination in
          [value_checked] and keeps its one check, as in the transform. *)

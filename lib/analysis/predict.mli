@@ -2,14 +2,15 @@
 
     Prices a {!Plan.t} without transforming, interpreting or injecting:
 
-    - {b SDC-prone fraction} — runs {!Plan.chain_walk}, the duplication
-      pass's chain walk over use-def edges, stopping at the plan's
-      terminators, to decide which original registers would end up
-      covered by a latch dup-check or an expected-value check, then
-      reuses the §11 AVF residency model (liveness live-in
-      residency × profiled block weights) to weight what remains
-      unprotected.  The denominator is fixed by the original program, so
-      adding chains to a plan can only shrink the estimate.
+    - {b SDC-prone fraction} — runs {!Plan.chain_walk}, the walk the
+      duplication pass builds its clones from, over each planned chain
+      of {!Plan.func_chains}, stopping at the plan's terminators, to
+      decide which original registers would end up covered by a latch
+      dup-check or an expected-value check, then weights what remains
+      unprotected by the §11 AVF residency model, {!Coverage.exposure}
+      (liveness live-in residency × profiled block weights).  The
+      denominator is fixed by the original program, so adding chains to
+      a plan can only shrink the estimate.
     - {b runtime overhead} — prices the would-be-inserted shadow
       instructions, checks and checkpoints with an injected cost model
       against the same block weights, including a steady-state
@@ -54,9 +55,9 @@ type estimate = {
     checks are inert, exactly as the transform would treat them.
 
     The function is staged.  [estimate ?exec_counts ?profile ~cost prog]
-    builds the program context once — use-def, CFG, liveness and loops
+    builds the program context once — use-def, CFG and state variables
     per function, block weights, the priced baseline, the step count and
-    the exposure table — and returns the pricing closure.  Each call of
+    the exposure rows — and returns the pricing closure.  Each call of
     that closure is independent: it allocates its own tables and reads
     the context only, so plans may be priced in any order and every
     estimate is bit-identical to a full application.  Price many plans

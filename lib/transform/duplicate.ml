@@ -2,12 +2,13 @@ open Ir
 
 (** Selective duplication of state-variable producer chains (paper §III-B).
 
-    For every state variable (loop-header phi) the pass clones the producer
-    chain feeding its back edges — recursively over use-def edges, cloning
-    intermediate phis as needed — and inserts a [Dup_check] at each back edge
-    comparing the original against the shadow value.  Chains terminate at
-    loads, calls, allocations and parameters (cloning loads would double
-    memory traffic; a corrupted address tends to trap instead, paper Fig. 7).
+    For every state variable (loop-header phi, {!Analysis.Plan.func_chains})
+    the pass clones the producer chain feeding its back edges — over
+    use-def edges by {!Analysis.Plan.chain_walk}, cloning intermediate phis
+    as needed — and inserts a [Dup_check] at each back edge comparing the
+    original against the shadow value.  Chains terminate at loads, calls,
+    allocations and parameters (cloning loads would double memory traffic;
+    a corrupted address tends to trap instead, paper Fig. 7).
 
     With a value profile supplied, Optimization 2 applies: when the chain
     walk reaches an instruction amenable to an expected-value check, the
@@ -26,143 +27,114 @@ let empty_stats () =
   { state_vars = 0; cloned_instrs = 0; cloned_phis = 0; dup_checks = 0;
     opt2_value_checks = 0 }
 
-type ctx = {
-  prog : Prog.t;
-  usedef : Analysis.Usedef.t;
-  shadow : (Instr.reg, Instr.operand) Hashtbl.t;
-  profile : (int -> Instr.check_kind option) option;
-  (** original-instruction uids that received an Opt-2 value check, so the
-      later stand-alone value-check pass does not re-check them *)
-  opt2_checked : (int, unit) Hashtbl.t;
-  stats : stats;
-}
+let check_instr prog kind =
+  { Instr.uid = Prog.fresh_uid prog; dest = None; kind;
+    origin = Instr.Check_insertion }
 
-let rec shadow_operand ctx (op : Instr.operand) =
+(* What both duplicating passes (this one and [Full_dup]) build from
+   [shadow], their table from original registers to clones: operand
+   shadows, and clone records that mint the clone's uid. *)
+let shadow_op shadow (op : Instr.operand) =
   match op with
-  | Imm v -> Instr.Imm v
-  | Reg r -> shadow_reg ctx r
+  | Reg r -> (
+    match Hashtbl.find_opt shadow r with Some s -> Instr.Reg s | None -> op)
+  | Imm _ -> op
 
-and shadow_reg ctx r =
-  match Hashtbl.find_opt ctx.shadow r with
-  | Some s -> s
-  | None ->
-    let s =
-      match Analysis.Usedef.def_of ctx.usedef r with
-      | None | Some Analysis.Usedef.Param -> Instr.Reg r
-      | Some (Analysis.Usedef.Phi_def (b, phi)) -> clone_phi ctx b phi
-      | Some (Analysis.Usedef.Instr_def (b, ins)) ->
-        if Analysis.Usedef.chain_terminator ins then Instr.Reg r
-        else begin
-          match opt2_check ctx ins with
-          | true -> Instr.Reg r
-          | false -> clone_instr ctx b ins r
-        end
-    in
-    Hashtbl.replace ctx.shadow r s;
-    s
+let shadow_incoming shadow (phi : Instr.phi) =
+  List.map (fun (lbl, op) -> (lbl, shadow_op shadow op)) phi.incoming
 
-(* Optimization 2: terminate the chain with a value check when profitable.
-   Returns true when a check was (or already had been) placed on [ins]. *)
-and opt2_check ctx (ins : Instr.t) =
-  match ctx.profile with
-  | None -> false
-  | Some profile ->
-    if Hashtbl.mem ctx.opt2_checked ins.uid then true
-    else begin
-      match profile ins.uid with
-      | None -> false
-      | Some ck ->
-        (match ins.dest with
-         | None -> false
-         | Some dest ->
-           let check =
-             { Instr.uid = Prog.fresh_uid ctx.prog; dest = None;
-               kind = Instr.Value_check (ck, Instr.Reg dest);
-               origin = Instr.Check_insertion }
-           in
-           (match Prog.find_instr ctx.prog ins.uid with
-            | Some (_, block, _) ->
-              Block.insert_after block ~after_uid:ins.uid [ check ];
-              Hashtbl.replace ctx.opt2_checked ins.uid ();
-              ctx.stats.opt2_value_checks <- ctx.stats.opt2_value_checks + 1;
-              true
-            | None -> false))
-    end
+let clone_phi prog (phi : Instr.phi) ~dest ~incoming =
+  { Instr.phi_uid = Prog.fresh_uid prog; phi_dest = dest; incoming;
+    phi_origin = Instr.Duplicated phi.phi_uid }
 
-and clone_phi ctx (b : Block.t) (phi : Instr.phi) =
-  let dest = Prog.fresh_reg ctx.prog in
-  (* Pre-register before recursing: loop-carried phis reference their own
-     producer chain (e.g. [crc = f(crc)] in the paper's Fig. 3). *)
-  Hashtbl.replace ctx.shadow phi.phi_dest (Instr.Reg dest);
-  let clone =
-    { Instr.phi_uid = Prog.fresh_uid ctx.prog; phi_dest = dest;
-      incoming = []; phi_origin = Instr.Duplicated phi.phi_uid }
-  in
-  b.phis <- b.phis @ [ clone ];
-  clone.incoming <-
-    List.map (fun (lbl, op) -> (lbl, shadow_operand ctx op)) phi.incoming;
-  ctx.stats.cloned_phis <- ctx.stats.cloned_phis + 1;
-  Instr.Reg dest
-
-and clone_instr ctx (b : Block.t) (ins : Instr.t) orig_reg =
-  let dest = Prog.fresh_reg ctx.prog in
-  Hashtbl.replace ctx.shadow orig_reg (Instr.Reg dest);
-  let shadowed = Instr.map_operands (shadow_operand ctx) ins in
-  let clone =
-    { shadowed with
-      uid = Prog.fresh_uid ctx.prog; dest = Some dest;
-      origin = Instr.Duplicated ins.uid }
-  in
-  Block.insert_after b ~after_uid:ins.uid [ clone ];
-  ctx.stats.cloned_instrs <- ctx.stats.cloned_instrs + 1;
-  Instr.Reg dest
-
-let protect_state_var ctx (sv : State_vars.state_var) =
-  ctx.stats.state_vars <- ctx.stats.state_vars + 1;
-  (* The back-edge walks below clone the producer web on demand — chains
-     that pass through the header phi clone it through recursion.  Cloning
-     the phi eagerly instead would strand an orphan shadow (duplication
-     cost, no detection) whenever every back-edge chain terminates
-     immediately, e.g. on a load. *)
-  (* Compare original vs shadow where the back edge leaves the body. *)
-  List.iter
-    (fun (latch_lbl, op) ->
-      match op with
-      | Instr.Imm _ -> ()
-      | Instr.Reg r ->
-        let s = shadow_reg ctx r in
-        if s <> Instr.Reg r then begin
-          let latch = Func.find_block sv.func latch_lbl in
-          let check =
-            { Instr.uid = Prog.fresh_uid ctx.prog; dest = None;
-              kind = Instr.Dup_check (Instr.Reg r, s);
-              origin = Instr.Check_insertion }
-          in
-          Block.append latch [ check ];
-          ctx.stats.dup_checks <- ctx.stats.dup_checks + 1
-        end)
-    sv.back_edges
+let clone_instr prog shadow (ins : Instr.t) ~dest =
+  { (Instr.map_operands (shadow_op shadow) ins) with
+    uid = Prog.fresh_uid prog; dest = Some dest;
+    origin = Instr.Duplicated ins.uid }
 
 (** Run selective duplication over the whole program.  [profile], when
     given, enables Optimization 2.  [select], when given, restricts the
-    pass to the state variables it accepts — protection plans use it to
-    duplicate an arbitrary chain subset.  Returns statistics and the set
-    of uids that received a value check during duplication. *)
+    pass to the state-variable phis it accepts — protection plans use it
+    to duplicate an arbitrary chain subset.  Returns statistics and the
+    set of uids that received a value check during duplication.
+
+    Registers and uids are minted in the walk's order: a phi clone's
+    register and uid before its operands are walked, an instruction
+    clone's register before and its uid after.  The back-edge walks clone
+    the producer web on demand, so a header phi is cloned only when a
+    chain reaches it; cloning it eagerly would strand an orphan shadow
+    (duplication cost, no detection) whenever every back-edge chain
+    terminates at once, e.g. on a load. *)
 let run ?profile ?select (prog : Prog.t) =
   let stats = empty_stats () in
   let opt2_checked = Hashtbl.create 16 in
   List.iter
-    (fun func ->
-      let svs = State_vars.of_func func in
-      let svs =
-        match select with None -> svs | Some keep -> List.filter keep svs
+    (fun (func : Func.t) ->
+      let chains = Analysis.Plan.func_chains func in
+      let chains =
+        match select with
+        | None -> chains
+        | Some keep -> List.filter (fun (phi, _) -> keep phi) chains
       in
-      if svs <> [] then begin
-        let ctx =
-          { prog; usedef = Analysis.Usedef.compute func;
-            shadow = Hashtbl.create 64; profile; opt2_checked; stats }
+      if chains <> [] then begin
+        let shadow = Hashtbl.create 64 in
+        let phi_clones = ref [] in
+        let on_phi (b : Block.t) (phi : Instr.phi) =
+          let dest = Prog.fresh_reg prog in
+          Hashtbl.replace shadow phi.phi_dest dest;
+          let clone = clone_phi prog phi ~dest ~incoming:[] in
+          b.phis <- b.phis @ [ clone ];
+          phi_clones := (phi, clone) :: !phi_clones;
+          stats.cloned_phis <- stats.cloned_phis + 1
         in
-        List.iter (protect_state_var ctx) svs
+        let on_clone (b : Block.t) (ins : Instr.t) =
+          let dest = Prog.fresh_reg prog in
+          Option.iter (fun r -> Hashtbl.replace shadow r dest) ins.dest;
+          fun () ->
+            Block.insert_after b ~after_uid:ins.uid
+              [ clone_instr prog shadow ins ~dest ];
+            stats.cloned_instrs <- stats.cloned_instrs + 1
+        in
+        (* Optimization 2: the walk stops at a check-shaped instruction,
+           which gets a value check on its original value. *)
+        let check_kind (ins : Instr.t) =
+          match profile with Some p when ins.dest <> None -> p ins.uid | _ -> None
+        in
+        let on_stop (b : Block.t) (ins : Instr.t) =
+          match (check_kind ins, ins.dest) with
+          | Some ck, Some dest ->
+            Block.insert_after b ~after_uid:ins.uid
+              [ check_instr prog (Instr.Value_check (ck, Instr.Reg dest)) ];
+            Hashtbl.replace opt2_checked ins.uid ();
+            stats.opt2_value_checks <- stats.opt2_value_checks + 1
+          | _ -> ()
+        in
+        let walk =
+          Analysis.Plan.chain_walk (Analysis.Usedef.compute func)
+            ~memo:(Hashtbl.create 64)
+            ~stop:(fun ins -> check_kind ins <> None)
+            ~on_phi ~on_clone ~on_stop
+        in
+        (* Compare original vs shadow where each back edge leaves the
+           body. *)
+        List.iter
+          (fun (_, back_edges) ->
+            stats.state_vars <- stats.state_vars + 1;
+            List.iter
+              (fun (latch, op) ->
+                match op with
+                | Instr.Reg r when walk r ->
+                  Block.append (Func.find_block func latch)
+                    [ check_instr prog (Instr.Dup_check (op, shadow_op shadow op)) ];
+                  stats.dup_checks <- stats.dup_checks + 1
+                | Instr.Reg _ | Instr.Imm _ -> ())
+              back_edges)
+          chains;
+        (* Every operand's shadow is settled once the walks are done. *)
+        List.iter
+          (fun (phi, (clone : Instr.phi)) ->
+            clone.incoming <- shadow_incoming shadow phi)
+          !phi_clones
       end)
     prog.funcs;
   (stats, opt2_checked)

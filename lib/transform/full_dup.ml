@@ -21,15 +21,7 @@ let clonable (ins : Instr.t) =
   | Load _ | Store _ | Alloc _ | Call _ | Dup_check _ | Value_check _ -> false
 
 let run_func prog (func : Func.t) ~stats =
-  let shadow : (Instr.reg, Instr.operand) Hashtbl.t = Hashtbl.create 128 in
-  let shadow_op (op : Instr.operand) =
-    match op with
-    | Imm v -> Instr.Imm v
-    | Reg r ->
-      (match Hashtbl.find_opt shadow r with
-       | Some s -> s
-       | None -> Instr.Reg r)
-  in
+  let shadow = Hashtbl.create 128 in
   (* Pass 1: pre-register clone registers for every clonable def and every
      phi, so that forward references through back edges resolve. *)
   let phi_clones = ref [] in
@@ -39,7 +31,7 @@ let run_func prog (func : Func.t) ~stats =
         (fun (phi : Instr.phi) ->
           if phi.phi_origin = Instr.From_source then begin
             let dest = Prog.fresh_reg prog in
-            Hashtbl.replace shadow phi.phi_dest (Instr.Reg dest);
+            Hashtbl.replace shadow phi.phi_dest dest;
             phi_clones := (b, phi, dest) :: !phi_clones
           end)
         b.phis;
@@ -47,7 +39,7 @@ let run_func prog (func : Func.t) ~stats =
         (fun (ins : Instr.t) ->
           if clonable ins then
             match ins.dest with
-            | Some r -> Hashtbl.replace shadow r (Instr.Reg (Prog.fresh_reg prog))
+            | Some r -> Hashtbl.replace shadow r (Prog.fresh_reg prog)
             | None -> ())
         b.body)
     func;
@@ -55,20 +47,17 @@ let run_func prog (func : Func.t) ~stats =
   List.iter
     (fun (b, (phi : Instr.phi), dest) ->
       let clone =
-        { Instr.phi_uid = Prog.fresh_uid prog; phi_dest = dest;
-          incoming = List.map (fun (lbl, op) -> (lbl, shadow_op op)) phi.incoming;
-          phi_origin = Instr.Duplicated phi.phi_uid }
+        Duplicate.clone_phi prog phi ~dest
+          ~incoming:(Duplicate.shadow_incoming shadow phi)
       in
       b.Block.phis <- b.Block.phis @ [ clone ];
       stats.cloned_phis <- stats.cloned_phis + 1)
     (List.rev !phi_clones);
   (* Pass 3: materialize instruction clones and insert checks. *)
   let mk_check a =
-    match a, shadow_op a with
+    match a, Duplicate.shadow_op shadow a with
     | Instr.Reg _, s when s <> a ->
-      Some
-        { Instr.uid = Prog.fresh_uid prog; dest = None;
-          kind = Instr.Dup_check (a, s); origin = Instr.Check_insertion }
+      Some (Duplicate.check_instr prog (Instr.Dup_check (a, s)))
     | (Instr.Reg _ | Instr.Imm _), _ -> None
   in
   Func.iter_blocks
@@ -81,18 +70,9 @@ let run_func prog (func : Func.t) ~stats =
             match ins.dest with
             | None -> ()
             | Some r ->
-              let dest =
-                match Hashtbl.find shadow r with
-                | Instr.Reg d -> d
-                | Instr.Imm _ -> assert false
-              in
-              let shadowed = Instr.map_operands shadow_op ins in
-              let clone =
-                { shadowed with
-                  uid = Prog.fresh_uid prog; dest = Some dest;
-                  origin = Instr.Duplicated ins.uid }
-              in
-              Block.insert_after b ~after_uid:ins.uid [ clone ];
+              Block.insert_after b ~after_uid:ins.uid
+                [ Duplicate.clone_instr prog shadow ins
+                    ~dest:(Hashtbl.find shadow r) ];
               stats.cloned_instrs <- stats.cloned_instrs + 1
           end
           else begin

@@ -89,9 +89,7 @@ let of_plan ?profile ?(lint = false) (prog : Prog.t) (plan : Analysis.Plan.t) =
          (fun (c : Analysis.Plan.chain) -> c.Analysis.Plan.ch_phi_uid)
          plan.Analysis.Plan.chains)
   in
-  let select (sv : State_vars.state_var) =
-    chain_set sv.State_vars.phi.Instr.phi_uid
-  in
+  let select (phi : Instr.phi) = chain_set phi.Instr.phi_uid in
   let d, opt2_checked = Duplicate.run ?profile:term_profile ~select prog in
   (* Stand-alone checks are not placed yet, so stage 1 lints against the
      plan with its check list emptied. *)
@@ -129,7 +127,8 @@ let protect ?profile ?(opt1 = true) ?(opt2 = true) ?(lint = false)
     if lint then Analysis.Lint.run ~expect ?profile prog
   in
   let unplanned ~duplicated_instrs ~dup_checks ~value_checks =
-    { technique; original_instrs; state_vars = State_vars.count_prog prog;
+    { technique; original_instrs;
+      state_vars = List.length (Analysis.Plan.candidate_chains prog);
       duplicated_instrs; dup_checks; value_checks }
   in
   let stats =

@@ -163,9 +163,8 @@ let test_producer_chain_handles_cycles () =
   let prog = diamond_loop_prog () in
   let f = Prog.find_func prog "main" in
   let ud = Analysis.Usedef.compute f in
-  let svs = Transform.State_vars.of_func f in
   List.iter
-    (fun (sv : Transform.State_vars.state_var) ->
+    (fun (_, back_edges) ->
       List.iter
         (fun (_, op) ->
           match op with
@@ -173,8 +172,8 @@ let test_producer_chain_handles_cycles () =
             let chain, _ = Analysis.Usedef.producer_chain ud r in
             Alcotest.(check bool) "chain finite" true (List.length chain < 100)
           | Instr.Imm _ -> ())
-        sv.back_edges)
-    svs
+        back_edges)
+    (Analysis.Plan.func_chains f)
 
 (* An irreducible CFG: the cycle a <-> b has two entry points, so neither
    node dominates the other and no back edge targets a dominator.  Natural

@@ -139,6 +139,74 @@ let test_ranked_regs_unprotected_first () =
   Alcotest.(check int) "limit respected" 5
     (List.length (C.ranked_regs ~limit:5 cov))
 
+(* ----- the exposure model ----- *)
+
+(* One row per parameter and defined register, in register order, each
+   summing the weights of the blocks it is live into: an unused
+   parameter keeps a zero row. *)
+let test_exposure_rows () =
+  let prog =
+    Ir.Parser.parse
+      "func @main(%r0, %r1) {\n\
+       entry:\n\
+      \  %r2 = add %r0, 1\n\
+      \  jmp exit\n\
+       exit:\n\
+      \  ret %r2\n\
+       }\n"
+  in
+  let cfg = Analysis.Cfg.of_func (Ir.Prog.find_func prog "main") in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "rows" [ (0, 3.0); (1, 0.0); (2, 5.0) ]
+    (C.exposure ~weights:[| 3.0; 5.0 |] cfg)
+
+(* ----- pinned output ----- *)
+
+(* Status counts, every register row with its exposure (bit-exact, %h)
+   and the SDC-prone fraction of one analysis. *)
+let coverage_digest (cov : C.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s, n) -> Printf.bprintf b "%s %d\n" (C.status_name s) n)
+    cov.C.by_status;
+  List.iter
+    (fun (r : C.reg_row) ->
+      Printf.bprintf b "%s %d %s %h\n" r.C.r_func r.C.r_reg
+        (C.status_name r.C.r_status) r.C.r_exposure)
+    cov.C.regs;
+  Printf.bprintf b "%h\n" cov.C.sdc_prone_fraction;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every workload under three techniques, with uniform block weights and
+   with the block counts of a profiled golden run; recorded before the
+   exposure model was shared with the predictor. *)
+let test_coverage_digests_pinned () =
+  let pinned =
+    In_channel.with_open_text "fixtures/coverage_digests.txt"
+      In_channel.input_lines
+  in
+  let actual =
+    List.concat_map
+      (fun (w : Workloads.Workload.t) ->
+        List.concat_map
+          (fun (config, technique) ->
+            let p = Softft.protect w technique in
+            let prof = Interp.Profile.create () in
+            let (_ : Faults.Campaign.golden) =
+              Softft.golden ~profile:prof p ~role:Workloads.Workload.Test
+            in
+            let exec_counts = Interp.Profile.func_block_counts prof in
+            [ Printf.sprintf "%s %s static %s" w.Workloads.Workload.name
+                config (coverage_digest (C.analyze p.Softft.prog));
+              Printf.sprintf "%s %s dynamic %s" w.Workloads.Workload.name
+                config (coverage_digest (C.analyze ~exec_counts p.Softft.prog)) ])
+          [ ("orig", Softft.Original); ("dupval", Softft.Dup_valchk);
+            ("full", Softft.Full_dup) ])
+      Workloads.Registry.all
+  in
+  Alcotest.(check int) "78 analyses" 78 (List.length actual);
+  Alcotest.(check (list string)) "coverage output unchanged" pinned actual
+
 let tests =
   [ Alcotest.test_case "classifies 100% of instructions" `Slow
       test_classifies_every_instruction;
@@ -154,4 +222,8 @@ let tests =
       test_dynamic_weights_from_profile;
     Alcotest.test_case "ranking: vulnerable first" `Quick
       test_ranked_regs_unprotected_first;
+    Alcotest.test_case "exposure: a row per parameter and definition" `Quick
+      test_exposure_rows;
+    Alcotest.test_case "coverage output: digests pinned" `Quick
+      test_coverage_digests_pinned;
   ]

@@ -48,13 +48,13 @@ let crc_args = [ Value.of_int 0xBEEF; Value.of_int 100 ]
 
 let test_state_vars_found () =
   let prog = build_crc_prog () in
-  let svs = Transform.State_vars.of_prog prog in
+  let svs = List.concat_map Analysis.Plan.func_chains prog.Prog.funcs in
   (* Two loops (table init, crc), each with at least the index phi;
      the crc loop also carries the crc accumulator. *)
   Alcotest.(check int) "state variables" 3 (List.length svs);
   List.iter
-    (fun (sv : Transform.State_vars.state_var) ->
-      Alcotest.(check bool) "has a back edge" true (sv.back_edges <> []))
+    (fun (_, back_edges) ->
+      Alcotest.(check bool) "has a back edge" true (back_edges <> []))
     svs
 
 let test_state_vars_none_in_straightline () =
@@ -63,7 +63,7 @@ let test_state_vars_none_in_straightline () =
   Builder.ret b (Builder.add b (Builder.param b 0) (Builder.imm 1));
   Builder.finish b;
   Alcotest.(check int) "no loops, no state vars" 0
-    (Transform.State_vars.count_prog prog)
+    (List.length (Analysis.Plan.candidate_chains prog))
 
 (* ----- semantic preservation ----- *)
 

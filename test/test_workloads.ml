@@ -43,7 +43,7 @@ let test_programs_have_state_vars () =
     Alcotest.(check bool)
       (Printf.sprintf "%s has state variables" w.name)
       true
-      (Transform.State_vars.count_prog prog > 0))
+      (Analysis.Plan.candidate_chains prog <> []))
 
 let test_golden_runs_both_roles () =
   foreach_workload (fun w ->
