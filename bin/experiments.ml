@@ -470,7 +470,7 @@ let run_campaign (w : Workloads.Workload.t) technique adaptive ci trials max_tri
            "    #%d %-13s band %d [%d,%d)  mass %.4f  trials %4d  SDC %s\n"
            s.Faults.Campaign.st_id s.st_group_name s.st_band s.st_lo
            s.st_hi s.st_mass ss.ss_trials
-           (Obs.Stats.pp_pct (Obs.Stats.wilson ~k ~n:ss.ss_trials ())))
+           (Obs.Stats.pp_pct (Obs.Stats.wilson ~k ~n:ss.ss_trials)))
        ad.ad_strata;
      Printf.printf "  SDC rate (reweighted): %.4f [%.4f, %.4f]\n"
        ad.ad_sdc.Obs.Stats.ci_estimate ad.ad_sdc.ci_low ad.ad_sdc.ci_high;
@@ -815,16 +815,23 @@ let lint_cmd =
   Cmd.v (Cmd.info "lint" ~doc) Term.(const run_lint $ benchmarks_arg)
 
 (* Rebuild the protected program a journal manifest describes, when its
-   label and technique name a registered workload.  Protection pipelines
+   label names a registered workload and its technique a fixed pipeline,
+   or "Planned" with the manifest's plan document.  Protection pipelines
    are deterministic, so the rebuilt program — and hence its warehouse
    digest and coverage map — matches the one the campaign ran. *)
 let protected_of_manifest manifest =
-  let pretty_technique =
+  let technique =
+    Option.bind (Obs.Json.member "technique" manifest) Obs.Json.to_str
+  in
+  let fixed =
     List.find_opt
-      (fun t ->
-        Option.bind (Obs.Json.member "technique" manifest) Obs.Json.to_str
-        = Some (Softft.technique_name t))
+      (fun t -> technique = Some (Softft.technique_name t))
       Softft.extended_techniques
+  in
+  let plan =
+    if technique = Some (Softft.technique_name Softft.Planned) then
+      Option.bind (Obs.Json.member "plan" manifest) Analysis.Plan.of_json
+    else None
   in
   let workload =
     Option.bind (Obs.Json.member "label" manifest) Obs.Json.to_str
@@ -833,11 +840,14 @@ let protected_of_manifest manifest =
            | Some i -> String.sub label 0 i
            | None -> label)
   in
-  match workload, pretty_technique with
-  | Some name, Some technique ->
-    (try Some (Softft.protect (Workloads.Registry.find name) technique)
-     with _ -> None)
-  | _, _ -> None
+  let protect name =
+    let w = Workloads.Registry.find name in
+    match fixed, plan with
+    | Some t, _ -> Some (Softft.protect w t)
+    | None, Some plan -> Some (Softft.protect_plan w plan)
+    | None, None -> None
+  in
+  Option.bind workload (fun name -> try protect name with _ -> None)
 
 let coverage_of_manifest manifest =
   Option.map

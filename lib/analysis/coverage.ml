@@ -343,16 +343,6 @@ let ranked_regs ?limit t =
   | None -> ranked
   | Some k -> List.filteri (fun i _ -> i < k) ranked
 
-let instr_fraction t statuses =
-  if t.total_instrs = 0 then 0.0
-  else
-    let n =
-      List.fold_left
-        (fun acc (s, c) -> if List.mem s statuses then acc + c else acc)
-        0 t.by_status
-    in
-    float_of_int n /. float_of_int t.total_instrs
-
 (* First classification wins: [regs] lists a slot once per function it is
    live in, and the program-wide numbering means later duplicates are the
    same physical slot seen from another frame. *)

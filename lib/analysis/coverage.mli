@@ -86,9 +86,6 @@ val analyze : ?exec_counts:(string -> int array option) -> Ir.Prog.t -> t
     ranking is deterministic run-to-run. *)
 val ranked_regs : ?limit:int -> t -> reg_row list
 
-(** Fraction of instructions whose status is in [statuses]. *)
-val instr_fraction : t -> status list -> float
-
 (** [reg_status t] is a lookup from program-wide register code to its
     classified status (first classification wins, matching the journal
     join convention); [None] for slots the analysis never saw. *)

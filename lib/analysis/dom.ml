@@ -55,13 +55,3 @@ let dominates t a b =
 
 let idom t node = if node = t.cfg.entry then None else
     (if t.idom.(node) < 0 then None else Some t.idom.(node))
-
-(** Children lists of the dominator tree. *)
-let children t =
-  let n = Array.length t.idom in
-  let kids = Array.make n [] in
-  for node = 0 to n - 1 do
-    if node <> t.cfg.entry && t.idom.(node) >= 0 then
-      kids.(t.idom.(node)) <- node :: kids.(t.idom.(node))
-  done;
-  kids

@@ -114,10 +114,3 @@ let live_in t label =
 let live_out t label =
   let i = Cfg.index t.cfg label in
   Hashtbl.fold (fun r () acc -> r :: acc) t.live_out.(i) [] |> List.sort compare
-
-(** Peak number of simultaneously live registers across block boundaries —
-    a proxy for register pressure. *)
-let max_pressure t =
-  Array.fold_left
-    (fun acc tbl -> max acc (Hashtbl.length tbl))
-    0 t.live_in

@@ -16,7 +16,6 @@ type loop = {
 type t = {
   cfg : Cfg.t;
   loops : loop list;           (** outermost first, then by header id *)
-  loop_of_header : (int, loop) Hashtbl.t;
 }
 
 let natural_loop (cfg : Cfg.t) ~header ~latches =
@@ -69,23 +68,7 @@ let compute (cfg : Cfg.t) =
              outer.header <> l.header && List.mem l.header outer.body)
            raw_loops)
   in
-  let loops = List.map (fun l -> { l with depth = depth_of l }) raw_loops in
-  let loop_of_header = Hashtbl.create 8 in
-  List.iter (fun l -> Hashtbl.replace loop_of_header l.header l) loops;
-  { cfg; loops; loop_of_header }
-
-let is_header t node = Hashtbl.mem t.loop_of_header node
-
-(** Innermost loop containing [node], if any. *)
-let innermost_containing t node =
-  List.fold_left
-    (fun best l ->
-      if List.mem node l.body then
-        match best with
-        | None -> Some l
-        | Some b -> if l.depth > b.depth then Some l else best
-      else best)
-    None t.loops
+  { cfg; loops = List.map (fun l -> { l with depth = depth_of l }) raw_loops }
 
 (** Header phi nodes of every loop: the paper's state variables. *)
 let header_phis t =

@@ -256,6 +256,35 @@ let to_json p =
       ("terminators", Obs.Json.List (List.map site_json p.terminators));
       ("checks", Obs.Json.List (List.map site_json p.checks)) ]
 
+let of_json j =
+  let open Obs.Json in
+  let str key o = Option.bind (member key o) to_str in
+  let int key o = Option.bind (member key o) to_int in
+  (* Every element must read back, or the whole plan is rejected. *)
+  let list key f =
+    Option.bind (Option.bind (member key j) to_list) (fun l ->
+      let items = List.filter_map f l in
+      if List.length items = List.length l then Some items else None)
+  in
+  let chain o =
+    match str "func" o, int "phi_uid" o with
+    | Some ch_func, Some ch_phi_uid -> Some { ch_func; ch_phi_uid }
+    | _, _ -> None
+  in
+  let site o =
+    match str "func" o, int "uid" o with
+    | Some vs_func, Some vs_uid -> Some { vs_func; vs_uid }
+    | _, _ -> None
+  in
+  match
+    ( str "schema" j, int "checkpoint" j, list "chains" chain,
+      list "terminators" site, list "checks" site )
+  with
+  | Some s, Some checkpoint, Some chains, Some terminators, Some checks
+    when s = schema ->
+    Some { chains; terminators; checks; checkpoint }
+  | _ -> None
+
 let to_string p = Obs.Json.to_string (to_json p)
 
 let slug p =

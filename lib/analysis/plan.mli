@@ -143,4 +143,8 @@ val schema : string
 
 val to_json : t -> Obs.Json.t
 
+(** Inverse of {!to_json} on normalized plans; [None] for a document of
+    another schema or with a malformed field. *)
+val of_json : Obs.Json.t -> t option
+
 val to_string : t -> string

@@ -11,47 +11,27 @@ type def_site =
   | Phi_def of Ir.Block.t * Ir.Instr.phi
   | Instr_def of Ir.Block.t * Ir.Instr.t
 
-type t = {
-  func : Ir.Func.t;
-  defs : (Ir.Instr.reg, def_site) Hashtbl.t;
-  uses : (Ir.Instr.reg, int list) Hashtbl.t;  (** reg -> uids of users *)
-}
+type t = { defs : (Ir.Instr.reg, def_site) Hashtbl.t }
 
 let compute (f : Ir.Func.t) =
   let defs = Hashtbl.create 64 in
-  let uses = Hashtbl.create 64 in
-  let add_use r uid =
-    let old = try Hashtbl.find uses r with Not_found -> [] in
-    Hashtbl.replace uses r (uid :: old)
-  in
   List.iter (fun r -> Hashtbl.replace defs r Param) f.params;
   Ir.Func.iter_blocks
     (fun b ->
       List.iter
         (fun (phi : Ir.Instr.phi) ->
-          Hashtbl.replace defs phi.phi_dest (Phi_def (b, phi));
-          List.iter
-            (fun (_, op) ->
-              match op with
-              | Ir.Instr.Reg r -> add_use r phi.phi_uid
-              | Ir.Instr.Imm _ -> ())
-            phi.incoming)
+          Hashtbl.replace defs phi.phi_dest (Phi_def (b, phi)))
         b.phis;
       Array.iter
         (fun (ins : Ir.Instr.t) ->
-          (match ins.dest with
-           | Some r -> Hashtbl.replace defs r (Instr_def (b, ins))
-           | None -> ());
-          List.iter (fun r -> add_use r ins.uid) (Ir.Instr.uses ins))
+          match ins.dest with
+          | Some r -> Hashtbl.replace defs r (Instr_def (b, ins))
+          | None -> ())
         b.body)
-    f
-
-  ;
-  { func = f; defs; uses }
+    f;
+  { defs }
 
 let def_of t r = Hashtbl.find_opt t.defs r
-
-let uses_of t r = try Hashtbl.find t.uses r with Not_found -> []
 
 (** Whether the producer chain stops at this definition instead of recursing:
     loads (memory traffic), calls, allocs (side effects) and constants. *)

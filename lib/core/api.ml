@@ -47,7 +47,7 @@ let protect ?params ?opt1 ?opt2 ?lint
   let profile =
     match technique with
     | Dup_valchk | Dup_valchk_cfc ->
-      let p = Workloads.Workload.profile ?params ~role:profile_role ~prog w in
+      let p = Workloads.Workload.profile ~role:profile_role ~prog w in
       Some (fun uid -> Profiling.Value_profile.check_kind ?params p uid)
     | Original | Dup_only | Full_dup | Cfc_only | Planned -> None
   in
@@ -68,7 +68,7 @@ let protect_plan ?params ?lint ?(profile_role = Workloads.Workload.Train)
   let profile =
     if plan.Analysis.Plan.terminators <> [] || plan.Analysis.Plan.checks <> []
     then
-      let p = Workloads.Workload.profile ?params ~role:profile_role ~prog w in
+      let p = Workloads.Workload.profile ~role:profile_role ~prog w in
       Some (fun uid -> Profiling.Value_profile.check_kind ?params p uid)
     else None
   in
@@ -118,10 +118,10 @@ let overhead ?baseline (p : protected) ~role =
     unchanged, trials gain propagation summaries); [trace] attaches the
     campaign flight recorder (phase/worker/chunk duration spans, rendered
     with {!Obs.Trace.to_chrome}). *)
-let campaign ?hw_window ?seed ?(trials = 1000) ?domains ?checkpoint_interval
+let campaign ?seed ?(trials = 1000) ?domains ?checkpoint_interval
     ?taint_trace ?profile ?stats_out ?warehouse ?progress ?trace
     (p : protected) ~role =
-  Faults.Campaign.run ?hw_window ?seed ?domains ?checkpoint_interval
+  Faults.Campaign.run ?seed ?domains ?checkpoint_interval
     ?taint_trace ?profile ?stats_out ?warehouse ?progress ?trace
     (subject p ~role) ~trials
 

@@ -105,7 +105,6 @@ val overhead :
     {!Faults.Campaign.run}'s observation-only telemetry hooks, and
     [warehouse] is its run-filing sink. *)
 val campaign :
-  ?hw_window:int ->
   ?seed:int ->
   ?trials:int ->
   ?domains:int ->

@@ -28,14 +28,15 @@ let find_cell r technique =
       (Printf.sprintf "no %s cell for %s"
          (Api.technique_name technique) r.workload.name)
 
-(** Run the full evaluation matrix.  [trials] is per (workload, technique);
-    the paper uses 1000.  [domains] parallelizes each campaign over OCaml 5
+(** Run the full evaluation matrix on the test input.  [trials] is per
+    (workload, technique); the paper uses 1000.  [domains] parallelizes each campaign over OCaml 5
     domains without changing any result (see {!Faults.Campaign.run}).
     [log] is a structured {!Obs.Log} logger; every campaign emits a start
     event and a completion event carrying its wall-clock timings. *)
-let evaluate ?(trials = 200) ?(seed = 0xC0FFEE) ?(role = Workloads.Workload.Test)
+let evaluate ?(trials = 200) ?(seed = 0xC0FFEE)
     ?(techniques = Api.all_techniques) ?(log = Obs.Log.null)
     ?domains workloads =
+  let role = Workloads.Workload.Test in
   List.map
     (fun (w : Workloads.Workload.t) ->
       let baseline = ref None in
@@ -529,7 +530,7 @@ type recovery_row = {
   rc_mean_ckpts : float;    (** mean checkpoints taken per trial *)
 }
 
-(** Sweep the checkpoint interval on one protected workload: the runtime
+(** Sweep the checkpoint interval on one Dup + val chks workload: the runtime
     cost of checkpointing more often against the fraction of
     software-detected faults that become transparent recoveries.  The
     paper's §IV-D argument — detection latencies are almost always under
@@ -537,10 +538,9 @@ type recovery_row = {
     recovers nearly every detection while keeping overhead low.  The first
     returned row is the recovery-off baseline. *)
 let recovery ?(trials = 300) ?(seed = 0x5EC0) ?domains
-    ?(technique = Api.Dup_valchk) ?(intervals = [ 250; 500; 1000; 2000; 4000 ])
     (w : Workloads.Workload.t) =
   let role = Workloads.Workload.Test in
-  let p = Api.protect w technique in
+  let p = Api.protect w Api.Dup_valchk in
   let base = Api.golden p ~role in
   let row interval =
     let summary, trial_list =
@@ -571,7 +571,7 @@ let recovery ?(trials = 300) ?(seed = 0x5EC0) ?domains
           (List.map (fun (t : Campaign.trial) -> t.Campaign.checkpoints)
              trial_list) }
   in
-  row 0 :: List.map row intervals
+  row 0 :: List.map row [ 250; 500; 1000; 2000; 4000 ]
 
 let print_recovery w rows =
   Report.print
@@ -720,8 +720,8 @@ let to_csv results =
           let p o = Campaign.percent c.summary o in
           Buffer.add_string buf
             (Printf.sprintf "%s,%s,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%d,%d,%d,%d,%d,%d\n"
-               (Report.csv_field r.workload.Workloads.Workload.name)
-               (Report.csv_field (Api.technique_name c.technique))
+               (Obs.Csv.field r.workload.Workloads.Workload.name)
+               (Obs.Csv.field (Api.technique_name c.technique))
                c.summary.trials (p Classify.Masked) (p Classify.Asdc)
                (p Classify.Usdc_large) (p Classify.Usdc_small)
                (p Classify.Sw_detect) (p Classify.Hw_detect)

@@ -44,10 +44,10 @@ type frontier = {
 }
 
 (** {!Analysis.Predict.cost_model} wired to the interpreter's
-    {!Interp.Cost} constants.  [checkpoint_words] approximates the words a
-    checkpoint copies (live registers + undo log seal); the interpreter
-    charges the exact snapshot size, the predictor a fixed estimate. *)
-let cost_model ?(checkpoint_words = 256) () =
+    {!Interp.Cost} constants.  A checkpoint is priced at 256 words, an
+    estimate of what it copies (live registers + undo log seal); the
+    interpreter charges the exact snapshot size. *)
+let cost_model () =
   {
     Predict.cm_instr = Interp.Cost.instr;
     cm_phi = Interp.Cost.phi;
@@ -59,7 +59,7 @@ let cost_model ?(checkpoint_words = 256) () =
     cm_shadow_slot = Interp.Cost.shadow_slot;
     cm_slack_gain = Interp.Cost.slack_gain;
     cm_slack_cost = Interp.Cost.slack_cost;
-    cm_checkpoint_cycles = Interp.Cost.checkpoint ~words:checkpoint_words;
+    cm_checkpoint_cycles = Interp.Cost.checkpoint ~words:256;
   }
 
 (* Non-dominated subset, overhead ascending with strictly decreasing SDC;
@@ -302,13 +302,13 @@ type validation = {
   vl_adaptive : Faults.Campaign.adaptive;
 }
 
-(** Run a targeted adaptive campaign (PR 8 machinery) against each point's
-    plan, executed on a fresh build of [w].  [on_run] fires per point with
+(** Run a targeted adaptive campaign (DESIGN.md §14) against each point's
+    plan, executed on a fresh build of [w] with the test input.  [on_run] fires per point with
     the protected build and the raw campaign artifacts so callers can
     journal or warehouse them. *)
-let validate ?(seed = 42) ?domains ?(ci = 0.03) ?max_trials
-    ?(role = Workloads.Workload.Test)
-    ?on_run (w : Workloads.Workload.t) (points : point list) =
+let validate ?(seed = 42) ?domains ?(ci = 0.03) ?max_trials ?on_run
+    (w : Workloads.Workload.t) (points : point list) =
+  let role = Workloads.Workload.Test in
   let baseline =
     let orig = Api.protect w Api.Original in
     Api.golden orig ~role
@@ -403,15 +403,3 @@ let frontier_json (fr : frontier) =
               Obs.Json.Obj
                 [ ("fixed", Obs.Json.Str f); ("by", Obs.Json.Str by) ])
             fr.fr_dominated_fixed)) ]
-
-let validation_json (v : validation) =
-  Obs.Json.Obj
-    [ ("label", Obs.Json.Str v.vl_point.op_label);
-      ("predicted_sdc", Obs.Json.Float (sdc v.vl_point));
-      ("predicted_overhead", Obs.Json.Float (overhead v.vl_point));
-      ("measured_sdc", Obs.Json.Float v.vl_measured_sdc.Obs.Stats.ci_estimate);
-      ("measured_sdc_low", Obs.Json.Float v.vl_measured_sdc.Obs.Stats.ci_low);
-      ("measured_sdc_high", Obs.Json.Float v.vl_measured_sdc.Obs.Stats.ci_high);
-      ("measured_overhead", Obs.Json.Float v.vl_measured_overhead);
-      ("trials", Obs.Json.Int v.vl_trials);
-      ("plan", Plan.to_json v.vl_point.op_plan) ]

@@ -46,29 +46,7 @@ let print ~title ~header ~rows =
   Printf.printf "\n== %s ==\n%s\n" title (render ~header ~rows)
 
 let pct v = Printf.sprintf "%.1f%%" v
-let pct2 v = Printf.sprintf "%.2f%%" v
 let frac_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
-
-(** RFC 4180 CSV field: quoted only when it contains a comma, quote or
-    line break, with inner quotes doubled — plain numbers pass through
-    unchanged, so well-formed existing exports keep their exact bytes. *)
-let csv_field s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  then begin
-    let buf = Buffer.create (String.length s + 8) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-  else s
-
-(** One CSV line (no trailing newline) from already-stringified cells. *)
-let csv_row cells = String.concat "," (List.map csv_field cells)
 
 open Faults
 
@@ -108,10 +86,10 @@ let journal_outcome_rows ?stats (views : Faults.Journal.view list) =
               (match (f "lo", f "hi") with
                | Some lo, Some hi -> (lo, hi)
                | _ ->
-                 let iv = Obs.Stats.wilson ~k:n ~n:trials () in
+                 let iv = Obs.Stats.wilson ~k:n ~n:trials in
                  (iv.Obs.Stats.ci_low, iv.Obs.Stats.ci_high))
             | None ->
-              let iv = Obs.Stats.wilson ~k:n ~n:trials () in
+              let iv = Obs.Stats.wilson ~k:n ~n:trials in
               (iv.Obs.Stats.ci_low, iv.Obs.Stats.ci_high)
           in
           Printf.sprintf "[%.1f, %.1f]" (100.0 *. fst iv) (100.0 *. snd iv)
@@ -277,9 +255,9 @@ let journal_check_csv (views : Faults.Journal.view list) =
   List.iter
     (fun row ->
       (* The table rows are already plain numbers plus a % suffix;
-         [csv_row] still quotes anything that would break the format. *)
+         [Obs.Csv.row] still quotes anything that would break the format. *)
       Buffer.add_string buf
-        (csv_row
+        (Obs.Csv.row
            (List.map
               (fun cell ->
                 match String.index_opt cell '%' with
@@ -492,22 +470,11 @@ let print_journal_propagation taints =
     program: one line per retained event with its distance from the
     injection and the instruction it flowed through. *)
 let render_taint_events prog (s : Interp.Taint.summary) =
-  let instr_text = Hashtbl.create 256 in
-  Ir.Prog.iter_funcs
-    (fun f ->
-      Ir.Func.iter_instrs
-        (fun ins ->
-          Hashtbl.replace instr_text ins.Ir.Instr.uid
-            (String.trim (Format.asprintf "%a" Ir.Printer.pp_instr ins)))
-        f)
-    prog;
+  let instr_text = Ir.Printer.instr_text prog in
   List.map
     (fun (e : Interp.Taint.event) ->
       let site =
-        if e.ev_uid >= 0 then
-          match Hashtbl.find_opt instr_text e.ev_uid with
-          | Some t -> t
-          | None -> Printf.sprintf "#%d" e.ev_uid
+        if e.ev_uid >= 0 then instr_text e.ev_uid
         else if e.ev_addr >= 0 then Printf.sprintf "mem[%d]" e.ev_addr
         else ""
       in
@@ -555,7 +522,7 @@ let print_journal_adaptive ad =
             (Option.value ~default:0.0
                (Option.bind (Obs.Json.member "mass" s) Obs.Json.to_float));
           string_of_int n;
-          Obs.Stats.pp_pct (Obs.Stats.wilson ~k:sdc_k ~n ()) ])
+          Obs.Stats.pp_pct (Obs.Stats.wilson ~k:sdc_k ~n) ])
       strata
   in
   print ~title:"Adaptive stratification (journal v5)"
@@ -635,7 +602,7 @@ let print_journal_report ~manifest (views : Faults.Journal.view list) =
 
 (* ----- Execution-profile report (Interp.Profile) ----- *)
 
-let print_profile ?(block_limit = 12) (p : Interp.Profile.t) =
+let print_profile (p : Interp.Profile.t) =
   print ~title:"Dynamic opcode mix"
     ~header:[ "opcode class"; "dynamic count"; "share" ]
     ~rows:
@@ -651,7 +618,7 @@ let print_profile ?(block_limit = 12) (p : Interp.Profile.t) =
       (List.map
          (fun (func, block, n) ->
            [ func; string_of_int block; string_of_int n ])
-         (Interp.Profile.hot_blocks ~limit:block_limit p));
+         (Interp.Profile.hot_blocks p));
   match Interp.Profile.check_rows p with
   | [] -> ()
   | rows ->
@@ -684,7 +651,7 @@ let coverage_status_rows (cov : Analysis.Coverage.t) =
         pct (100.0 *. float_of_int n /. float_of_int total) ])
     coverage_statuses
 
-let coverage_reg_rows ?(limit = 12) (cov : Analysis.Coverage.t) =
+let coverage_reg_rows (cov : Analysis.Coverage.t) =
   List.map
     (fun (r : Analysis.Coverage.reg_row) ->
       [ r.r_func;
@@ -693,7 +660,7 @@ let coverage_reg_rows ?(limit = 12) (cov : Analysis.Coverage.t) =
         Printf.sprintf "%.0f" r.r_exposure;
         pct
           (100.0 *. r.r_exposure /. Float.max 1.0 cov.exposure_total) ])
-    (Analysis.Coverage.ranked_regs ~limit cov)
+    (Analysis.Coverage.ranked_regs ~limit:12 cov)
 
 let print_coverage ~label (cov : Analysis.Coverage.t) =
   print
@@ -720,7 +687,7 @@ let coverage_csv (cov : Analysis.Coverage.t) =
   List.iter
     (fun (r : Analysis.Coverage.instr_row) ->
       Buffer.add_string buf
-        (csv_row
+        (Obs.Csv.row
            [ r.i_func; r.i_block; string_of_int r.i_uid; r.i_desc;
              Analysis.Coverage.status_name r.i_status ]);
       Buffer.add_char buf '\n')
@@ -734,7 +701,7 @@ let coverage_reg_csv (cov : Analysis.Coverage.t) =
   List.iter
     (fun (r : Analysis.Coverage.reg_row) ->
       Buffer.add_string buf
-        (csv_row
+        (Obs.Csv.row
            [ r.r_func; string_of_int r.r_reg;
              Analysis.Coverage.status_name r.r_status;
              Printf.sprintf "%.1f" r.r_exposure ]);
@@ -797,7 +764,7 @@ let print_journal_strata (cov : Analysis.Coverage.t)
     (views : Faults.Journal.view list) =
   let strata = journal_strata cov views in
   let ci_cell ~k ~n =
-    let iv = Obs.Stats.wilson ~k ~n () in
+    let iv = Obs.Stats.wilson ~k ~n in
     Printf.sprintf "%s [%.1f, %.1f]"
       (pct (100.0 *. iv.Obs.Stats.ci_estimate))
       (100.0 *. iv.Obs.Stats.ci_low)

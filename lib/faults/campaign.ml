@@ -320,17 +320,12 @@ let trial_config ~fault ~disabled ~profile ~checkpoint_interval ~taint_trace
     disabled_checks = disabled;
     profile; checkpoint_interval; taint_trace }
 
-(** Run one fault-injection trial.  [compiled] lets campaigns lower the
-    subject program once and share it across all trials (and domains); when
-    omitted it is looked up in the per-program compile cache. *)
-let run_trial ?(fault_kind = Interp.Machine.Register_bit) ?compiled ?profile
+(** Run one fault-injection trial from scratch, on the subject program's
+    entry in the per-program compile cache. *)
+let run_trial ?(fault_kind = Interp.Machine.Register_bit) ?profile
     ?(checkpoint_interval = 0) ?(taint_trace = false) subject
     ~(golden : golden) ~disabled ~hw_window ~seed =
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Interp.Compiled.cached subject.prog
-  in
+  let compiled = Interp.Compiled.cached subject.prog in
   let at_step, fault = trial_plan ~fault_kind ~golden ~seed in
   let state = subject.fresh_state () in
   let config =
@@ -375,7 +370,7 @@ let rejoins () =
    captures no snapshots, so its trials all run from the pristine image. *)
 let run_trial_in ?profile ~plan:(at_step, fault) ~compiled
     ~checkpoint_interval ~taint_trace ~(ctx : worker_ctx) ~golden_fork
-    ~rejoins subject ~(golden : golden) ~disabled ~hw_window ~seed =
+    ~rejoins subject ~(golden : golden) ~disabled ~seed =
   let state = ctx.wc_state in
   let resume =
     match golden_fork with
@@ -402,7 +397,8 @@ let run_trial_in ?profile ~plan:(at_step, fault) ~compiled
      if result.settled then Atomic.incr rejoins.rj_settled;
      ignore (Atomic.fetch_and_add rejoins.rj_steps (result.steps - step))
    | None -> ());
-  finish_trial subject ~golden ~hw_window ~seed ~at_step ~state result
+  finish_trial subject ~golden ~hw_window:Classify.default_hw_window ~seed
+    ~at_step ~state result
 
 (** All trial seeds, derived from the master RNG *before* any trial runs.
     This is the campaign determinism contract: seed assignment depends only
@@ -484,7 +480,7 @@ type run_stats = {
    also receives.
    [budget] bounds the campaign's trials (0 leaves the fork snapshots
    unused). *)
-let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
+let engine ?trace ~domains ~checkpoint_interval ~taint_trace
     ~fork ~fork_stride ~profile ~budget ~stats_out ~warehouse subject ~draw =
   let t_start = Unix.gettimeofday () in
   (* The golden also runs with checkpointing so its cycle count carries the
@@ -538,7 +534,7 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
           let t =
             run_trial_in ?profile ~plan ~compiled ~checkpoint_interval
               ~taint_trace ~ctx:(get_ctx ()) ~golden_fork ~rejoins subject
-              ~golden ~disabled ~hw_window ~seed
+              ~golden ~disabled ~seed
           in
           (match progress with
            | Some pg -> Progress.note ?stratum pg t.outcome
@@ -611,13 +607,13 @@ let engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
     bit-identical to an untraced campaign, each trial just additionally
     carries its propagation summary.  The golden run stays untraced —
     without an injection there is nothing to seed. *)
-let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
+let run ?(seed = 0xC0FFEE)
     ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
     ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
     ?(fork_stride = first_fork_stride) ?profile ?stats_out ?warehouse
     ?progress ?trace subject ~trials =
   let summary, results, () =
-    engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace
+    engine ?trace ~domains ~checkpoint_interval ~taint_trace
       ~fork ~fork_stride ~profile ~budget:trials ~stats_out
       ~warehouse:(Option.map (fun file s r st () -> file s r st) warehouse)
       subject
@@ -871,7 +867,7 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
      the quadrature lemma ({!Obs.Stats.stratified}), all strata at or
      below [ci] puts the combined half width at or below [ci]. *)
   let stratum_half i =
-    half (Obs.Stats.wilson ~k:(sdc_k i) ~n:ns.(i) ())
+    half (Obs.Stats.wilson ~k:(sdc_k i) ~n:ns.(i))
   in
   let rev_trials = ref [] in
   (* Allocation → batch: the batch is drawn serially (stratum ascending,
@@ -1006,13 +1002,13 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
          planned at worst-case variance p = 0.5 — the repo's standing
          margin-of-error convention — to *guarantee* the target width. *)
       ad_equiv_uniform =
-        Obs.Stats.equivalent_uniform_trials ~p:0.5 ~half_width:ci ();
+        Obs.Stats.equivalent_uniform_trials ~p:0.5 ~half_width:ci;
       (* The oracle comparison: uniform trials that would match the
          achieved width given advance knowledge of the observed rate —
          the honest lower bound reported next to the headline. *)
       ad_oracle_uniform =
         Obs.Stats.equivalent_uniform_trials ~p:sdc.ci_estimate
-          ~half_width:achieved_half () }
+          ~half_width:achieved_half }
   in
   (List.rev !rev_trials, adaptive)
 
@@ -1030,14 +1026,13 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
     [Analysis.Strata], but any partition works), [group_names] labels
     them, [priors] seeds each group's variance estimate with a static
     SDC-proneness guess before any trial has run. *)
-let run_adaptive ?(hw_window = Classify.default_hw_window)
-    ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
+let run_adaptive ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
     ?(taint_trace = false) ?(fork = true) ?(fork_stride = first_fork_stride)
     ?stats_out ?warehouse ?progress_for ?trace ?(bands = 3)
     ?(max_trials = 100_000)
     ~groups ~group_names ~priors ~ci subject =
   let ci = Float.max 1e-4 ci in
-  engine ?trace ~hw_window ~domains ~checkpoint_interval ~taint_trace ~fork
+  engine ?trace ~domains ~checkpoint_interval ~taint_trace ~fork
     ~fork_stride ~profile:None ~budget:max_trials ~stats_out
     ~warehouse subject
     ~draw:(fun ~golden ~compiled ->

@@ -104,12 +104,10 @@ val percent_many : summary -> Classify.outcome list -> float
     {!run}'s forked trials are bit-identical to.  With the seed
     [derive_seeds ~seed ~trials].(i) it reproduces trial [i] of a uniform
     campaign (what [experiments trace-fault --trial] replays); also used
-    by the image-pipeline example.  [compiled] lets
-    a driver lower the subject program once and reuse it across trials;
-    when omitted the per-program compile cache is consulted. *)
+    by the image-pipeline example.  The subject program is lowered once
+    per program, through the compile cache. *)
 val run_trial :
   ?fault_kind:Interp.Machine.fault_kind ->
-  ?compiled:Interp.Compiled.t ->
   ?profile:Interp.Profile.t ->
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
@@ -199,7 +197,6 @@ type run_stats = {
     campaign with [profile] set (a profiled trial must observe its whole
     execution, not just the post-fork suffix). *)
 val run :
-  ?hw_window:int ->
   ?seed:int ->
   ?fault_kind:Interp.Machine.fault_kind ->
   ?domains:int ->
@@ -324,7 +321,6 @@ type adaptive = {
     observation-only — the [warehouse] filing sink additionally receives
     the {!adaptive} result so a v5 run files with its strata intact. *)
 val run_adaptive :
-  ?hw_window:int ->
   ?seed:int ->
   ?domains:int ->
   ?checkpoint_interval:int ->

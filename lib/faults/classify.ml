@@ -98,35 +98,12 @@ let classify ~hw_window ~(result : Interp.Machine.result)
          | None -> Usdc_small
        end)
 
-(* Groupings used by the paper's different figures. *)
-
-(** Figure 11 collapses ASDCs into Masked.  A recovered trial ends with
-    bit-identical output, so it lands in the Masked bucket; an
-    unrecoverable one is still a software detection (the check fired, the
-    system just could not transparently repair). *)
-let fig11_bucket = function
-  | Masked | Asdc | Recovered -> "Masked"
-  | Usdc_large | Usdc_small -> "USDC"
-  | Sw_detect | Unrecoverable -> "SWDetect"
-  | Hw_detect -> "HWDetect"
-  | Failure -> "Failure"
+(* Outcome groupings. *)
 
 let is_sdc = function
   | Asdc | Usdc_large | Usdc_small -> true
   | Masked | Sw_detect | Hw_detect | Failure | Recovered | Unrecoverable ->
     false
-
-let is_usdc = function
-  | Usdc_large | Usdc_small -> true
-  | Masked | Asdc | Sw_detect | Hw_detect | Failure | Recovered
-  | Unrecoverable -> false
-
-(** Fault coverage as the paper defines it: Masked + SWDetect + HWDetect
-    (the system continues or can trigger recovery).  Recovered and
-    Unrecoverable both started as software detections, so both count. *)
-let is_covered = function
-  | Masked | Asdc | Sw_detect | Hw_detect | Recovered | Unrecoverable -> true
-  | Usdc_large | Usdc_small | Failure -> false
 
 let group_of_name name =
   match of_name name with

@@ -45,14 +45,7 @@ val classify :
   acceptable:(unit -> bool) ->
   outcome
 
-(** Figure 11 collapses ASDCs into Masked. *)
-val fig11_bucket : outcome -> string
-
 val is_sdc : outcome -> bool
-val is_usdc : outcome -> bool
-
-(** Fault coverage as the paper defines it: Masked + SWDetect + HWDetect. *)
-val is_covered : outcome -> bool
 
 (** The four-way grouping every join of journal outcomes against static
     coverage tallies: [`Sdc] (ASDC and both USDCs), [`Detected]

@@ -138,7 +138,7 @@ let final_stats_json ~trials counts =
        (fun ((o : Classify.outcome), k) ->
          if k = 0 then None
          else begin
-           let iv = Stats.wilson ~k ~n:trials () in
+           let iv = Stats.wilson ~k ~n:trials in
            Some
              ( Classify.name o,
                Json.Obj

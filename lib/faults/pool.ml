@@ -71,19 +71,9 @@ let with_gc tuning f =
     not depend on call order.  [domains <= 1] (or [n <= 1]) degenerates to
     a plain in-order serial loop with no domain spawned.  [stats] receives
     the per-worker timing/work record — observation only, the output array
-    never depends on it.  [chunk] forces fixed-size chunks; by default
-    workers claim guided (decreasing) chunks.  [gc] applies a per-domain
-    GC tuning for the duration of the call. *)
-let map ?chunk ?gc ?stats ?progress ?trace ~domains f n =
-  (* Global completed-trial counter behind [?progress]; shared across
-     workers so the hook sees one monotone 1..n sequence regardless of how
-     chunks interleave. *)
-  let completed = Atomic.make 0 in
-  let notify () =
-    match progress with
-    | None -> ()
-    | Some p -> p (Atomic.fetch_and_add completed 1 + 1)
-  in
+    never depends on it.  Workers claim guided (decreasing) chunks.  [gc]
+    applies a per-domain GC tuning for the duration of the call. *)
+let map ?gc ?stats ?trace ~domains f n =
   if n = 0 then begin
     put_stats stats
       { st_domains = 0; st_chunk = 0; st_wall = [||]; st_items = [||] };
@@ -100,10 +90,8 @@ let map ?chunk ?gc ?stats ?progress ?trace ~domains f n =
             (fun () ->
               let first = f 0 in
               let out = Array.make n first in
-              notify ();
               for i = 1 to n - 1 do
-                out.(i) <- f i;
-                notify ()
+                out.(i) <- f i
               done;
               out)
         in
@@ -112,30 +100,18 @@ let map ?chunk ?gc ?stats ?progress ?trace ~domains f n =
             st_wall = [| Unix.gettimeofday () -. t0 |]; st_items = [| n |] };
         out)
     else begin
-      (* [Some c]: fixed-size chunks of c.  [None]: guided self-scheduling
-         (see {!guided_size}); [st_chunk] then reports the first claim's
-         size. *)
-      let fixed = Option.map (max 1) chunk in
-      let claim next =
-        match fixed with
-        | Some c -> (Atomic.fetch_and_add next c, c)
-        | None ->
-          let rec go () =
-            let cur = Atomic.get next in
-            if cur >= n then (cur, 1)
-            else begin
-              let size = guided_size ~domains ~n cur in
-              if Atomic.compare_and_set next cur (cur + size) then (cur, size)
-              else go ()
-            end
-          in
-          go ()
+      (* Guided self-scheduling (see {!guided_size}); [st_chunk] reports
+         the first claim's size. *)
+      let rec claim next =
+        let cur = Atomic.get next in
+        if cur >= n then (cur, 1)
+        else begin
+          let size = guided_size ~domains ~n cur in
+          if Atomic.compare_and_set next cur (cur + size) then (cur, size)
+          else claim next
+        end
       in
-      let chunk =
-        match fixed with
-        | Some c -> c
-        | None -> guided_size ~domains ~n 0
-      in
+      let chunk = guided_size ~domains ~n 0 in
       let out = Array.make n None in
       let next = Atomic.make 0 in
       (* Cooperative cancellation: the first worker whose [f] raises sets
@@ -186,8 +162,7 @@ let map ?chunk ?gc ?stats ?progress ?trace ~domains f n =
                       (fun () ->
                         for i = start to min (start + size) n - 1 do
                           out.(i) <- Some (f i);
-                          done_ := !done_ + 1;
-                          notify ()
+                          done_ := !done_ + 1
                         done)
                 end
               done

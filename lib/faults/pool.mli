@@ -11,12 +11,12 @@ val recommended_domains : unit -> int
 
 (** What one {!map} call actually did — the observability record that
     makes parallel-overhead regressions diagnosable (DESIGN.md §8):
-    per-worker wall time and work share, plus the chunking parameter.
+    per-worker wall time and work share, plus the first chunk's size.
     Worker 0 is the calling domain. *)
 type stats = {
   st_domains : int;        (** workers used, after clamping to [n] *)
-  st_chunk : int;          (** fixed chunk size, or the first guided
-                               claim's size under guided scheduling *)
+  st_chunk : int;          (** the first guided claim's size ([n] on the
+                               serial path) *)
   st_wall : float array;   (** per-worker busy wall seconds *)
   st_items : int array;    (** per-worker indices executed *)
 }
@@ -39,11 +39,10 @@ val campaign_gc_tuning : gc_tuning
 (** [map ~domains f n] is [\[| f 0; f 1; ...; f (n-1) |\]], computed by
     [domains] workers.  [f] must be safe to call from any domain and must
     not depend on call order.  [domains <= 1] (or [n <= 1]) degenerates to
-    a plain in-order serial loop with no domain spawned.  By default
-    workers claim guided (decreasing-size) chunks — large claims early to
-    amortize the atomic, single items at the tail so a straggler bounds
-    the finish-line imbalance by one index; [chunk] forces fixed-size
-    chunks instead.  [gc] applies a per-domain {!gc_tuning} for the
+    a plain in-order serial loop with no domain spawned.  Workers claim
+    guided (decreasing-size) chunks — large claims early to amortize the
+    atomic, single items at the tail so a straggler bounds the
+    finish-line imbalance by one index.  [gc] applies a per-domain {!gc_tuning} for the
     duration of the call (observation-free: the output never depends on
     it).  If [f] raises, the other workers cooperatively stop at their
     next chunk boundary (no further chunks are claimed), every domain is
@@ -51,19 +50,14 @@ val campaign_gc_tuning : gc_tuning
     neither hangs nor silently drains the remaining index space.  When
     [stats] is given it receives the run's {!stats}
     (also on the degenerate serial path); timing is observation-only and
-    does not affect the output.  [progress] is called once per completed
-    index with the global completed count (a monotone [1..n] sequence); it
-    runs on whichever worker domain finished the index, so it must be
-    thread-safe, and — like [stats] — never affects the output.  [trace]
+    does not affect the output.  [trace]
     attaches a flight recorder: one [pool/worker] duration span per
     worker lifetime and one [pool/chunk] span per chunk claim, each on
     the worker's track — the gaps between chunk spans on a track are the
     pool's idle time.  Also observation-only. *)
 val map :
-  ?chunk:int ->
   ?gc:gc_tuning ->
   ?stats:stats option ref ->
-  ?progress:(int -> unit) ->
   ?trace:Obs.Trace.recorder ->
   domains:int ->
   (int -> 'a) ->

@@ -169,7 +169,7 @@ let nonzero_counts snap = List.filter (fun (_, n) -> n > 0) snap.pg_counts
 
 (* Wilson 95% interval per observed outcome — streamed straight off the
    counters, so every heartbeat carries its own uncertainty. *)
-let outcome_ci snap (_, k) = Stats.wilson ~k ~n:snap.pg_done ()
+let outcome_ci snap (_, k) = Stats.wilson ~k ~n:snap.pg_done
 
 let stderr_sink () : sink =
  fun snap ->

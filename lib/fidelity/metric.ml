@@ -60,12 +60,13 @@ let psnr ?(peak = 255.0) ~reference signal =
     else 10.0 *. (log10 ((peak *. peak) /. mse))
   end
 
-(** Segmental SNR: mean of per-segment SNRs (dB), segments of [seg] samples.
+(** Segmental SNR: mean of per-segment SNRs (dB), segments of 64 samples.
     Standard speech-quality metric; per-segment SNR is clamped to
-    [0, clamp_db] before averaging, to keep silent or error-free segments
+    [0, 100] dB before averaging, to keep silent or error-free segments
     from dominating.  The clamp sits above the 80 dB acceptance threshold
     so that a localized corruption does not automatically fail the run. *)
-let segmental_snr ?(seg = 64) ?(clamp_db = 100.0) ~reference signal =
+let segmental_snr ~reference signal =
+  let seg = 64 and clamp_db = 100.0 in
   check_lengths "segmental_snr" reference signal;
   let n = Array.length reference in
   if n = 0 then clamp_db

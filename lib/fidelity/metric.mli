@@ -33,12 +33,11 @@ val spec_to_string : spec -> string
     [infinity].  Raises [Invalid_argument] on length mismatch. *)
 val psnr : ?peak:float -> reference:float array -> float array -> float
 
-(** Segmental SNR: mean of per-segment SNRs (dB) over segments of [seg]
-    samples, each clamped into [0, clamp_db].  The clamp sits above the
-    80 dB acceptance threshold so a localized corruption does not
-    automatically fail the whole run. *)
-val segmental_snr :
-  ?seg:int -> ?clamp_db:float -> reference:float array -> float array -> float
+(** Segmental SNR: mean of per-segment SNRs (dB) over 64-sample segments,
+    each clamped into [0, 100].  The clamp sits above the 80 dB acceptance
+    threshold so a localized corruption does not automatically fail the
+    whole run. *)
+val segmental_snr : reference:float array -> float array -> float
 
 (** Fraction of cells whose values differ (exact comparison). *)
 val mismatch_fraction : reference:float array -> float array -> float

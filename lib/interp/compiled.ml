@@ -259,8 +259,6 @@ let find_func t name =
   | Some i -> t.funcs.(i)
   | None -> invalid_arg (Printf.sprintf "no function %S" name)
 
-let find_func_index t name = Hashtbl.find_opt t.func_index name
-
 (* ----- per-program memoization ----- *)
 
 (* Campaigns compile once and run thousands of trials against the result,

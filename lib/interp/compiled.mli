@@ -105,5 +105,3 @@ val cached : Ir.Prog.t -> t
 (** [find_func t name] mirrors {!Ir.Prog.find_func}, including the
     [Invalid_argument] it raises for unknown names. *)
 val find_func : t -> string -> cfunc
-
-val find_func_index : t -> string -> int option

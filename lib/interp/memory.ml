@@ -130,8 +130,6 @@ type mark = {
     rolled back, so enable before the run's first store. *)
 let enable_undo t = t.undo_on <- true
 
-let undo_enabled t = t.undo_on
-
 (** Total (absolute) undo entries recorded since journaling began. *)
 let undo_length t = t.undo_off + t.undo_len
 
@@ -276,27 +274,11 @@ let addr_of_value v =
 
 (* Bulk transfer helpers used by workload harnesses. *)
 
-let write_values t base arr =
-  Array.iteri (fun i v -> store t (base + i) v) arr
-
 let write_ints t base arr =
   Array.iteri (fun i n -> store t (base + i) (Value.of_int n)) arr
 
 let write_floats t base arr =
   Array.iteri (fun i f -> store t (base + i) (Value.of_float f)) arr
-
-let read_values t base n = Array.init n (fun i -> load t (base + i))
-
-let read_ints t base n =
-  Array.init n (fun i -> Value.to_int (load t (base + i)))
-
-let read_floats t base n =
-  Array.init n (fun i -> Value.to_float (load t (base + i)))
-
-(** Tolerant reads for possibly fault-corrupted output regions: any value
-    kind is projected onto the reals, never raising. *)
-let read_reals t base n =
-  Array.init n (fun i -> Value.to_real (load t (base + i)))
 
 let read_ints_tolerant t base n =
   Array.init n (fun i ->

@@ -100,7 +100,7 @@ let opcode_rows t =
   done;
   List.stable_sort (fun (_, a) (_, b) -> compare b a) !rows
 
-let hot_blocks ?(limit = 10) t =
+let hot_blocks t =
   let rows = ref [] in
   Hashtbl.iter
     (fun name counts ->
@@ -114,7 +114,7 @@ let hot_blocks ?(limit = 10) t =
         match compare nb na with 0 -> compare (fa, ia) (fb, ib) | c -> c)
       !rows
   in
-  List.filteri (fun i _ -> i < limit) sorted
+  List.filteri (fun i _ -> i < 12) sorted
 
 let func_block_counts t func =
   Option.map Array.copy (Hashtbl.find_opt t.block_counts func)

@@ -39,8 +39,8 @@ val total_instrs : t -> int
 (** Opcode classes with nonzero dynamic counts, heaviest first. *)
 val opcode_rows : t -> (string * int) list
 
-(** [(func, block_index, executions)], hottest first, at most [limit]. *)
-val hot_blocks : ?limit:int -> t -> (string * int * int) list
+(** [(func, block_index, executions)], the 12 hottest, hottest first. *)
+val hot_blocks : t -> (string * int * int) list
 
 (** [(check_uid, executed, fired)] for every check that executed,
     by uid. *)

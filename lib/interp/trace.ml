@@ -36,23 +36,9 @@ let first_values ?config ?(limit = 100) prog ~entry ~args ~mem =
 
 (** Render events with their defining instructions. *)
 let render prog events =
-  (* uid -> rendered instruction, computed once. *)
-  let instr_text = Hashtbl.create 256 in
-  Prog.iter_funcs
-    (fun f ->
-      Func.iter_instrs
-        (fun ins ->
-          Hashtbl.replace instr_text ins.Instr.uid
-            (String.trim (Format.asprintf "%a" Printer.pp_instr ins)))
-        f)
-    prog;
+  let instr_text = Printer.instr_text prog in
   List.map
     (fun e ->
-      let text =
-        match Hashtbl.find_opt instr_text e.uid with
-        | Some t -> t
-        | None -> Printf.sprintf "#%d" e.uid
-      in
-      Printf.sprintf "%5d  %-60s -> %s" e.ordinal text
+      Printf.sprintf "%5d  %-60s -> %s" e.ordinal (instr_text e.uid)
         (Value.to_string e.value))
     events

@@ -73,9 +73,6 @@ let sdiv t a b = binop t Opcode.Sdiv a b
 let srem t a b = binop t Opcode.Srem a b
 let and_ t a b = binop t Opcode.And a b
 let or_ t a b = binop t Opcode.Or a b
-let xor t a b = binop t Opcode.Xor a b
-let shl t a b = binop t Opcode.Shl a b
-let lshr t a b = binop t Opcode.Lshr a b
 let ashr t a b = binop t Opcode.Ashr a b
 let fadd t a b = binop t Opcode.Fadd a b
 let fsub t a b = binop t Opcode.Fsub a b
@@ -84,10 +81,8 @@ let fdiv t a b = binop t Opcode.Fdiv a b
 
 let unop t op a = value t (Instr.Unop (op, a))
 let neg t a = unop t Opcode.Neg a
-let fneg t a = unop t Opcode.Fneg a
 let float_of_int t a = unop t Opcode.Float_of_int a
 let int_of_float t a = unop t Opcode.Int_of_float a
-let fsqrt t a = unop t Opcode.Fsqrt a
 let fabs t a = unop t Opcode.Fabs a
 
 let icmp t op a b = value t (Instr.Icmp (op, a, b))
@@ -95,11 +90,9 @@ let fcmp t op a b = value t (Instr.Fcmp (op, a, b))
 let eq t a b = icmp t Opcode.Ieq a b
 let ne t a b = icmp t Opcode.Ine a b
 let lt t a b = icmp t Opcode.Islt a b
-let le t a b = icmp t Opcode.Isle a b
 let gt t a b = icmp t Opcode.Isgt a b
 let ge t a b = icmp t Opcode.Isge a b
 let flt t a b = fcmp t Opcode.Flt a b
-let fle t a b = fcmp t Opcode.Fle a b
 let fgt t a b = fcmp t Opcode.Fgt a b
 let fge t a b = fcmp t Opcode.Fge a b
 
@@ -108,15 +101,12 @@ let const t v = value t (Instr.Const v)
 let load t addr = value t (Instr.Load addr)
 let store t addr v = emit t ~dest:None (Instr.Store (addr, v))
 let alloc t n = value t (Instr.Alloc n)
-let call t name args = value t (Instr.Call (name, args))
-let call_void t name args = emit t ~dest:None (Instr.Call (name, args))
 
 (* Array element access with word-addressed memory. *)
 let geti t base i = load t (add t base i)
 let seti t base i v = store t (add t base i) v
 
 let ret t v = terminate t (Instr.Ret (Some v))
-let ret_void t = terminate t (Instr.Ret None)
 let jmp t label = terminate t (Instr.Jmp label)
 let br t cond ~if_true ~if_false = terminate t (Instr.Br (cond, if_true, if_false))
 

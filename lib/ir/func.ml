@@ -37,11 +37,6 @@ let iter_blocks f t = List.iter f t.blocks
 let iter_instrs f t =
   List.iter (fun (b : Block.t) -> Array.iter f b.body) t.blocks
 
-let iter_phis f t =
-  List.iter
-    (fun (b : Block.t) -> List.iter (fun phi -> f b phi) b.phis)
-    t.blocks
-
 (** Static instruction count: phis + body instructions of every block. *)
 let instr_count t =
   List.fold_left (fun acc b -> acc + Block.instr_count b) 0 t.blocks

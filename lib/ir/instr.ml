@@ -63,8 +63,6 @@ type phi = {
   phi_origin : origin;
 }
 
-let defines t = t.dest
-
 (** Operands read by an instruction, in syntactic order. *)
 let operands t =
   match t.kind with
@@ -107,17 +105,6 @@ let produces_value t =
   | (Icmp _ | Fcmp _ | Const _ | Alloc _ | Call _), _ -> false
   | (Store _ | Dup_check _ | Value_check _), _ -> false
   | (Binop _ | Unop _ | Load _ | Select _), None -> false
-
-let is_check t =
-  match t.kind with
-  | Dup_check _ | Value_check _ -> true
-  | Binop _ | Unop _ | Icmp _ | Fcmp _ | Select _ | Const _
-  | Load _ | Store _ | Alloc _ | Call _ -> false
-
-let is_duplicate t =
-  match t.origin with
-  | Duplicated _ -> true
-  | From_source | Check_insertion -> false
 
 let terminator_targets = function
   | Ret _ -> []

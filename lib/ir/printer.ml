@@ -76,4 +76,21 @@ let pp_prog ppf (p : Prog.t) =
   List.iter (fun f -> fprintf ppf "%a@\n" pp_func f) p.funcs
 
 let prog_to_string p = asprintf "%a" pp_prog p
-let func_to_string f = asprintf "%a" pp_func f
+
+(** [instr_text p] renders instructions by uid: a body instruction of [p]
+    as {!pp_instr} writes it, trimmed, and any other uid as ["#uid"].  The
+    uid table is built once, when [instr_text p] is applied. *)
+let instr_text (p : Prog.t) =
+  let text = Hashtbl.create 256 in
+  Prog.iter_funcs
+    (fun f ->
+      Func.iter_instrs
+        (fun ins ->
+          Hashtbl.replace text ins.Instr.uid
+            (String.trim (asprintf "%a" pp_instr ins)))
+        f)
+    p;
+  fun uid ->
+    match Hashtbl.find_opt text uid with
+    | Some t -> t
+    | None -> Printf.sprintf "#%d" uid

@@ -47,23 +47,7 @@ let find_func t name =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "no function %S" name)
 
-let mem_func t name = Hashtbl.mem t.by_name name
-
 let iter_funcs f t = List.iter f t.funcs
 
 let instr_count t =
   List.fold_left (fun acc f -> acc + Func.instr_count f) 0 t.funcs
-
-(** Find the instruction with the given uid, with its function and block. *)
-let find_instr t uid =
-  let found = ref None in
-  iter_funcs
-    (fun f ->
-      Func.iter_blocks
-        (fun b ->
-          Array.iter
-            (fun (ins : Instr.t) -> if ins.uid = uid then found := Some (f, b, ins))
-            b.body)
-        f)
-    t;
-  !found

@@ -137,9 +137,3 @@ let verify (p : Prog.t) =
     Hashtbl.replace seen_uid uid ()
   in
   Prog.iter_funcs (fun f -> verify_func f ~seen_uid ~check_uid) p
-
-(** Boolean form for tests. *)
-let is_valid p =
-  match verify p with
-  | () -> true
-  | exception Invalid _ -> false

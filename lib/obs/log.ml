@@ -8,14 +8,6 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type event = {
@@ -29,8 +21,8 @@ type event = {
 type sink = event -> unit
 
 (* Level and sinks live in a core record shared between a logger and its
-   children, so reconfiguring either is visible to the whole family. *)
-type core = { mutable level : level; mutable sinks : sink list }
+   children, so a sink added to either reaches the whole family. *)
+type core = { level : level; mutable sinks : sink list }
 type t = { core : core; component : string }
 
 let make ?(level = Info) ?(sinks = []) component =
@@ -38,7 +30,6 @@ let make ?(level = Info) ?(sinks = []) component =
 
 let null = make ~level:Error "null"
 let child t name = { t with component = t.component ^ "/" ^ name }
-let set_level t level = t.core.level <- level
 let add_sink t sink = t.core.sinks <- t.core.sinks @ [ sink ]
 
 let enabled t level =
@@ -61,9 +52,7 @@ let log t level ?(fields = []) message =
       (fun () -> List.iter (fun sink -> sink ev) t.core.sinks)
   end
 
-let debug t ?fields message = log t Debug ?fields message
 let info t ?fields message = log t Info ?fields message
-let warn t ?fields message = log t Warn ?fields message
 let error t ?fields message = log t Error ?fields message
 
 let event_to_json ev =

@@ -13,9 +13,6 @@ type level = Debug | Info | Warn | Error
 
 val level_name : level -> string
 
-(** Case-insensitive; [None] for unknown names. *)
-val level_of_string : string -> level option
-
 type event = {
   ts : float;  (** Unix seconds, {!Unix.gettimeofday} *)
   level : level;
@@ -35,21 +32,17 @@ val make : ?level:level -> ?sinks:sink list -> string -> t
 (** Shared no-op logger: the default for library entry points. *)
 val null : t
 
-(** Same sinks and level as the parent (shared, so later
-    {!set_level}/{!add_sink} on either affects both), component tagged
-    ["parent/name"]. *)
+(** Same sinks and level as the parent (shared, so a later {!add_sink} on
+    either affects both), component tagged ["parent/name"]. *)
 val child : t -> string -> t
 
-val set_level : t -> level -> unit
 val add_sink : t -> sink -> unit
 
 (** True when an event at [level] would reach the sinks — guards
     expensive field construction. *)
 val enabled : t -> level -> bool
 
-val debug : t -> ?fields:(string * Json.t) list -> string -> unit
 val info : t -> ?fields:(string * Json.t) list -> string -> unit
-val warn : t -> ?fields:(string * Json.t) list -> string -> unit
 val error : t -> ?fields:(string * Json.t) list -> string -> unit
 
 (** The JSONL schema: [{"ts":…,"level":…,"component":…,"msg":…,…fields}]. *)

@@ -1,7 +1,7 @@
 (** Streaming proportion statistics; see the interface for the contract. *)
 
 (* 97.5th percentile of the standard normal — the two-sided 95% z. *)
-let z95 = 1.959963984540054
+let z = 1.959963984540054
 
 type interval = {
   ci_estimate : float;
@@ -13,7 +13,7 @@ type interval = {
    never escapes [0,1], stays informative at p=0 or p=1, and is accurate
    at the small counts an early campaign heartbeat reports — which is why
    it is the convergence criterion adaptive sampling can stop on. *)
-let wilson ?(z = z95) ~k ~n () =
+let wilson ~k ~n =
   if n <= 0 then { ci_estimate = 0.0; ci_low = 0.0; ci_high = 1.0 }
   else begin
     let k = max 0 (min k n) in
@@ -44,9 +44,6 @@ let width iv = iv.ci_high -. iv.ci_low
    of repo campaigns (same seed stream => same injection sites). *)
 let disjoint a b = a.ci_high < b.ci_low || b.ci_high < a.ci_low
 
-let converged ?z ~k ~n ~half_width () =
-  n > 0 && width (wilson ?z ~k ~n ()) <= 2.0 *. half_width
-
 (* ----- Stratified estimation (adaptive campaigns, DESIGN.md §14) ----- *)
 
 type stratum_obs = { so_mass : float; so_k : int; so_n : int }
@@ -59,14 +56,14 @@ type stratum_obs = { so_mass : float; so_k : int; so_n : int }
    never widen the whole-program interval past the requested target.
    Unsampled strata (n = 0) contribute their vacuous [0,1] interval, i.e.
    a half width of m_s/2. *)
-let stratified ?(z = z95) strata =
+let stratified strata =
   let est, var =
     List.fold_left
       (fun (est, var) s ->
         let m = Float.max 0.0 s.so_mass in
         if m = 0.0 then (est, var)
         else begin
-          let w = wilson ~z ~k:s.so_k ~n:s.so_n () in
+          let w = wilson ~k:s.so_k ~n:s.so_n in
           let h = width w /. 2.0 in
           (est +. (m *. w.ci_estimate), var +. ((m *. h) *. (m *. h)))
         end)
@@ -78,7 +75,7 @@ let stratified ?(z = z95) strata =
     ci_high = Float.min 1.0 (est +. half) }
 
 (* Wilson half width at a continuous proportion [p] over [n] trials. *)
-let wilson_half ~z ~p n =
+let wilson_half ~p n =
   let nf = float_of_int n in
   let z2 = z *. z in
   let denom = 1.0 +. (z2 /. nf) in
@@ -88,19 +85,19 @@ let wilson_half ~z ~p n =
    is as tight as [half_width] — monotone in n, so plain doubling plus
    bisection.  This prices an adaptive campaign in the only currency a
    uniform campaign understands. *)
-let equivalent_uniform_trials ?(z = z95) ~p ~half_width () =
+let equivalent_uniform_trials ~p ~half_width =
   let p = Float.max 0.0 (Float.min 1.0 p) in
   let h = Float.max 1e-9 half_width in
-  if wilson_half ~z ~p 1 <= h then 1
+  if wilson_half ~p 1 <= h then 1
   else begin
     let hi = ref 1 in
-    while wilson_half ~z ~p !hi > h && !hi < max_int / 4 do
+    while wilson_half ~p !hi > h && !hi < max_int / 4 do
       hi := !hi * 2
     done;
     let lo = ref (!hi / 2) in
     while !hi - !lo > 1 do
       let mid = !lo + ((!hi - !lo) / 2) in
-      if wilson_half ~z ~p mid <= h then hi := mid else lo := mid
+      if wilson_half ~p mid <= h then hi := mid else lo := mid
     done;
     !hi
   end

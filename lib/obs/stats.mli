@@ -15,20 +15,17 @@
     to a width of zero.  This is the substrate adaptive early stopping
     (DESIGN.md §14) decides on. *)
 
-(** The two-sided 95% standard-normal quantile (≈1.96), the default [z]. *)
-val z95 : float
-
 type interval = {
   ci_estimate : float;  (** the point estimate k/n *)
   ci_low : float;       (** lower confidence bound, clamped to [0,1] *)
   ci_high : float;      (** upper confidence bound, clamped to [0,1] *)
 }
 
-(** [wilson ~k ~n ()] is the Wilson score interval for [k] successes over
-    [n] trials at confidence level [z] (default {!z95}, i.e. 95%).
+(** [wilson ~k ~n] is the 95% Wilson score interval for [k] successes over
+    [n] trials.
     [n <= 0] yields the vacuous interval [0, 1] with estimate 0; [k] is
     clamped into [0, n]. *)
-val wilson : ?z:float -> k:int -> n:int -> unit -> interval
+val wilson : k:int -> n:int -> interval
 
 (** [ci_high - ci_low]. *)
 val width : interval -> float
@@ -37,11 +34,6 @@ val width : interval -> float
     conservative significance test warehouse run diffs flag deltas with:
     overlapping intervals are never reported as a real change. *)
 val disjoint : interval -> interval -> bool
-
-(** [converged ~k ~n ~half_width ()] is true when the interval's half
-    width has shrunk to [half_width] or below — the per-stratum stopping
-    rule of adaptive sampling. *)
-val converged : ?z:float -> k:int -> n:int -> half_width:float -> unit -> bool
 
 (** One stratum's observations for {!stratified}: [so_mass] is the
     stratum's share of the whole sampling space (the probability a single
@@ -58,14 +50,13 @@ type stratum_obs = { so_mass : float; so_k : int; so_n : int }
     never violates a whole-program convergence target.  Unsampled strata
     ([so_n = 0]) contribute their vacuous [0,1] interval; zero-mass strata
     contribute nothing. *)
-val stratified : ?z:float -> stratum_obs list -> interval
+val stratified : stratum_obs list -> interval
 
 (** Smallest number of *uniform* trials whose Wilson interval at observed
     rate [p] would be as tight as [half_width] — what an adaptive
     campaign's convergence would have cost without stratification (the
     "equivalent uniform trials" a report prices savings against). *)
-val equivalent_uniform_trials :
-  ?z:float -> p:float -> half_width:float -> unit -> int
+val equivalent_uniform_trials : p:float -> half_width:float -> int
 
 (** [{"est":…,"lo":…,"hi":…}] — the journal/heartbeat wire form. *)
 val to_json : interval -> Json.t

@@ -69,9 +69,6 @@ let of_json j =
     Some { sp_name = name; sp_step = step; sp_attrs = attrs }
   | _, _ -> None
 
-let attr s key = List.assoc_opt key s.sp_attrs
-let attr_int s key = Option.bind (attr s key) Json.to_int
-
 (* ----- Duration spans (the flight recorder) ----- *)
 
 type dur = {

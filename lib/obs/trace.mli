@@ -32,11 +32,6 @@ val to_json : span -> Json.t
     unknown extra fields become attributes (forward compatibility). *)
 val of_json : Json.t -> span option
 
-(** Attribute lookup; [None] when absent. *)
-val attr : span -> string -> Json.t option
-
-val attr_int : span -> string -> int option
-
 (** {1 Duration spans — the campaign flight recorder} *)
 
 type dur = {

@@ -27,7 +27,6 @@ let create ?(max_bins = default_bins) () =
 
 let bins t = t.bins
 let total t = t.total
-let n_bins t = List.length t.bins
 
 (* Merge the adjacent pair with the smallest gap (rb_i .. lb_{i+1}),
    per step 7-8 of Algorithm 1. *)
@@ -71,20 +70,6 @@ let insert t v =
     in
     t.bins <-
       (if List.length bins > t.max_bins then merge_closest bins else bins)
-
-(** Mass inside [lo, hi] (whole bins only, conservative). *)
-let mass_within t ~lo ~hi =
-  List.fold_left
-    (fun acc b -> if b.lb >= lo && b.rb <= hi then acc + b.m else acc)
-    0 t.bins
-
-(** Convex hull of the observed values. *)
-let hull t =
-  match t.bins with
-  | [] -> None
-  | first :: _ ->
-    let last = List.nth t.bins (List.length t.bins - 1) in
-    Some (first.lb, last.rb)
 
 (** Bins that are single points (lb = rb), sorted by decreasing mass. *)
 let point_bins t =

@@ -13,10 +13,8 @@ type bin = {
 
 type t
 
-val default_bins : int
-
-(** [create ~max_bins ()] — [max_bins] is the B of Algorithm 1 (paper: 5);
-    must be at least 2. *)
+(** [create ~max_bins ()] — [max_bins] is the B of Algorithm 1 (default and
+    paper: 5); must be at least 2. *)
 val create : ?max_bins:int -> unit -> t
 
 (** Insert one observed value, merging the closest pair of bins when the
@@ -28,14 +26,6 @@ val bins : t -> bin list
 
 (** Total number of inserted values. *)
 val total : t -> int
-
-val n_bins : t -> int
-
-(** Mass of the bins entirely inside [lo, hi] (conservative). *)
-val mass_within : t -> lo:float -> hi:float -> int
-
-(** Smallest interval containing every bin, or [None] when empty. *)
-val hull : t -> (float * float) option
 
 (** Bins that are single points (lb = rb), heaviest first. *)
 val point_bins : t -> bin list

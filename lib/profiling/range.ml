@@ -11,7 +11,6 @@ type t = {
   lo : float;
   hi : float;
   mass : int;           (** values covered by [lo, hi] *)
-  coverage : float;     (** mass / total inserted values *)
 }
 
 let width r = r.hi -. r.lo
@@ -64,9 +63,5 @@ let extract (hist : Histogram.t) ~r_thr =
       end
       else if not (try_right ()) then ignore (try_left ())
     done;
-    let total = Histogram.total hist in
-    let coverage =
-      if total = 0 then 0.0 else float_of_int !mass /. float_of_int total
-    in
-    Some { lo = !lo; hi = !hi; mass = !mass; coverage }
+    Some { lo = !lo; hi = !hi; mass = !mass }
   end

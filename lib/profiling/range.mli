@@ -8,7 +8,6 @@ type t = {
   lo : float;
   hi : float;
   mass : int;        (** inserted values covered by [lo, hi] *)
-  coverage : float;  (** mass / total inserted values *)
 }
 
 val width : t -> float

@@ -20,25 +20,15 @@ type t = {
 
 (** Tunables of the check-derivation heuristics. *)
 type params = {
-  max_bins : int;            (** B of Algorithm 1 (paper: 5) *)
   min_execs : int;           (** ignore instructions executed fewer times *)
-  exact_coverage : float;    (** coverage needed for single/double checks *)
-  range_coverage : float;    (** coverage needed for a range check *)
   r_thr_abs : float;         (** absolute width threshold of Algorithm 2 *)
-  r_thr_rel : float;         (** relative alternative: width <= rel * scale *)
   slack : float;             (** widen accepted ranges by this fraction per
                                  side, to damp train-vs-test false positives *)
 }
 
 let default_params = {
-  max_bins = 5;
   min_execs = 64;
-  exact_coverage = 1.0;
-  range_coverage = 1.0;
   r_thr_abs = 4096.0;
-  r_thr_rel = 0.0;   (* disabled: Algorithm 2's threshold is absolute; a
-                        relative rule admits arbitrarily wide, near-useless
-                        ranges (kept as an ablation knob) *)
   slack = 1.0;   (* the check-tuning ablation (examples/check_tuning.ml)
                      shows this cuts train-vs-test false positives by two
                      orders of magnitude at unchanged cost and coverage *)
@@ -46,12 +36,13 @@ let default_params = {
 
 let create () = { table = Hashtbl.create 256; run_steps = 0 }
 
-let record ?(max_bins = default_params.max_bins) t uid (v : Ir.Value.t) =
+(* Histograms keep the paper's B = 5 bins of Algorithm 1. *)
+let record t uid (v : Ir.Value.t) =
   let e =
     match Hashtbl.find_opt t.table uid with
     | Some e -> e
     | None ->
-      let e = { hist = Histogram.create ~max_bins (); execs = 0; seen = None } in
+      let e = { hist = Histogram.create (); execs = 0; seen = None } in
       Hashtbl.replace t.table uid e;
       e
   in
@@ -65,12 +56,12 @@ let record ?(max_bins = default_params.max_bins) t uid (v : Ir.Value.t) =
   Histogram.insert e.hist (Ir.Value.to_real v)
 
 (** Profile [prog] by interpreting it; returns the profile and run result. *)
-let collect ?(params = default_params) prog ~entry ~args ~mem =
+let collect prog ~entry ~args ~mem =
   let t = create () in
   let config =
     { Interp.Machine.default_config with
       mode = Interp.Machine.Record;
-      on_def = Some (fun uid v -> record ~max_bins:params.max_bins t uid v) }
+      on_def = Some (record t) }
   in
   let result = Interp.Machine.run ~config prog ~entry ~args ~mem in
   t.run_steps <- result.steps;
@@ -99,8 +90,8 @@ let widen_range ~params ~seen lo hi =
   | Floats | Mixed -> (lo, hi)
 
 (** Derive the expected-value check for instruction [uid], if its profile
-    makes it amenable (Figure 6): a single frequent value, two frequent
-    values, or a compact range. *)
+    makes it amenable (Figure 6): a single value, two values, or a compact
+    range that every profiled value passes. *)
 let check_kind ?(params = default_params) t uid : Ir.Instr.check_kind option =
   match entry_of t uid with
   | None -> None
@@ -111,40 +102,18 @@ let check_kind ?(params = default_params) t uid : Ir.Instr.check_kind option =
       | None | Some Mixed -> None
       | Some seen ->
         let total = Histogram.total e.hist in
-        let cover m = float_of_int m /. float_of_int total in
-        let points = Histogram.point_bins e.hist in
-        match points with
-        | [ p ] when cover p.Histogram.m >= params.exact_coverage ->
+        match Histogram.point_bins e.hist with
+        | [ p ] when p.Histogram.m = total ->
           Some (Ir.Instr.Single (value_of seen p.Histogram.lb))
-        | p1 :: p2 :: _
-          when cover (p1.Histogram.m + p2.Histogram.m) >= params.exact_coverage ->
+        | p1 :: p2 :: _ when p1.Histogram.m + p2.Histogram.m = total ->
           Some
             (Ir.Instr.Double
                (value_of seen p1.Histogram.lb, value_of seen p2.Histogram.lb))
         | _ ->
-          let scale =
-            match Histogram.hull e.hist with
-            | None -> 0.0
-            | Some (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi)
-          in
-          let r_thr = Float.max params.r_thr_abs (params.r_thr_rel *. scale) in
+          let r_thr = params.r_thr_abs in
           (match Range.extract e.hist ~r_thr with
-           | None -> None
-           | Some r ->
-             if r.coverage >= params.range_coverage
-                && Range.width r <= r_thr then begin
-               let lo, hi = widen_range ~params ~seen r.lo r.hi in
-               Some (Ir.Instr.Range (value_of seen lo, value_of seen hi))
-             end
-             else None)
+           | Some r when r.mass = total && Range.width r <= r_thr ->
+             let lo, hi = widen_range ~params ~seen r.lo r.hi in
+             Some (Ir.Instr.Range (value_of seen lo, value_of seen hi))
+           | Some _ | None -> None)
     end
-
-(** All uids amenable to a check under [params]. *)
-let amenable_uids ?(params = default_params) t =
-  Hashtbl.fold
-    (fun uid _ acc ->
-      match check_kind ~params t uid with
-      | Some ck -> (uid, ck) :: acc
-      | None -> acc)
-    t.table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

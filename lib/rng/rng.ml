@@ -51,17 +51,3 @@ let gaussian t =
   let u1 = max 1e-12 (float t) in
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
-(** Pick a uniformly random element of a non-empty array. *)
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
-(** Fisher-Yates shuffle, in place. *)
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

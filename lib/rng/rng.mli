@@ -33,9 +33,3 @@ val bool : t -> bool
 
 (** Standard normal deviate (Box-Muller). *)
 val gaussian : t -> float
-
-(** Uniform element of a non-empty array. *)
-val choose : t -> 'a array -> 'a
-
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit

@@ -43,7 +43,6 @@ let fraction ~of_ n =
 
 let duplicated_fraction s = fraction ~of_:s.original_instrs s.duplicated_instrs
 let value_check_fraction s = fraction ~of_:s.original_instrs s.value_checks
-let state_var_fraction s = fraction ~of_:s.original_instrs s.state_vars
 
 (* Membership in a site list, as a hash set: the passes test every
    instruction. *)
@@ -126,16 +125,18 @@ let protect ?profile ?(opt1 = true) ?(opt2 = true) ?(lint = false)
   let stage expect =
     if lint then Analysis.Lint.run ~expect ?profile prog
   in
-  let unplanned ~duplicated_instrs ~dup_checks ~value_checks =
-    { technique; original_instrs;
-      state_vars = List.length (Analysis.Plan.candidate_chains prog);
-      duplicated_instrs; dup_checks; value_checks }
+  (* Counts the source program's state variables before [pass] runs: a
+     pass's own shadow phis are not state variables of the workload. *)
+  let unplanned ~expect pass =
+    let state_vars = List.length (Analysis.Plan.candidate_chains prog) in
+    let duplicated_instrs, dup_checks, value_checks = pass () in
+    stage expect;
+    { technique; original_instrs; state_vars; duplicated_instrs; dup_checks;
+      value_checks }
   in
   let stats =
     match technique with
-    | Original ->
-      stage Analysis.Lint.Any;
-      unplanned ~duplicated_instrs:0 ~dup_checks:0 ~value_checks:0
+    | Original -> unplanned ~expect:Analysis.Lint.Any (fun () -> (0, 0, 0))
     | Dup_only | Dup_valchk | Dup_valchk_cfc ->
       let plan =
         match (technique, profile) with
@@ -154,15 +155,13 @@ let protect ?profile ?(opt1 = true) ?(opt2 = true) ?(lint = false)
         { s with value_checks = s.value_checks + c.signature_checks }
       end
     | Full_dup ->
-      let f = Full_dup.run prog in
-      stage Analysis.Lint.Full;
-      unplanned ~duplicated_instrs:(f.cloned_instrs + f.cloned_phis)
-        ~dup_checks:f.dup_checks ~value_checks:0
+      unplanned ~expect:Analysis.Lint.Full (fun () ->
+        let f = Full_dup.run prog in
+        (f.cloned_instrs + f.cloned_phis, f.dup_checks, 0))
     | Cfc_only ->
-      let c = Cfc.run prog in
-      stage Analysis.Lint.Any;
-      unplanned ~duplicated_instrs:0 ~dup_checks:0
-        ~value_checks:c.signature_checks
+      unplanned ~expect:Analysis.Lint.Any (fun () ->
+        let c = Cfc.run prog in
+        (0, 0, c.signature_checks))
     | Planned ->
       invalid_arg "Pipeline.protect: Planned is built by Pipeline.of_plan"
   in

@@ -195,31 +195,11 @@ let build ~(prog : Ir.Prog.t) ~(cov : Analysis.Coverage.t) ~label ~technique
     hm_injected = !injected;
     hm_sites = List.rev !sites;
     hm_static_fraction = cov.Analysis.Coverage.sdc_prone_fraction;
-    hm_measured_sdc = Obs.Stats.wilson ~k:!sdc_trials ~n:!trials () }
-
-let total_injections t =
-  List.fold_left (fun acc s -> acc + s.s_total) 0 t.hm_sites
+    hm_measured_sdc = Obs.Stats.wilson ~k:!sdc_trials ~n:!trials }
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let csv_field s =
-  let needs_quote =
-    String.exists (function '"' | ',' | '\n' | '\r' -> true | _ -> false) s
-  in
-  if not needs_quote then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
 
 let to_csv t =
   let buf = Buffer.create 4096 in
@@ -228,12 +208,12 @@ let to_csv t =
   List.iter
     (fun s ->
       Buffer.add_string buf
-        (String.concat ","
-           [ csv_field s.s_func;
-             csv_field s.s_block;
+        (Obs.Csv.row
+           [ s.s_func;
+             s.s_block;
              string_of_int s.s_uid;
-             csv_field (String.trim s.s_desc);
-             csv_field s.s_status;
+             String.trim s.s_desc;
+             s.s_status;
              string_of_bool s.s_sdc_prone;
              string_of_int s.s_total;
              string_of_int s.s_sdc;

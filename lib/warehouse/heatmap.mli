@@ -52,9 +52,6 @@ val build :
   Faults.Journal.view list ->
   t
 
-(** Sum of every site's [s_total] — always equals [hm_injected]. *)
-val total_injections : t -> int
-
 (** RFC 4180 CSV, one row per site plus a header. *)
 val to_csv : t -> string
 

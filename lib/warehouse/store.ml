@@ -181,7 +181,7 @@ let entry_of_json j =
     e_sdc =
       (match Obs.Json.member "sdc" j with
        | Some iv -> interval_of_json iv
-       | None -> Obs.Stats.wilson ~k:0 ~n:0 ()) }
+       | None -> Obs.Stats.wilson ~k:0 ~n:0) }
 
 (* Paths whose torn last line has been reported, so a command that reads
    the index several times warns once. *)
@@ -284,30 +284,39 @@ let outcome_rank =
     | Some i -> (i, name)
     | None -> (max_int, name)   (* future outcomes sort last, by name *)
 
-let sort_counts counts =
+(* A name -> count table as a list in outcome order. *)
+let sorted_counts tbl =
   List.sort (fun (a, _) (b, _) -> compare (outcome_rank a) (outcome_rank b))
-    counts
+    (Hashtbl.fold (fun o k acc -> (o, k) :: acc) tbl [])
 
 let is_sdc_name name =
   match Faults.Classify.of_name name with
   | Some o -> Faults.Classify.is_sdc o
   | None -> false
 
-(* Counts come from the trial records themselves, not the manifest, so
-   v1 journals (no final stats) summarize identically to v4+ ones. *)
-let summarize_journal path =
+(* One pass over a journal's trial records: its manifest, the trial count,
+   trials per outcome name and, per adaptive stratum, (trials, SDC trials).
+   Counts come from the records themselves, not the manifest, so v1
+   journals (no final stats) tally identically to v4+ ones. *)
+let tally_journal path =
   let counts = Hashtbl.create 16 in
+  let strata = Hashtbl.create 8 in
   let manifest, n =
     Faults.Journal.fold path ~init:0 ~f:(fun n v ->
       let o = v.Faults.Journal.v_outcome in
       Hashtbl.replace counts o
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts o));
+      (match v.Faults.Journal.v_stratum with
+       | Some s ->
+         let sn, sk =
+           Option.value ~default:(0, 0) (Hashtbl.find_opt strata s)
+         in
+         Hashtbl.replace strata s
+           (sn + 1, if is_sdc_name o then sk + 1 else sk)
+       | None -> ());
       n + 1)
   in
-  let counts =
-    sort_counts (Hashtbl.fold (fun o k acc -> (o, k) :: acc) counts [])
-  in
-  (manifest, n, counts)
+  (manifest, n, counts, strata)
 
 let sdc_interval manifest ~counts ~n =
   (* The adaptive mass-reweighted interval is the honest one on v5 runs
@@ -322,7 +331,7 @@ let sdc_interval manifest ~counts ~n =
         (fun acc (o, k) -> if is_sdc_name o then acc + k else acc)
         0 counts
     in
-    Obs.Stats.wilson ~k ~n ()
+    Obs.Stats.wilson ~k ~n
 
 let entry_of_manifest ?prog_digest ~key ~seq ~path ~n ~counts manifest =
   let trials_per_sec =
@@ -421,7 +430,8 @@ let file_indexed ?prog_digest ~dir ~manifest ~n ~counts write_journal =
       `Ingested e)
 
 let ingest ?prog_digest ~dir path =
-  let manifest, n, counts = summarize_journal path in
+  let manifest, n, counts, _ = tally_journal path in
+  let counts = sorted_counts counts in
   file_indexed ?prog_digest ~dir ~manifest ~n ~counts (fun dst ->
     copy_file path dst)
 
@@ -433,9 +443,7 @@ let file_run ?prog_digest ~dir ~manifest ~trials () =
       Hashtbl.replace counts o
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
     trials;
-  let counts =
-    sort_counts (Hashtbl.fold (fun o k acc -> (o, k) :: acc) counts [])
-  in
+  let counts = sorted_counts counts in
   file_indexed ?prog_digest ~dir ~manifest ~n:(List.length trials) ~counts
     (fun dst -> Faults.Journal.write ~path:dst ~manifest ~trials ())
 
@@ -490,8 +498,8 @@ type diff = {
 }
 
 let diff_row ~name ~old_k ~old_n ~new_k ~new_n =
-  let old_iv = Obs.Stats.wilson ~k:old_k ~n:old_n () in
-  let new_iv = Obs.Stats.wilson ~k:new_k ~n:new_n () in
+  let old_iv = Obs.Stats.wilson ~k:old_k ~n:old_n in
+  let new_iv = Obs.Stats.wilson ~k:new_k ~n:new_n in
   { dr_name = name;
     dr_old_k = old_k;
     dr_old_n = old_n;
@@ -501,30 +509,9 @@ let diff_row ~name ~old_k ~old_n ~new_k ~new_n =
     dr_new = new_iv;
     dr_significant = Obs.Stats.disjoint old_iv new_iv }
 
-(* Per-outcome counts plus per-stratum (n, sdc) tallies in one pass. *)
-let diff_side path =
-  let counts = Hashtbl.create 16 in
-  let strata = Hashtbl.create 8 in
-  let _, n =
-    Faults.Journal.fold path ~init:0 ~f:(fun n v ->
-      let o = v.Faults.Journal.v_outcome in
-      Hashtbl.replace counts o
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts o));
-      (match v.Faults.Journal.v_stratum with
-       | Some s ->
-         let sn, sk =
-           Option.value ~default:(0, 0) (Hashtbl.find_opt strata s)
-         in
-         Hashtbl.replace strata s
-           (sn + 1, if is_sdc_name o then sk + 1 else sk)
-       | None -> ());
-      n + 1)
-  in
-  (counts, strata, n)
-
 let diff_runs ~old_path ~new_path =
-  let old_counts, old_strata, old_n = diff_side old_path in
-  let new_counts, new_strata, new_n = diff_side new_path in
+  let _, old_n, old_counts, old_strata = tally_journal old_path in
+  let _, new_n, new_counts, new_strata = tally_journal new_path in
   let get tbl o = Option.value ~default:0 (Hashtbl.find_opt tbl o) in
   let names =
     let all = Hashtbl.create 16 in

@@ -49,13 +49,6 @@ let for3 b ~from ~until ~init:(i1, i2, i3) ~body =
   | [ r1; r2; r3 ] -> (reg r1, reg r2, reg r3)
   | _ -> assert false
 
-(** Two-way conditional carrying one merged value. *)
-let if1 b cond ~then_ ~else_ =
-  match Builder.if_ b cond ~then_:(fun () -> [ then_ () ])
-          ~else_:(fun () -> [ else_ () ]) with
-  | [ r ] -> reg r
-  | [] | _ :: _ :: _ -> assert false
-
 (** Two-way conditional carrying two merged values. *)
 let if2 b cond ~then_ ~else_ =
   match

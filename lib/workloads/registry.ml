@@ -26,6 +26,3 @@ let find name =
          (String.concat ", " (List.map (fun (w : Workload.t) -> w.name) all)))
 
 let names = List.map (fun (w : Workload.t) -> w.name) all
-
-let by_category category =
-  List.filter (fun (w : Workload.t) -> w.category = category) all

@@ -46,11 +46,11 @@ let golden ?prog w ~role =
 
 (** Value profiling on the training input (the paper's offline step).
     [role] may be overridden for the cross-validation experiment. *)
-let profile ?params ?prog ?(role = Train) w =
+let profile ?prog ?(role = Train) w =
   let prog = match prog with Some p -> p | None -> w.build () in
   let state = w.fresh_state role in
   let p, (result : Interp.Machine.result) =
-    Profiling.Value_profile.collect ?params prog ~entry ~args:state.args
+    Profiling.Value_profile.collect prog ~entry ~args:state.args
       ~mem:state.mem
   in
   (match result.stop with

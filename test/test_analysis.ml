@@ -242,7 +242,6 @@ let test_self_loop () =
   Alcotest.(check (list int)) "header is its own latch" [ node ] l.latches;
   Alcotest.(check (list int)) "body is just the header" [ node ] l.body;
   Alcotest.(check int) "depth 1" 1 l.depth;
-  Alcotest.(check bool) "is_header" true (Analysis.Loops.is_header loops node);
   Alcotest.(check int) "one header phi (the accumulator)" 1
     (List.length (Analysis.Loops.header_phis loops))
 
@@ -310,9 +309,7 @@ let test_liveness_loop () =
   in
   let n_reg = List.hd f.params in
   Alcotest.(check bool) "bound live at header" true
-    (List.mem n_reg (Analysis.Liveness.live_in live header.label));
-  Alcotest.(check bool) "pressure positive" true
-    (Analysis.Liveness.max_pressure live > 0)
+    (List.mem n_reg (Analysis.Liveness.live_in live header.label))
 
 let test_liveness_dead_value () =
   let prog = Prog.create () in

@@ -418,6 +418,48 @@ let test_concurrent_ingest () =
     (List.filteri (fun i _ -> i >= 4) journals);
   ingest_pair "same journals" journals journals
 
+let test_plan_runs_reingest_as_duplicates () =
+  (* A plan-driven run files under a key that covers the plan's program;
+     ingest, rebuilding that program from the journal's plan document,
+     must land on the same key and file nothing new. *)
+  let dir = Filename.temp_file "softft_planwh" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () ->
+    ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  let rc, _ =
+    run_exe
+      (Printf.sprintf
+         "optimize kmeans --budget 15 --validate 2 --ci 0.05 --warehouse %s"
+         (Filename.quote dir))
+  in
+  Alcotest.(check int) "optimize --validate exits 0" 0 rc;
+  let index_lines () =
+    List.length
+      (In_channel.with_open_text (Filename.concat dir "index.jsonl")
+         In_channel.input_lines)
+  in
+  Alcotest.(check int) "two runs filed" 2 (index_lines ());
+  let runs = Filename.concat dir "runs" in
+  let journals =
+    Sys.readdir runs |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> Filename.quote (Filename.concat runs f))
+  in
+  let rc, text =
+    run_exe
+      (Printf.sprintf "ingest --warehouse %s %s" (Filename.quote dir)
+         (String.concat " " journals))
+  in
+  Alcotest.(check int) "ingest exits 0" 0 rc;
+  let verdicts =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> List.hd (String.split_on_char ' ' l))
+  in
+  Alcotest.(check (list string)) "every run a duplicate"
+    [ "duplicate"; "duplicate" ] verdicts;
+  Alcotest.(check int) "index unchanged" 2 (index_lines ())
+
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
       test_subcommand_help;
@@ -442,4 +484,6 @@ let tests =
     Alcotest.test_case "torn warehouse index: exit 0, then 1" `Quick
       test_torn_warehouse_index;
     Alcotest.test_case "concurrent ingest: one filing per run" `Quick
-      test_concurrent_ingest ]
+      test_concurrent_ingest;
+    Alcotest.test_case "plan runs: re-ingest is a duplicate" `Quick
+      test_plan_runs_reingest_as_duplicates ]

@@ -3,6 +3,15 @@
 
 module C = Analysis.Coverage
 
+(* Fraction of instructions whose status is in [statuses]. *)
+let instr_fraction (t : C.t) statuses =
+  let n =
+    List.fold_left
+      (fun acc (s, c) -> if List.mem s statuses then acc + c else acc)
+      0 t.by_status
+  in
+  float_of_int n /. float_of_int t.total_instrs
+
 let analyze ?exec_counts technique name =
   let p = Softft.protect (Workloads.Registry.find name) technique in
   (p, C.analyze ?exec_counts p.prog)
@@ -30,7 +39,7 @@ let test_classifies_every_instruction () =
             (Printf.sprintf "%s/%s: fractions total 1" w.name
                (Softft.technique_name technique))
             1.0
-            (C.instr_fraction cov
+            (instr_fraction cov
                [ C.Dup_checked; C.Value_checked; C.Dup_unchecked; C.Shadow;
                  C.Check; C.Unprotected ]))
         Softft.extended_techniques)
@@ -41,7 +50,7 @@ let test_classifies_every_instruction () =
 let test_original_is_unprotected () =
   let _, cov = analyze Softft.Original "kmeans" in
   Alcotest.(check (float 1e-9)) "no machinery" 0.0
-    (C.instr_fraction cov [ C.Shadow; C.Check; C.Dup_checked; C.Value_checked ]);
+    (instr_fraction cov [ C.Shadow; C.Check; C.Dup_checked; C.Value_checked ]);
   Alcotest.(check (float 1e-9)) "all exposure unprotected" 1.0
     cov.C.sdc_prone_fraction
 
@@ -75,18 +84,18 @@ let test_protection_reduces_sdc_fraction () =
 let test_selective_marks_chains () =
   let p, cov = analyze Softft.Dup_only "kmeans" in
   Alcotest.(check bool) "has shadows" true
-    (C.instr_fraction cov [ C.Shadow ] > 0.0);
+    (instr_fraction cov [ C.Shadow ] > 0.0);
   Alcotest.(check bool) "has dup-checked originals" true
-    (C.instr_fraction cov [ C.Dup_checked ] > 0.0);
+    (instr_fraction cov [ C.Dup_checked ] > 0.0);
   (* Selective duplication never leaves an unchecked chain. *)
   Alcotest.(check (float 1e-9)) "no dup-unchecked" 0.0
-    (C.instr_fraction cov [ C.Dup_unchecked ]);
+    (instr_fraction cov [ C.Dup_unchecked ]);
   ignore p
 
 let test_value_checks_mark_instrs () =
   let _, cov = analyze Softft.Dup_valchk "jpegdec" in
   Alcotest.(check bool) "has value-checked instrs" true
-    (C.instr_fraction cov [ C.Value_checked ] > 0.0)
+    (instr_fraction cov [ C.Value_checked ] > 0.0)
 
 (* ----- dynamic exposure weighting ----- *)
 

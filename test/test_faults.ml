@@ -100,22 +100,19 @@ let test_classify_sw_and_fuel () =
 
 let test_groupings () =
   let open Faults.Classify in
-  Alcotest.(check string) "fig11 folds asdc" "Masked" (fig11_bucket Asdc);
+  let group o = group_of_name (name o) in
   Alcotest.(check bool) "asdc is sdc" true (is_sdc Asdc);
-  Alcotest.(check bool) "asdc is not usdc" false (is_usdc Asdc);
-  Alcotest.(check bool) "swdetect covered" true (is_covered Sw_detect);
-  Alcotest.(check bool) "failure not covered" false (is_covered Failure);
+  Alcotest.(check bool) "asdc groups as sdc" true (group Asdc = `Sdc);
+  Alcotest.(check bool) "swdetect detected" true (group Sw_detect = `Detected);
+  Alcotest.(check bool) "failure is other" true (group Failure = `Other);
   Alcotest.(check int) "nine categories" 9 (List.length all);
-  (* Recovery outcomes: a recovered trial ran to a correct answer (Masked
-     bucket for Fig. 11), an unrecoverable one was still caught by a check
-     (SWDetect bucket); neither is silent corruption, both are covered. *)
-  Alcotest.(check string) "fig11 folds recovered" "Masked"
-    (fig11_bucket Recovered);
-  Alcotest.(check string) "fig11 folds unrecoverable" "SWDetect"
-    (fig11_bucket Unrecoverable);
+  (* Recovery outcomes: a recovered trial ran to a correct answer and an
+     unrecoverable one was still caught by a check; neither is silent
+     corruption, both started as software detections. *)
   Alcotest.(check bool) "recovered not sdc" false (is_sdc Recovered);
-  Alcotest.(check bool) "recovered covered" true (is_covered Recovered);
-  Alcotest.(check bool) "unrecoverable covered" true (is_covered Unrecoverable);
+  Alcotest.(check bool) "recovered detected" true (group Recovered = `Detected);
+  Alcotest.(check bool) "unrecoverable detected" true
+    (group Unrecoverable = `Detected);
   Alcotest.(check bool) "names roundtrip" true
     (List.for_all (fun o -> of_name (name o) = Some o) all);
   Alcotest.(check bool) "unknown name" true (of_name "NotAnOutcome" = None)
@@ -853,7 +850,7 @@ let test_adaptive_agrees_with_uniform () =
       [ Faults.Classify.Asdc; Faults.Classify.Usdc_large;
         Faults.Classify.Usdc_small ]
   in
-  let uniform = Obs.Stats.wilson ~k ~n:summary.trials () in
+  let uniform = Obs.Stats.wilson ~k ~n:summary.trials in
   let _, _, ad = run_adaptive subject in
   let sdc = ad.Faults.Campaign.ad_sdc in
   Alcotest.(check bool)

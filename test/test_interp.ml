@@ -37,11 +37,11 @@ let test_memory_bulk_helpers () =
   let data = [| 5; -3; 0; 42 |] in
   let base = Interp.Memory.alloc_ints mem data in
   Alcotest.(check (array int)) "ints roundtrip" data
-    (Interp.Memory.read_ints mem base 4);
+    (Interp.Memory.read_ints_tolerant mem base 4);
   let fdata = [| 1.5; -2.25 |] in
   let fbase = Interp.Memory.alloc_floats mem fdata in
   Alcotest.(check (array (float 0.0))) "floats roundtrip" fdata
-    (Interp.Memory.read_floats mem fbase 2)
+    (Array.init 2 (fun i -> Value.to_float (Interp.Memory.load mem (fbase + i))))
 
 let test_memory_tolerant_read () =
   let mem = Interp.Memory.create () in

@@ -5,6 +5,12 @@ open Ir
 let check = Alcotest.check
 let int64 = Alcotest.int64
 
+(* Whether [p] passes the verifier. *)
+let is_valid p =
+  match Verifier.verify p with
+  | () -> true
+  | exception Verifier.Invalid _ -> false
+
 (* ----- Value ----- *)
 
 let test_bits_roundtrip () =
@@ -178,7 +184,7 @@ let test_calls () =
   Builder.ret sq (Builder.mul sq x x);
   Builder.finish sq;
   let b = Builder.create prog ~name:"main" ~n_params:1 in
-  let v = Builder.call b "square" [ Builder.param b 0 ] in
+  let v = Builder.value b (Instr.Call ("square", [ Builder.param b 0 ])) in
   let v2 = Builder.add b v (Builder.imm 1) in
   Builder.ret b v2;
   Builder.finish b;
@@ -218,7 +224,7 @@ let test_verifier_rejects_bad_branch () =
   let b = Builder.create prog ~name:"main" ~n_params:0 in
   Builder.jmp b "nowhere";
   Builder.finish b;
-  Alcotest.(check bool) "invalid" false (Verifier.is_valid prog)
+  Alcotest.(check bool) "invalid" false (is_valid prog)
 
 let test_verifier_rejects_double_def () =
   let prog = Prog.create () in
@@ -235,10 +241,10 @@ let test_verifier_rejects_double_def () =
       kind = Instr.Const Value.zero; origin = Instr.From_source }
   in
   Block.append entry [ bad ];
-  Alcotest.(check bool) "invalid" false (Verifier.is_valid prog)
+  Alcotest.(check bool) "invalid" false (is_valid prog)
 
 let test_verifier_accepts_sum () =
-  Alcotest.(check bool) "valid" true (Verifier.is_valid (build_sum_prog ()))
+  Alcotest.(check bool) "valid" true (is_valid (build_sum_prog ()))
 
 let contains_substring ~affix s =
   let n = String.length affix and m = String.length s in

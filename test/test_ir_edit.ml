@@ -72,15 +72,12 @@ let test_prog_find_instr () =
   Builder.ret b x;
   Builder.finish b;
   let f = Prog.find_func prog "main" in
-  let entry = Func.entry_block f in
-  let ins = entry.Block.body.(0) in
-  (match Prog.find_instr prog ins.uid with
-   | Some (found_f, found_b, found_ins) ->
-     Alcotest.(check string) "function" "main" found_f.Func.name;
-     Alcotest.(check string) "block" entry.Block.label found_b.Block.label;
-     Alcotest.(check int) "uid" ins.uid found_ins.uid
-   | None -> Alcotest.fail "instruction not found");
-  Alcotest.(check bool) "unknown uid" true (Prog.find_instr prog 10_000 = None)
+  let ins = (Func.entry_block f).Block.body.(0) in
+  let instr_text = Printer.instr_text prog in
+  Alcotest.(check string) "found by uid"
+    (String.trim (Format.asprintf "%a" Printer.pp_instr ins))
+    (instr_text ins.uid);
+  Alcotest.(check string) "unknown uid" "#10000" (instr_text 10_000)
 
 let test_prog_duplicate_function_rejected () =
   let prog = Prog.create () in

@@ -231,7 +231,7 @@ let test_reachability_violation () =
   let issues = Analysis.Lint.check prog in
   Alcotest.(check bool) "flagged" true
     (List.mem Analysis.Lint.Reachability (rules_of issues));
-  Alcotest.(check bool) "verifier agrees" false (Verifier.is_valid prog)
+  Alcotest.(check bool) "verifier agrees" false (Test_ir.is_valid prog)
 
 (* ----- the raising form and the pipeline flag ----- *)
 

@@ -45,14 +45,14 @@ let test_roundtrip_all_instruction_forms () =
   Builder.store b base x;
   let loaded = Builder.load b base in
   let f = Builder.float_of_int b loaded in
-  let called = Builder.call b "helper" [ f ] in
+  let called = Builder.value b (Instr.Call ("helper", [ f ])) in
   let trunc = Builder.int_of_float b called in
   let c = Builder.fge b f (Builder.immf 0.0) in
   let sel = Builder.select b c trunc (Builder.neg b trunc) in
   let cmp = Builder.lt b sel (Builder.imm 100) in
   let merged =
     Builder.if_ b cmp
-      ~then_:(fun () -> [ Builder.xor b sel (Builder.imm 5) ])
+      ~then_:(fun () -> [ Builder.binop b Opcode.Xor sel (Builder.imm 5) ])
       ~else_:(fun () -> [ Builder.srem b sel (Builder.imm 97) ])
   in
   (match merged with

@@ -257,7 +257,25 @@ let test_plan_in_manifest_changes_run_key () =
   Alcotest.(check bool) "same plan, same key" true
     (key plan_a = key plan_a);
   Alcotest.(check bool) "distinct plans, distinct keys" true
-    (key plan_a <> key plan_b)
+    (key plan_a <> key plan_b);
+  (* The plan document reads back from a written manifest, which is how
+     ingest rebuilds a plan run's program. *)
+  let plan_c =
+    Plan.normalize
+      { plan_a with
+        Plan.terminators = [ { Plan.vs_func = "main"; vs_uid = 7 } ];
+        checks = [ { Plan.vs_func = "main"; vs_uid = 3 } ];
+        checkpoint = 1000 }
+  in
+  let read_back p =
+    Obs.Json.member "plan"
+      (Obs.Json.parse (Obs.Json.to_string (manifest_for p)))
+    |> Fun.flip Option.bind Plan.of_json
+  in
+  Alcotest.(check bool) "plan reads back from the manifest" true
+    (read_back plan_a = Some plan_a && read_back plan_c = Some plan_c);
+  Alcotest.(check bool) "not a plan document" true
+    (Plan.of_json (Obs.Json.Obj []) = None)
 
 (* ----- coverage ranking determinism (ISSUE 10 satellite) ----- *)
 

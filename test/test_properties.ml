@@ -54,7 +54,7 @@ let random_program rng =
   in
   let result =
     List.fold_left
-      (fun acc r -> Builder.xor b acc (Instr.Reg r))
+      (fun acc r -> Builder.binop b Opcode.Xor acc (Instr.Reg r))
       (Builder.imm 0) finals
   in
   Builder.ret b result;
@@ -80,7 +80,7 @@ let prop_generated_programs_verify =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let prog = random_program (Rng.create seed) in
-      Verifier.is_valid prog)
+      Test_ir.is_valid prog)
 
 let prop_dup_preserves =
   QCheck.Test.make ~name:"duplication preserves random-program semantics"
@@ -92,7 +92,7 @@ let prop_dup_preserves =
         let (_ : Transform.Duplicate.stats), (_ : (int, unit) Hashtbl.t) =
           Transform.Duplicate.run transformed
         in
-        Verifier.is_valid transformed && run_result transformed = expected))
+        Test_ir.is_valid transformed && run_result transformed = expected))
 
 let prop_full_dup_preserves =
   QCheck.Test.make
@@ -102,7 +102,7 @@ let prop_full_dup_preserves =
       with_pair seed (fun original transformed ->
         let expected = run_result original in
         let (_ : Transform.Full_dup.stats) = Transform.Full_dup.run transformed in
-        Verifier.is_valid transformed && run_result transformed = expected))
+        Test_ir.is_valid transformed && run_result transformed = expected))
 
 let prop_dup_valchk_preserves =
   QCheck.Test.make
@@ -121,7 +121,7 @@ let prop_dup_valchk_preserves =
           Transform.Pipeline.protect ~profile transformed
             Transform.Pipeline.Dup_valchk
         in
-        Verifier.is_valid transformed && run_result transformed = expected))
+        Test_ir.is_valid transformed && run_result transformed = expected))
 
 let prop_transform_only_grows =
   QCheck.Test.make ~name:"transforms never remove instructions" ~count:40
@@ -251,7 +251,7 @@ let prop_early_stop_never_widens =
       let tau =
         List.fold_left
           (fun acc (o : Obs.Stats.stratum_obs) ->
-            let iv = Obs.Stats.wilson ~k:o.so_k ~n:o.so_n () in
+            let iv = Obs.Stats.wilson ~k:o.so_k ~n:o.so_n in
             Float.max acc (Obs.Stats.width iv /. 2.0))
           0.0 obs
       in

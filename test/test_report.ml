@@ -60,20 +60,20 @@ let test_render_multibyte_header () =
 let test_csv_field_plain () =
   (* Plain fields pass through byte-identically — existing CSV exports must
      not change shape. *)
-  Alcotest.(check string) "number untouched" "12.50" (Report.csv_field "12.50");
-  Alcotest.(check string) "word untouched" "kmeans" (Report.csv_field "kmeans");
-  Alcotest.(check string) "empty untouched" "" (Report.csv_field "")
+  Alcotest.(check string) "number untouched" "12.50" (Obs.Csv.field "12.50");
+  Alcotest.(check string) "word untouched" "kmeans" (Obs.Csv.field "kmeans");
+  Alcotest.(check string) "empty untouched" "" (Obs.Csv.field "")
 
 let test_csv_field_quoted () =
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Report.csv_field "a,b");
+  Alcotest.(check string) "comma quoted" "\"a,b\"" (Obs.Csv.field "a,b");
   Alcotest.(check string) "quote doubled" "\"he said \"\"hi\"\"\""
-    (Report.csv_field "he said \"hi\"");
-  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Report.csv_field "a\nb");
-  Alcotest.(check string) "CR quoted" "\"a\rb\"" (Report.csv_field "a\rb")
+    (Obs.Csv.field "he said \"hi\"");
+  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Obs.Csv.field "a\nb");
+  Alcotest.(check string) "CR quoted" "\"a\rb\"" (Obs.Csv.field "a\rb")
 
 let test_csv_row () =
   Alcotest.(check string) "mixed row" "plain,\"with,comma\",3"
-    (Report.csv_row [ "plain"; "with,comma"; "3" ])
+    (Obs.Csv.row [ "plain"; "with,comma"; "3" ])
 
 (* ----- log2 histogram and interpolated quantiles (the detection-latency
    table of the journal report) ----- *)

@@ -217,32 +217,6 @@ let test_progress_stderr_format () =
        Obs.Json.to_int
      = Some 10)
 
-(* ----- Pool ?progress hook ----- *)
-
-let test_pool_progress_serial_and_parallel () =
-  List.iter
-    (fun domains ->
-      let seen = Atomic.make 0 in
-      let hwm = Atomic.make 0 in
-      let out =
-        Faults.Pool.map ~domains
-          ~progress:(fun completed ->
-            Atomic.incr seen;
-            (* completed is a global monotone count; record the max. *)
-            let rec bump () =
-              let cur = Atomic.get hwm in
-              if completed > cur && not (Atomic.compare_and_set hwm cur completed)
-              then bump ()
-            in
-            bump ())
-          (fun i -> i * i)
-          50
-      in
-      Alcotest.(check int) "output intact" (49 * 49) out.(49);
-      Alcotest.(check int) "one call per index" 50 (Atomic.get seen);
-      Alcotest.(check int) "count reaches n" 50 (Atomic.get hwm))
-    [ 1; 4 ]
-
 (* ----- Interp.Trace.first_values ?config ----- *)
 
 let test_first_values_chains_config () =
@@ -283,8 +257,6 @@ let tests =
       test_progress_observation_only;
     Alcotest.test_case "progress snapshot json" `Quick
       test_progress_stderr_format;
-    Alcotest.test_case "pool progress hook" `Quick
-      test_pool_progress_serial_and_parallel;
     Alcotest.test_case "first_values chains ?config" `Quick
       test_first_values_chains_config;
   ]

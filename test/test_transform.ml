@@ -32,9 +32,9 @@ let build_crc_prog () =
         | [ crc ] ->
           let idx = Builder.and_ b i (Builder.imm 15) in
           let tv = Builder.geti b table idx in
-          let shifted = Builder.shl b (Reg crc) (Builder.imm 1) in
+          let shifted = Builder.binop b Opcode.Shl (Reg crc) (Builder.imm 1) in
           let masked = Builder.and_ b shifted (Builder.imm 0xFFFF) in
-          [ Builder.xor b masked tv ]
+          [ Builder.binop b Opcode.Xor masked tv ]
         | _ -> assert false)
       ()
   in
@@ -319,8 +319,27 @@ let test_cfc_detects_branch_faults () =
     true
     (with_cfc > without)
 
+(* Every technique reports the state variables of the source program: a
+   pass's own shadow phis are not state variables of the workload. *)
+let test_state_vars_of_source () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let count technique =
+        (Softft.protect w technique).static_stats.state_vars
+      in
+      let expected = count Softft.Dup_only in
+      List.iter
+        (fun technique ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s" w.name (Softft.technique_name technique))
+            expected (count technique))
+        [ Softft.Original; Softft.Full_dup; Softft.Cfc_only ])
+    Workloads.Registry.all
+
 let tests =
   [ Alcotest.test_case "state vars: crc loop" `Quick test_state_vars_found;
+    Alcotest.test_case "state vars: every technique counts the source" `Quick
+      test_state_vars_of_source;
     Alcotest.test_case "state vars: straight line" `Quick
       test_state_vars_none_in_straightline;
     Alcotest.test_case "dup only: preserves semantics" `Quick test_dup_only_preserves;

@@ -55,15 +55,15 @@ let write_journal ?technique (summary : Campaign.summary) results =
 (* ----- Wilson-interval disjointness ----- *)
 
 let test_disjoint () =
-  let a = Obs.Stats.wilson ~k:5 ~n:1000 () in
-  let b = Obs.Stats.wilson ~k:100 ~n:1000 () in
+  let a = Obs.Stats.wilson ~k:5 ~n:1000 in
+  let b = Obs.Stats.wilson ~k:100 ~n:1000 in
   Alcotest.(check bool) "far-apart rates are disjoint" true
     (Obs.Stats.disjoint a b);
   Alcotest.(check bool) "disjointness is symmetric" true
     (Obs.Stats.disjoint b a);
   Alcotest.(check bool) "an interval is never disjoint from itself" false
     (Obs.Stats.disjoint a a);
-  let c = Obs.Stats.wilson ~k:6 ~n:1000 () in
+  let c = Obs.Stats.wilson ~k:6 ~n:1000 in
   Alcotest.(check bool) "overlapping neighbours are not disjoint" false
     (Obs.Stats.disjoint a c)
 
@@ -226,7 +226,7 @@ let entry ~seq ~label ~sdc_k ~trials ~tps ~cores : Store.entry =
     e_ingested_at = 0.0;
     e_trials_per_sec = Some tps;
     e_counts = [ ("ASDC", sdc_k); ("Masked", trials - sdc_k) ];
-    e_sdc = Obs.Stats.wilson ~k:sdc_k ~n:trials () }
+    e_sdc = Obs.Stats.wilson ~k:sdc_k ~n:trials }
 
 let test_regress_gate () =
   let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
@@ -391,7 +391,7 @@ let test_heatmap_totals () =
   let hm, views = heatmap_of "kmeans" Softft.Dup_valchk in
   Alcotest.(check int) "per-site totals sum to the injected-trial count"
     hm.Heatmap.hm_injected
-    (Heatmap.total_injections hm);
+    (List.fold_left (fun acc s -> acc + s.Heatmap.s_total) 0 hm.Heatmap.hm_sites);
   let injected =
     List.length (List.filter (fun v -> v.Journal.v_inj_reg <> None) views)
   in

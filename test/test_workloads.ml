@@ -18,7 +18,8 @@ let test_registry () =
       Alcotest.(check bool)
         (Printf.sprintf "at least 2 in %s" c)
         true
-        (List.length (Registry.by_category c) >= 2))
+        (List.length (List.filter (fun (w : Workload.t) -> w.category = c) all)
+         >= 2))
     [ "image"; "audio"; "video"; "computer vision"; "machine learning" ];
   Alcotest.(check string) "find works" "svm" (Registry.find "svm").name
 
@@ -178,7 +179,7 @@ let kernel_output_words w ~arg_index ~words =
     | None, Interp.Machine.Finished (Some len) -> Ir.Value.to_int len
     | None, _ -> Alcotest.fail (w ^ ": no length returned")
   in
-  Interp.Memory.read_ints st.Faults.Campaign.mem base n
+  Interp.Memory.read_ints_tolerant st.Faults.Campaign.mem base n
 
 let test_jpegenc_kernel_bit_exact () =
   let kernel = kernel_output_words "jpegenc" ~arg_index:7 ~words:None in
