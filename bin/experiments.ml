@@ -1295,7 +1295,7 @@ let run_heatmap (w : Workloads.Workload.t) technique journal warehouse csv html 
   let cov = Analysis.Coverage.analyze p.Softft.prog in
   let hm =
     Warehouse.Heatmap.build ~prog:p.Softft.prog ~cov ~label
-      ~technique:pretty views
+      ~technique:pretty ~manifest views
   in
   Printf.printf "%s  (%d trials, %d injected)\n"
     hm.Warehouse.Heatmap.hm_label hm.hm_trials hm.hm_injected;

@@ -45,7 +45,7 @@ let () =
   evaluate_params "no slack"
     { base with slack = 0.0 };
   evaluate_params "double slack"
-    { base with slack = 1.0 };
+    { base with slack = 2.0 *. base.slack };
   evaluate_params "hot-only (execs>=512)"
     { base with min_execs = 512 };
   evaluate_params "everything (execs>=4)"

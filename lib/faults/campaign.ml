@@ -61,7 +61,7 @@ type memo = {
   mo_stride : int;
   mo_image0 : Interp.Memory.image;   (** memory before the pass *)
   mo_result : Interp.Machine.result; (** a [Finished] run *)
-  mo_plan : Interp.Fork.plan;        (** [fp_final] holds the end memory *)
+  mo_plan : Interp.Fork.plan;        (** [fp_end] holds the end memory *)
 }
 
 let memo_lock = Mutex.create ()
@@ -83,24 +83,26 @@ let memo_hit ~compiled ~stride ~checkpoint_interval subject
    captured ([None] when profiled: a profiled pass captures nothing and
    neither reads nor writes the memo), and whether the pass was the
    memo's.  Capture only reads state, so the golden record is the same
-   with or without it. *)
-let golden_pass ?profile ?(stride = first_fork_stride) ~checkpoint_interval
-    subject =
+   with or without it.  A pass with the ring observer [obs] must fill its
+   arrays, so it takes no memo hit; it captures and stores its result
+   like any other pass. *)
+let golden_pass ?profile ?(stride = first_fork_stride) ~obs
+    ~checkpoint_interval subject =
   let state = subject.fresh_state () in
   let compiled = Interp.Compiled.cached subject.prog in
   let hit =
-    match profile with
-    | Some _ -> None
-    | None -> memo_hit ~compiled ~stride ~checkpoint_interval subject state
+    match profile, obs with
+    | None, None -> memo_hit ~compiled ~stride ~checkpoint_interval subject state
+    | Some _, _ | _, Some _ -> None
   in
   let result, plan =
     match hit with
     | Some m ->
       (* The caller's own [read_output] reads the end memory below. *)
       Option.iter
-        (fun (fin : Interp.Fork.final) ->
-          Interp.Memory.restore_image state.mem fin.fe_mem)
-        m.mo_plan.fp_final;
+        (fun ((fin : Interp.Fork.snap), _) ->
+          Interp.Memory.restore_image state.mem fin.fk_mem)
+        m.mo_plan.fp_end;
       (m.mo_result, Some m.mo_plan)
     | None ->
       let capture =
@@ -115,7 +117,7 @@ let golden_pass ?profile ?(stride = first_fork_stride) ~checkpoint_interval
       let plan = Option.map fst capture in
       let config =
         { Interp.Machine.default_config with mode = Interp.Machine.Record;
-          profile; checkpoint_interval }
+          profile; checkpoint_interval; obs }
       in
       let result =
         Interp.Machine.run_compiled ~config ?fork_capture:plan compiled
@@ -158,7 +160,9 @@ let golden_pass ?profile ?(stride = first_fork_stride) ~checkpoint_interval
     slower than a plain pass (DESIGN.md §12), and keeps them for the next
     campaign on the same subject. *)
 let golden_run ?profile ?(checkpoint_interval = 0) subject =
-  let golden, _, _ = golden_pass ?profile ~checkpoint_interval subject in
+  let golden, _, _ =
+    golden_pass ?profile ~obs:None ~checkpoint_interval subject
+  in
   golden
 
 type trial = {
@@ -472,15 +476,16 @@ type run_stats = {
    run with its fork capture, check disabling, the per-domain trial
    contexts, the traced parallel batch runner and the epilogue (hooks,
    stats, summary, warehouse filing).  A front-end supplies only how
-   trials are drawn.  [draw ~golden ~compiled] does its own set-up and
-   returns the progress heartbeat and the trial loop; the loop runs
+   trials are drawn, and [obs], the ring observer its golden pass fills.
+   [draw ~golden] does its own set-up and returns the progress heartbeat
+   and the trial loop; the loop runs
    batches through [batch n spec], where [spec i] is trial [i]'s (seed,
    fault plan, stratum) — evaluated on the worker — and returns every
    trial in order plus the front-end's extra result, which [warehouse]
    also receives.
    [budget] bounds the campaign's trials (0 leaves the fork snapshots
    unused). *)
-let engine ?trace ~domains ~checkpoint_interval ~taint_trace
+let engine ?trace ~obs ~domains ~checkpoint_interval ~taint_trace
     ~fork ~fork_stride ~profile ~budget ~stats_out ~warehouse subject ~draw =
   let t_start = Unix.gettimeofday () in
   (* The golden also runs with checkpointing so its cycle count carries the
@@ -491,13 +496,14 @@ let engine ?trace ~domains ~checkpoint_interval ~taint_trace
      whole execution. *)
   let golden, plan, golden_reused =
     Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_pass ~stride:(max 1 fork_stride) ~checkpoint_interval subject)
+      golden_pass ~stride:(max 1 fork_stride) ~obs ~checkpoint_interval
+        subject)
   in
   (* A golden run shorter than the first stride captures nothing, and the
      trials then run from scratch. *)
   let golden_fork =
     Option.bind plan (fun p ->
-      match Interp.Fork.finalize p, p.Interp.Fork.fp_final with
+      match Interp.Fork.(finalize p, p.fp_end) with
       | snaps, Some final
         when fork && Option.is_none profile && budget > 0
              && Array.length snaps > 0 ->
@@ -508,7 +514,7 @@ let engine ?trace ~domains ~checkpoint_interval ~taint_trace
   let disabled = Hashtbl.create 8 in
   List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
   let compiled = Interp.Compiled.cached subject.prog in
-  let progress, loop = draw ~golden ~compiled in
+  let progress, loop = draw ~golden in
   let get_ctx = ctx_table subject in
   let rejoins = rejoins () in
   let pool_stats = ref None in
@@ -613,11 +619,11 @@ let run ?(seed = 0xC0FFEE)
     ?(fork_stride = first_fork_stride) ?profile ?stats_out ?warehouse
     ?progress ?trace subject ~trials =
   let summary, results, () =
-    engine ?trace ~domains ~checkpoint_interval ~taint_trace
+    engine ?trace ~obs:None ~domains ~checkpoint_interval ~taint_trace
       ~fork ~fork_stride ~profile ~budget:trials ~stats_out
       ~warehouse:(Option.map (fun file s r st () -> file s r st) warehouse)
       subject
-      ~draw:(fun ~golden ~compiled:_ ->
+      ~draw:(fun ~golden ->
         let seeds = derive_seeds ~seed ~trials in
         let spec i =
           let seed = seeds.(i) in
@@ -653,7 +659,7 @@ type strata_plan = {
 (* Partition the (step, ring-slot) injection space into strata: one per
    (protection group × residency band).  [cum.(g).(t)] is the cumulative
    probability weight a uniform fault draw puts on group [g] by step [t]
-   (the machine's {!Interp.Machine.ring_obs} measurement); [window] is the
+   (the golden pass's {!Interp.Machine.ring_cum}); [window] is the
    number of equally likely injection steps (golden steps - 1, steps
    [1..window]).  Band boundaries split the *occupied* weight into
    [bands] roughly equal shares, so late-program groups are not starved
@@ -770,37 +776,6 @@ type adaptive = {
   ad_equiv_uniform : int;
   ad_oracle_uniform : int;
 }
-
-(* Mass-measurement replay: one fault-free pass with the ring-occupancy
-   observer attached.  Must replay the golden run exactly — a divergence
-   voids the stratum masses and the unbiasedness argument, so it is a
-   hard error, not a silent fallback. *)
-let measure_ring_masses ?trace ~checkpoint_interval ~compiled ~ngroups
-    ~groups subject ~(golden : golden) =
-  Obs.Trace.with_dur trace ~cat:"campaign" "mass_replay" (fun () ->
-    let obs =
-      Interp.Machine.ring_obs ~groups ~ngroups ~steps:golden.steps
-    in
-    let state = subject.fresh_state () in
-    let config =
-      { Interp.Machine.default_config with
-        mode = Interp.Machine.Record; checkpoint_interval;
-        obs = Some obs }
-    in
-    let r =
-      Interp.Machine.run_compiled ~config compiled ~entry:subject.entry
-        ~args:state.args ~mem:state.mem
-    in
-    match r.Interp.Machine.stop with
-    | Interp.Machine.Finished _
-      when r.Interp.Machine.steps = golden.steps
-           && r.Interp.Machine.cycles = golden.cycles ->
-      obs.Interp.Machine.ro_cum
-    | _ ->
-      raise
-        (Golden_run_failed
-           ( subject.label,
-             "mass-measurement replay diverged from the golden run" )))
 
 let outcome_indices = List.mapi (fun i o -> (o, i)) Classify.all
 let n_outcomes = List.length Classify.all
@@ -1032,17 +1007,18 @@ let run_adaptive ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
     ?(max_trials = 100_000)
     ~groups ~group_names ~priors ~ci subject =
   let ci = Float.max 1e-4 ci in
-  engine ?trace ~domains ~checkpoint_interval ~taint_trace ~fork
-    ~fork_stride ~profile:None ~budget:max_trials ~stats_out
+  (* The golden pass fills the observer, so the stratum masses come from
+     the one fault-free pass every trial is judged against. *)
+  let obs =
+    Interp.Machine.ring_obs ~groups ~ngroups:(Array.length group_names)
+  in
+  engine ?trace ~obs:(Some obs) ~domains ~checkpoint_interval ~taint_trace
+    ~fork ~fork_stride ~profile:None ~budget:max_trials ~stats_out
     ~warehouse subject
-    ~draw:(fun ~golden ~compiled ->
-      let cum =
-        measure_ring_masses ?trace ~checkpoint_interval ~compiled
-          ~ngroups:(max 1 (Array.length group_names)) ~groups subject ~golden
-      in
+    ~draw:(fun ~golden ->
       let plan =
         build_strata ~groups ~group_names ~priors ~bands
-          ~window:(golden.steps - 1) cum
+          ~window:(golden.steps - 1) (Interp.Machine.ring_cum obs)
       in
       let nstrata = Array.length plan.sp_strata in
       let progress =

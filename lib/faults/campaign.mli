@@ -46,10 +46,12 @@ exception Golden_run_failed of string * string
     the default stride, which makes it slower than a plain pass (17%
     summed over the 13 workloads under Dup + val chks; DESIGN.md §12),
     and keeps this one pass: a
-    {!run} or {!run_adaptive} on the same program, entry, arguments,
-    initial memory and checkpoint interval takes it instead of running
-    its own ([golden_reused] in {!run_stats}; DESIGN.md §12).  A profiled
-    run captures nothing and leaves the kept pass alone. *)
+    {!run} on the same program, entry, arguments, initial memory and
+    checkpoint interval takes it instead of running its own
+    ([golden_reused] in {!run_stats}; DESIGN.md §12).  {!run_adaptive}
+    always runs its own pass, which measures its stratum masses, and
+    keeps that one in turn.  A profiled run captures nothing and leaves
+    the kept pass alone. *)
 val golden_run :
   ?profile:Interp.Profile.t -> ?checkpoint_interval:int -> subject -> golden
 
@@ -233,8 +235,9 @@ type stratum = {
   st_prior : float;
 }
 
-(** The full partition: the register→group map, the measured cumulative
-    ring-occupancy weights ({!Interp.Machine.ring_obs}), the injection
+(** The full partition: the register→group map, the cumulative
+    ring-occupancy weights the golden pass measured
+    ({!Interp.Machine.ring_cum}), the injection
     window, the strata, and the exactly known share of empty-ring steps
     (a uniform draw there injects nothing — Masked by construction). *)
 type strata_plan = {

@@ -13,49 +13,32 @@
     A fork snapshot is a deep, immutable copy of everything a resumed run
     needs: the frame stack (register files, rings, control positions), the
     full memory image, and the counters a from-scratch run would carry at
-    that step (steps, cycles, slack credit, recorded check failures).
-    When the run checkpoints, snapshots are only taken at checkpoint
-    events, and additionally record the golden checkpoint's footprint so
-    the resumed trial can synthesize the checkpoint it would hold
-    ({!Snapshot.resume}) — keeping rollback targets and costs
-    bit-identical.
+    that step (steps, cycles, slack credit, recorded check failures,
+    checkpoints taken).  When the run checkpoints, snapshots are only
+    taken at checkpoint events and hold the golden checkpoint itself, so
+    a resumed trial holds the checkpoint a from-scratch run would —
+    keeping rollback targets and costs bit-identical.  The run's end
+    state is one more snapshot, without frames.
 
     Snapshots are read-only after capture and safe to share across
     domains: resuming copies out of them, never into them. *)
-
-(** The checkpoint the golden run took at the capture step, recorded so a
-    resumed trial reproduces the checkpoint state a from-scratch run would
-    hold.  Present iff the capture run checkpointed. *)
-type ckpt = {
-  fc_words : int;   (** {!Snapshot.words} of that golden checkpoint *)
-  fc_cycles : int;  (** cycle counter at its creation (before the
-                        checkpoint cost was charged) *)
-  fc_count : int;   (** checkpoints taken in the prefix, inclusive *)
-}
 
 type snap = {
   fk_step : int;            (** step counter at capture (between instructions) *)
   fk_cycles : int;          (** cycle counter to resume with (after any
                                 checkpoint cost charged at this step) *)
-  fk_frames : Snapshot.frame_snap list;  (** call stack, innermost first *)
+  fk_frames : Snapshot.frame_snap list;  (** call stack, innermost first;
+                                             [[]] for the end state *)
   fk_mem : Memory.image;    (** deep copy of the whole memory *)
   fk_valchk_failures : int; (** ignored-check failures so far *)
   fk_failed_uids : int list;(** distinct uids of those checks, sorted *)
   fk_slack_credit : int;    (** spare-issue-slot account (see Cost) *)
-  fk_ckpt : ckpt option;    (** [Some] iff the capture run checkpointed *)
-}
-
-(** The golden run's end state: what a trial that rejoins the golden run
-    at a snapshot returns instead of executing the golden suffix
-    (DESIGN.md §12, "Rejoining the golden run"). *)
-type final = {
-  fe_steps : int;
-  fe_cycles : int;
-  fe_valchk_failures : int;
-  fe_failed_uids : int list;      (** sorted *)
-  fe_checkpoints : int;
-  fe_ret : Ir.Value.t option;     (** the entry function's return value *)
-  fe_mem : Memory.image;          (** the final memory *)
+  fk_checkpoints : int;     (** checkpoints taken so far, inclusive *)
+  fk_ckpt : Snapshot.t option;
+      (** the checkpoint the capture run took at this very step, whose
+          frames are [fk_frames]; [Some] iff the capture run checkpointed
+          (never on the end state).  Its memory mark belongs to the
+          capture run's undo journal. *)
 }
 
 (** A capture in progress: {!Machine.run_compiled} adds a snapshot
@@ -68,12 +51,14 @@ type plan = {
   mutable fp_stride : int;        (** steps between captures; {!add}
                                       doubles it *)
   mutable fp_snaps : snap list;   (** newest first during capture *)
-  mutable fp_final : final option;(** [Some] once the run has finished *)
+  mutable fp_end : (snap * Ir.Value.t option) option;
+      (** once the run has finished: its end state, without frames, and
+          the entry function's return value *)
 }
 
 let plan ~stride =
   if stride <= 0 then invalid_arg "Fork.plan: stride must be positive";
-  { fp_stride = stride; fp_snaps = []; fp_final = None }
+  { fp_stride = stride; fp_snaps = []; fp_end = None }
 
 (** A plan never holds this many snapshots once {!add} returns. *)
 let max_snaps = 64

@@ -108,22 +108,56 @@ type fault_plan = {
 let register_fault ?restrict ~at_step ~fault_rng () =
   { at_step; fault_rng; kind = Register_bit; restrict }
 
-(** Ring-occupancy observation (adaptive campaigns, DESIGN.md §14): an
-    instrumented golden replay that records, at every step's fault point,
-    what share of the architectural ring each stratum group holds.
-    [ro_cum.(g).(t)] accumulates [Σ_{t'≤t} L_{t'}^g / L_{t'}] where
-    [L_t^g] counts ring slots whose register maps to group [g] — exactly
-    the probability weight a uniform (step, slot) draw puts on group [g]
-    at step [t], so stratum masses and per-stratum step CDFs read straight
-    off these arrays.  Arrays must be zeroed and sized [steps + 1]. *)
+(** Ring-occupancy observation (adaptive campaigns, DESIGN.md §14): the
+    golden pass records, at every step's fault point, what share of the
+    architectural ring each stratum group holds.  [ro_cum.(g).(t)]
+    accumulates [Σ_{t'≤t} L_{t'}^g / L_{t'}] where [L_t^g] counts ring
+    slots whose register maps to group [g] — exactly the probability
+    weight a uniform (step, slot) draw puts on group [g] at step [t], so
+    stratum masses and per-stratum step CDFs read straight off these
+    arrays.  The run's length is unknown while it runs, so it records
+    [L_t^g] for every step, one byte each, and builds the arrays, of
+    length [steps + 1], when it stops. *)
 type ring_obs = {
-  ro_groups : int array;        (** program register code → group id *)
-  ro_cum : float array array;   (** one cumulative array per group *)
+  ro_groups : int array;            (** program register code → group id *)
+  ro_ngroups : int;
+  mutable ro_slots : Bytes.t;       (** [L_t^g] at [t * ro_ngroups + g];
+                                        dropped once [ro_cum] is built *)
+  mutable ro_cum : float array array;  (** one cumulative array per group;
+                                           [[||]] until the run stops *)
 }
 
-let ring_obs ~groups ~ngroups ~steps =
-  { ro_groups = groups;
-    ro_cum = Array.init (max 1 ngroups) (fun _ -> Array.make (steps + 1) 0.0) }
+let ring_obs ~groups ~ngroups =
+  let ngroups = max 1 ngroups in
+  if Array.exists (fun g -> g < 0 || g >= ngroups) groups then
+    invalid_arg "Machine.ring_obs: a group id out of range";
+  { ro_groups = groups; ro_ngroups = ngroups;
+    ro_slots = Bytes.make (4096 * ngroups) '\000'; ro_cum = [||] }
+
+(* The cumulative arrays of a run of [steps] steps.  Step [t] adds
+   [1 / L_t] to group [g]'s running sum once per slot of [g], one addition
+   at a time, so rounding is the same as if the sums ran with the run. *)
+let cumulate o ~steps =
+  let ng = o.ro_ngroups in
+  let cum = Array.init ng (fun _ -> Array.make (steps + 1) 0.0) in
+  for t = 1 to steps do
+    let base = t * ng in
+    let n = ref 0 in
+    for g = 0 to ng - 1 do
+      n := !n + Char.code (Bytes.get o.ro_slots (base + g))
+    done;
+    let inv = 1.0 /. float_of_int (max 1 !n) in
+    for g = 0 to ng - 1 do
+      let sum = ref cum.(g).(t - 1) in
+      for _ = 1 to Char.code (Bytes.get o.ro_slots (base + g)) do
+        sum := !sum +. inv
+      done;
+      cum.(g).(t) <- !sum
+    done
+  done;
+  cum
+
+let ring_cum o = o.ro_cum
 
 type config = {
   fuel : int;
@@ -152,9 +186,9 @@ type config = {
           bit-identical with tracing on or off (DESIGN.md §10) *)
   obs : ring_obs option;
       (** record per-step ring occupancy by stratum group into the given
-          arrays (mass-measurement replay of a golden run); incompatible
-          with [fault].  Execution, costs and outcomes are bit-identical
-          with or without it — only the arrays are filled. *)
+          arrays (an adaptive campaign's golden pass); incompatible with
+          [fault].  Execution, costs and outcomes are bit-identical with
+          or without it — only the arrays are filled. *)
 }
 
 let default_config =
@@ -252,7 +286,8 @@ type state = {
                                       [max_int] when not capturing *)
   rejoin_snaps : Fork.snap array; (** golden snapshots a faulted run may
                                       rejoin at; [[||]] when rejoining is off *)
-  rejoin_final : Fork.final option;   (** the golden end state to return *)
+  rejoin_final : (Fork.snap * Value.t option) option;
+                                  (** the golden end state and return value *)
   mutable rejoin_idx : int;       (** no candidate before it is left *)
   mutable next_rejoin : int;      (** step of the next rejoin check;
                                       [max_int] when none is left *)
@@ -524,24 +559,27 @@ let inject_fault st (plan : fault_plan) site =
 
 (* The rare branch of {!tick}, out of line so the hot loop pays a single
    compare per step.  Reached when the pending fault's step arrived — or,
-   in a mass-measurement replay ([st.obs]), on every step ([fault_at] is
-   pinned to 0): the replay accumulates the ring's per-group occupancy at
+   in a pass with the ring observer ([st.obs]), on every step ([fault_at]
+   is pinned to 0): the pass accumulates the ring's per-group occupancy at
    exactly the point {!inject_fault} would sample it. *)
 let slow_tick st site =
   match st.obs with
   | Some o ->
-    let t = st.steps in
-    if t >= 1 && t < Array.length o.ro_cum.(0) then begin
-      Array.iter (fun c -> c.(t) <- c.(t - 1)) o.ro_cum;
-      match st.stack with
-      | fr :: _ when fr.recent_n > 0 ->
-        let inv = 1.0 /. float_of_int fr.recent_n in
-        for i = 0 to fr.recent_n - 1 do
-          let c = o.ro_cum.(o.ro_groups.(fr.recent.(i))) in
-          c.(t) <- c.(t) +. inv
-        done
-      | _ -> ()
-    end
+    let base = st.steps * o.ro_ngroups in
+    while base + o.ro_ngroups > Bytes.length o.ro_slots do
+      let len = Bytes.length o.ro_slots in
+      let grown = Bytes.extend o.ro_slots 0 len in
+      Bytes.fill grown len len '\000';
+      o.ro_slots <- grown
+    done;
+    (match st.stack with
+     | fr :: _ ->
+       for i = 0 to fr.recent_n - 1 do
+         let j = base + o.ro_groups.(fr.recent.(i)) in
+         Bytes.set o.ro_slots j
+           (Char.unsafe_chr (Char.code (Bytes.get o.ro_slots j) + 1))
+       done
+     | [] -> ())
   | None ->
     st.fault_at <- max_int;
     st.fast_fuel <- st.config.fuel;
@@ -948,30 +986,40 @@ let capture_mem st (plan : Fork.plan) =
   | newest :: _ -> Memory.capture ~like:newest.Fork.fk_mem st.mem
   | [] -> Memory.capture st.mem
 
+let sorted_failed_uids st =
+  Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
+  |> List.sort compare
+
+(* The machine's state as a fork snapshot, with the given frames. *)
+let fork_snap st plan ~frames ~ckpt =
+  { Fork.fk_step = st.steps;
+    fk_cycles = st.cycles;
+    fk_frames = frames;
+    fk_mem = capture_mem st plan;
+    fk_valchk_failures = st.valchk_failures;
+    fk_failed_uids = sorted_failed_uids st;
+    fk_slack_credit = st.slack_credit;
+    fk_checkpoints = st.ckpt_count;
+    fk_ckpt = ckpt }
+
 (* Capture one golden-prefix fork snapshot ({!Fork}): the current loop
    head is a consistent resume position (same argument as checkpoints:
    the fast path retires whole blocks, so the head only ever sees block
-   boundaries or slow-path steps).  [ckpt] carries the checkpoint the run
-   took at this very step, when checkpointing is on — captures then
-   coincide with checkpoint events so a resumed trial can synthesize the
-   checkpoint a from-scratch run would hold. *)
+   boundaries or slow-path steps).  [ckpt] is the checkpoint the run took
+   at this very step, when checkpointing is on — captures then coincide
+   with checkpoint events, and the snapshot holds that checkpoint and
+   shares its frames, so a resumed trial holds the checkpoint a
+   from-scratch run would. *)
 let capture_fork st ~ckpt =
   match st.fork with
   | None -> ()
   | Some plan ->
-    let snap =
-      { Fork.fk_step = st.steps;
-        fk_cycles = st.cycles;
-        fk_frames = List.map snap_frame st.stack;
-        fk_mem = capture_mem st plan;
-        fk_valchk_failures = st.valchk_failures;
-        fk_failed_uids =
-          Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
-          |> List.sort compare;
-        fk_slack_credit = st.slack_credit;
-        fk_ckpt = ckpt }
+    let frames =
+      match ckpt with
+      | Some (c : Snapshot.t) -> c.sn_frames
+      | None -> List.map snap_frame st.stack
     in
-    Fork.add plan snap;
+    Fork.add plan (fork_snap st plan ~frames ~ckpt);
     st.next_fork <- st.steps + plan.Fork.fp_stride
 
 (* Checkpoints are taken at the interpreter loop head, where [fr.idx] is a
@@ -997,19 +1045,15 @@ let take_checkpoint st =
   st.ckpt_prev <- st.ckpt_cur;
   st.ckpt_cur <- Some snap;
   st.ckpt_count <- st.ckpt_count + 1;
-  st.cycles <- st.cycles + Cost.checkpoint ~words:(Snapshot.words snap);
+  st.cycles <- st.cycles + Cost.checkpoint ~words:snap.Snapshot.sn_words;
   st.next_checkpoint <- st.steps + st.config.checkpoint_interval;
   (* When a checkpointing golden run is also capturing fork snapshots, the
      capture happens exactly here, after the checkpoint cost is charged:
-     the snapshot's resume cycles include that cost, and the checkpoint's
-     own pre-cost cycles and footprint ride along so a resumed trial
-     reproduces both the rollback target and its accounting. *)
-  if st.steps >= st.next_fork then
-    capture_fork st
-      ~ckpt:
-        (Some { Fork.fc_words = Snapshot.words snap;
-                fc_cycles = snap.Snapshot.sn_cycles;
-                fc_count = st.ckpt_count })
+     the snapshot's resume cycles include that cost, and the checkpoint
+     itself, with its pre-cost cycles and footprint, rides along so a
+     resumed trial reproduces both the rollback target and its
+     accounting. *)
+  if st.steps >= st.next_fork then capture_fork st ~ckpt:(Some snap)
 
 (** A software check fired: try to roll back to the newest retained
     checkpoint that predates the injected fault and replay.  Returns false
@@ -1026,7 +1070,9 @@ let try_recover st (d : detection) =
       st.rollback_denied <- true;
       false
     | Some inj ->
-      let clean c = Snapshot.predates c ~inj_step:inj.inj_step in
+      (* Strictly before: the injection lands while executing the
+         instruction that advances the counter to its step. *)
+      let clean (c : Snapshot.t) = c.sn_step < inj.inj_step in
       let pick =
         match st.ckpt_cur with
         | Some c when clean c -> Some c
@@ -1052,7 +1098,7 @@ let try_recover st (d : detection) =
          (match st.trace with
           | Some tr -> Taint.rollback tr ~step:st.steps
           | None -> ());
-         let rollback_cycles = Cost.rollback ~words:(Snapshot.words snap) in
+         let rollback_cycles = Cost.rollback ~words:snap.Snapshot.sn_words in
          st.cycles <- st.cycles + rollback_cycles;
          (* The fault was transient: its architectural effects are erased by
             the restore and the replay runs clean, so nothing is re-armed.
@@ -1118,16 +1164,44 @@ let state_matches st (s : Fork.snap) =
   && st.valchk_failures = s.Fork.fk_valchk_failures
   && Hashtbl.length st.failed_uids = List.length s.Fork.fk_failed_uids
   && List.for_all (Hashtbl.mem st.failed_uids) s.Fork.fk_failed_uids
+  && st.ckpt_count = s.Fork.fk_checkpoints
   && (match s.Fork.fk_ckpt with
       | None -> st.config.checkpoint_interval = 0
-      | Some ck ->
+      | Some _ ->
         (* The checkpoint just taken at this loop head: the next one's
            dirty-word count — hence its cost — starts from here in both
            runs, so the history before this step no longer matters. *)
-        st.ckpt_count = ck.Fork.fc_count
-        && st.next_checkpoint = s.Fork.fk_step + st.config.checkpoint_interval)
+        st.next_checkpoint = s.Fork.fk_step + st.config.checkpoint_interval)
   && frames_match st.stack s.Fork.fk_frames
   && Memory.equal_image st.mem s.Fork.fk_mem
+
+(* Make a golden snapshot the machine's state: its frames (the stack's
+   frames go back to the arena first), memory image and counters.  A
+   checkpointing run also takes the snapshot's checkpoint, its memory mark
+   rebased onto this run's own just-reset undo journal: rolling back to
+   position 0 restores the state at the snapshot, which is the state the
+   golden checkpoint preserved, and the golden footprint keeps rollback
+   costs bit-identical.  Resume and rejoin both install through here. *)
+let install st (s : Fork.snap) =
+  List.iter (recycle_frame st) st.stack;
+  st.stack <- List.map (restore_frame st) s.Fork.fk_frames;
+  Memory.restore_image st.mem s.Fork.fk_mem;
+  st.steps <- s.Fork.fk_step;
+  st.cycles <- s.Fork.fk_cycles;
+  st.valchk_failures <- s.Fork.fk_valchk_failures;
+  Hashtbl.reset st.failed_uids;
+  List.iter (fun uid -> Hashtbl.replace st.failed_uids uid ())
+    s.Fork.fk_failed_uids;
+  st.slack_credit <- s.Fork.fk_slack_credit;
+  st.ckpt_count <- s.Fork.fk_checkpoints;
+  if st.config.checkpoint_interval > 0 then begin
+    Memory.enable_undo st.mem;
+    match s.Fork.fk_ckpt with
+    | Some ck ->
+      st.ckpt_cur <- Some { ck with Snapshot.sn_mem = Memory.mark st.mem };
+      st.next_checkpoint <- s.Fork.fk_step + st.config.checkpoint_interval
+    | None -> ()
+  end
 
 (** At a loop head at or past [next_rejoin]: if the run is settled (its
     flip was dead, see {!inject_fault}), or it sits exactly on a golden
@@ -1150,17 +1224,10 @@ let try_rejoin st =
     && Option.is_none st.recovered && not st.rollback_denied
   in
   match st.rejoin_final with
-  | Some fin
+  | Some (fin, _)
     when st.settled || (here && eligible () && state_matches st snaps.(!i)) ->
-    Memory.restore_image st.mem fin.Fork.fe_mem;
     st.rejoined_at <- Some st.steps;
-    st.steps <- fin.Fork.fe_steps;
-    st.cycles <- fin.Fork.fe_cycles;
-    st.valchk_failures <- fin.Fork.fe_valchk_failures;
-    Hashtbl.reset st.failed_uids;
-    List.iter (fun uid -> Hashtbl.replace st.failed_uids uid ())
-      fin.Fork.fe_failed_uids;
-    st.ckpt_count <- fin.Fork.fe_checkpoints;
+    install st fin;
     true
   | _ ->
     let next = if here then !i + 1 else !i in
@@ -1192,22 +1259,24 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
        a.ar_width <- compiled.Compiled.next_reg
      end
    | None -> ());
+  if Option.is_some config.obs && Option.is_some config.fault then
+    invalid_arg "Machine.run_compiled: a ring observer with a fault";
   (* Rejoining skips the golden suffix, so a run that observes its
-     execution (taint, profile, [on_def], ring occupancy) or captures
-     snapshots itself never rejoins.  The end state is only the right
-     answer if the suffix runs as it did in the capture run: every check
-     the golden fails must be ignored here too, and the fuel must not run
-     out before the golden end.  The first check waits for the fault. *)
+     execution (taint, profile, [on_def]) or captures snapshots itself
+     never rejoins.  The end state is only the right answer if the suffix
+     runs as it did in the capture run: every check the golden fails must
+     be ignored here too, and the fuel must not run out before the golden
+     end.  The first check waits for the fault. *)
   let rejoin_snaps, rejoin_final, next_rejoin =
     match rejoin, config.fault with
-    | Some (snaps, (fin : Fork.final)), Some p
+    | Some (snaps, ((fin : Fork.snap), _ as final)), Some p
       when (not config.taint_trace) && Option.is_none config.profile
-           && Option.is_none config.on_def && Option.is_none config.obs
-           && Option.is_none fork_capture && fin.Fork.fe_steps < config.fuel
+           && Option.is_none config.on_def
+           && Option.is_none fork_capture && fin.fk_step < config.fuel
            && (config.mode = Record
                || List.for_all (Hashtbl.mem config.disabled_checks)
-                    fin.Fork.fe_failed_uids) ->
-      (snaps, Some fin, p.at_step)
+                    fin.fk_failed_uids) ->
+      (snaps, Some final, p.at_step)
     | _ -> ([||], None, max_int)
   in
   let st =
@@ -1248,23 +1317,18 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
     (* Frames still on the stack feed the next trial's allocations. *)
     List.iter (recycle_frame st) st.stack;
     st.stack <- [];
-    let failed_check_uids =
-      Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
-      |> List.sort compare
-    in
     (match st.fork, stop with
      | Some plan, Finished ret ->
-       plan.Fork.fp_final <-
-         Some
-           { Fork.fe_steps = st.steps; fe_cycles = st.cycles;
-             fe_valchk_failures = st.valchk_failures;
-             fe_failed_uids = failed_check_uids;
-             fe_checkpoints = st.ckpt_count; fe_ret = ret;
-             fe_mem = capture_mem st plan }
+       plan.Fork.fp_end <- Some (fork_snap st plan ~frames:[] ~ckpt:None, ret)
      | _ -> ());
+    (match st.obs with
+     | Some o ->
+       o.ro_cum <- cumulate o ~steps:st.steps;
+       o.ro_slots <- Bytes.empty
+     | None -> ());
     { stop; steps = st.steps; cycles = st.cycles;
       valchk_failures = st.valchk_failures;
-      failed_check_uids;
+      failed_check_uids = sorted_failed_uids st;
       injection = st.injection;
       recovered = st.recovered; rollback_denied = st.rollback_denied;
       checkpoints = st.ckpt_count;
@@ -1288,7 +1352,7 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
          here, after any checkpoint this loop head took.  [next_rejoin] is
          [max_int] when rejoining is off. *)
       if st.steps >= st.next_rejoin && try_rejoin st then
-        result := Some (Finished (Option.get st.rejoin_final).Fork.fe_ret)
+        result := Some (Finished (snd (Option.get st.rejoin_final)))
       else if st.steps >= config.fuel then result := Some Out_of_fuel
       else begin
         match st.stack with
@@ -1350,47 +1414,22 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
        st.stack <- [ fr ];
        if config.checkpoint_interval > 0 then Memory.enable_undo mem
      | Some (snap : Fork.snap) ->
-       (* Resume from a golden-prefix fork snapshot: restore the memory
-          image, the frame stack and every counter a from-scratch run
-          would carry at this step.  The injection must land after the
-          fork, or the resumed run would skip the very step the fault
-          targets. *)
+       (* Resume from a golden-prefix fork snapshot: every piece of state
+          a from-scratch run would carry at this step, its checkpoint
+          included.  [ckpt_prev] is never needed: the injection postdates
+          that checkpoint, so it is always the newest clean one.  The
+          injection must land after the fork, or the resumed run would
+          skip the very step the fault targets. *)
        (match config.fault with
-        | Some p when p.at_step <= snap.Fork.fk_step ->
+        | Some p when p.at_step <= snap.fk_step ->
           invalid_arg
             "Machine.run_compiled: resume snapshot does not predate the fault"
         | Some _ | None -> ());
-       Memory.restore_image mem snap.Fork.fk_mem;
-       st.steps <- snap.Fork.fk_step;
-       st.cycles <- snap.Fork.fk_cycles;
-       st.valchk_failures <- snap.Fork.fk_valchk_failures;
-       List.iter (fun uid -> Hashtbl.replace st.failed_uids uid ())
-         snap.Fork.fk_failed_uids;
-       st.slack_credit <- snap.Fork.fk_slack_credit;
-       st.stack <- List.map (restore_frame st) snap.Fork.fk_frames;
-       if config.checkpoint_interval > 0 then begin
-         Memory.enable_undo mem;
-         match snap.Fork.fk_ckpt with
-         | Some ck ->
-           (* Synthesize the checkpoint the from-scratch run would hold:
-              taken at the fork step, mark at position 0 of the just-reset
-              undo journal (rolling back to it restores state-at-fork,
-              which is the checkpoint's state), golden footprint for
-              bit-identical rollback costs.  [ckpt_prev] is never needed:
-              the injection postdates this checkpoint, so it is always the
-              newest clean one. *)
-           st.ckpt_count <- ck.Fork.fc_count;
-           st.ckpt_cur <-
-             Some
-               (Snapshot.resume ~step:snap.Fork.fk_step
-                  ~cycles:ck.Fork.fc_cycles ~frames:snap.Fork.fk_frames
-                  ~mem ~words:ck.Fork.fc_words);
-           st.next_checkpoint <- snap.Fork.fk_step + config.checkpoint_interval
-         | None ->
-           invalid_arg
-             "Machine.run_compiled: checkpointing run resumed from a \
-              snapshot captured without checkpoint state"
-       end);
+       if config.checkpoint_interval > 0 && Option.is_none snap.fk_ckpt then
+         invalid_arg
+           "Machine.run_compiled: checkpointing run resumed from a \
+            snapshot captured without checkpoint state";
+       install st snap);
     drive ()
   with
   | stop -> finish stop

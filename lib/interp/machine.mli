@@ -107,21 +107,23 @@ val register_fault :
   at_step:int -> fault_rng:Rng.t -> unit -> fault_plan
 
 (** Ring-occupancy observation for adaptive campaigns (DESIGN.md §14):
-    attach to a golden replay via [config.obs] and the machine fills
-    [ro_cum.(g).(t)] with [Σ_{t'≤t} L_{t'}^g / L_{t'}], where [L_t^g]
-    counts architectural-ring slots whose register maps to group [g] at
-    step [t]'s fault point (and [L_t] is the occupied ring size) — the
-    exact probability weight a uniform (step, slot) fault draw puts on
-    group [g] at step [t].  Stratum masses and per-stratum step CDFs read
-    straight off the cumulative arrays. *)
-type ring_obs = {
-  ro_groups : int array;        (** program register code → group id *)
-  ro_cum : float array array;   (** one cumulative array per group,
-                                    length [steps + 1], index = step *)
-}
+    attach to the golden pass via [config.obs], and when the run stops
+    {!ring_cum} holds one array per group whose entry [t] is
+    [Σ_{t'≤t} L_{t'}^g / L_{t'}], where [L_t^g] counts architectural-ring
+    slots whose register maps to group [g] at step [t]'s fault point (and
+    [L_t] is the occupied ring size) — the exact probability weight a
+    uniform (step, slot) fault draw puts on group [g] at step [t].
+    Stratum masses and per-stratum step CDFs read straight off the
+    cumulative arrays. *)
+type ring_obs
 
-(** Fresh zeroed observation arrays for a golden run of [steps] steps. *)
-val ring_obs : groups:int array -> ngroups:int -> steps:int -> ring_obs
+(** A fresh observer for one run of any length; [groups] maps program
+    register codes to group ids below [ngroups], else [Invalid_argument]. *)
+val ring_obs : groups:int array -> ngroups:int -> ring_obs
+
+(** The cumulative arrays, of length [steps + 1] and indexed by step, of
+    the run the observer watched; [[||]] until that run stops. *)
+val ring_cum : ring_obs -> float array array
 
 type config = {
   fuel : int;
@@ -152,9 +154,9 @@ type config = {
           store (DESIGN.md §10); observation-only — execution, costs and
           outcomes are bit-identical with tracing on or off *)
   obs : ring_obs option;
-      (** fill the given {!ring_obs} arrays during the run (one
-          mass-measurement replay of the golden run per adaptive campaign);
-          incompatible with [fault].  Observation-only: execution, costs
+      (** fill the given {!ring_obs} arrays during the run (an adaptive
+          campaign's golden pass); a run with both [obs] and [fault]
+          raises [Invalid_argument].  Observation-only: execution, costs
           and outcomes are bit-identical with or without it. *)
 }
 
@@ -197,9 +199,11 @@ val arena : unit -> arena
     the plan ({!Fork.add}, which thins the plan and doubles its stride at
     64 snapshots) every time the step counter crosses a stride boundary —
     at a loop head, or exactly at a checkpoint event when
-    [checkpoint_interval] is on, and records the run's end state in
-    [fp_final] when it finishes.  Capture is observation-free for the
-    capturing run itself, so a campaign captures during its golden run.
+    [checkpoint_interval] is on, and then holding that checkpoint.  When
+    the run finishes it records its end state in [fp_end]: one more
+    snapshot, without frames, and the return value.  Capture is
+    observation-free for the capturing run itself, so a campaign captures
+    during its golden run, observer or not.
 
     [resume] starts the run from a previously captured fork snapshot
     instead of the program entry: memory, frames, and the step/cycle/check
@@ -211,19 +215,24 @@ val arena : unit -> arena
     [on_def] observe only the post-fork suffix, so campaigns fall back to
     from-scratch execution for profiled trials.
 
-    [rejoin] (faulted runs only) takes the snapshots and end state of a
-    capture run ({!Fork.finalize}, [fp_final]) with the same program
-    and [checkpoint_interval].  At a loop head on a snapshot's step, once
+    Resume and rejoin install a snapshot the same way: frames, memory
+    image, counters and checkpoint count, and on resume in a
+    checkpointing run the snapshot's checkpoint, its memory mark rebased
+    onto this run's own undo journal.
+
+    [rejoin] (faulted runs only) takes the snapshots and the end state
+    of a capture run's {!Fork.plan} ([finalize] and [fp_end]) with the
+    same program and [checkpoint_interval].  At a loop head on a snapshot's step, once
     the fault has landed and if no rollback happened, the run compares
     its whole state with the snapshot: counters, check bookkeeping,
     checkpoint schedule, frames and memory.  On a match the remaining
-    run would replay the golden suffix, so it stops there: memory gets the
-    golden final image, the counters the golden end values, and the stop
-    is [Finished] with the golden return value; [rejoined_at] records the
-    step.  Every other field of the result, and the final memory, are
-    exactly those of the full run.  Runs with [taint_trace], [profile],
-    [on_def] or [obs], capture runs, and runs whose fuel or disabled
-    checks would make the golden suffix behave differently never rejoin.
+    run would replay the golden suffix, so it stops there: it installs the
+    golden end state, and the stop is [Finished] with the golden return
+    value; [rejoined_at] records the step.  Every other field of the
+    result, and the final memory, are exactly those of the full run.
+    Runs with [taint_trace], [profile] or [on_def], capture runs, and
+    runs whose fuel or disabled checks would make the golden suffix
+    behave differently never rejoin.
     Without checkpointing, a register flip whose register static liveness
     proves dead (the first access after the flip is a write, or the frame
     returns first) settles: the run rejoins at the next loop head without
@@ -233,7 +242,7 @@ val run_compiled :
   ?arena:arena ->
   ?fork_capture:Fork.plan ->
   ?resume:Fork.snap ->
-  ?rejoin:Fork.snap array * Fork.final ->
+  ?rejoin:Fork.snap array * (Fork.snap * Ir.Value.t option) ->
   Compiled.t ->
   entry:string ->
   args:Ir.Value.t list ->

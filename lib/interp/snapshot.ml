@@ -35,24 +35,3 @@ let create ~step ~cycles ~frames ~mem ~dirty_words =
   in
   { sn_step = step; sn_cycles = cycles; sn_frames = frames;
     sn_mem = Memory.mark mem; sn_words = words }
-
-(* Rebuild the checkpoint a resumed (golden-prefix-forked) run would hold
-   at its fork step: the frame snaps come from the fork snapshot, the mark
-   is position 0 of the trial's own (just reset) undo journal — rolling
-   back to it restores exactly the state-at-fork, which equals the state
-   the from-scratch checkpoint preserved — and [words] is the golden
-   checkpoint's recorded footprint, so {!Cost.rollback} charges are
-   bit-identical to the from-scratch run's. *)
-let resume ~step ~cycles ~frames ~mem ~words =
-  { sn_step = step; sn_cycles = cycles; sn_frames = frames;
-    sn_mem = Memory.mark mem; sn_words = words }
-
-let words t = t.sn_words
-let step t = t.sn_step
-
-(** Is a snapshot clean with respect to a fault injected at [inj_step]?
-    The injection happens while executing the instruction that advances the
-    step counter to [inj_step], and checkpoints are taken between
-    instructions, so a snapshot at step [s] predates the corruption iff
-    [s < inj_step]. *)
-let predates t ~inj_step = t.sn_step < inj_step

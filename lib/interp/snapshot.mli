@@ -12,7 +12,10 @@
     Snapshots are taken every [checkpoint_interval] dynamic instructions
     by {!Machine} when recovery is enabled; the machine keeps the two most
     recent so that a detection whose latency is below the interval always
-    finds a checkpoint that predates the fault ({!predates}). *)
+    finds a checkpoint that predates the fault: one taken at a step
+    before the injection step, since the injection lands while executing
+    the instruction that advances the counter to its step and snapshots
+    are taken between instructions. *)
 
 (** One frame of the captured call stack.  [fs_block]/[fs_idx] are the
     resume position (block index, next body-instruction index); the
@@ -49,28 +52,3 @@ val create :
   mem:Memory.t ->
   dirty_words:int ->
   t
-
-(** Rebuild the checkpoint a golden-prefix-forked run holds at its fork
-    step ({!Fork}): [frames] are the fork snapshot's frame snaps, the
-    {!Memory.mark} is taken on the trial's own just-reset undo journal,
-    and [words] is the footprint the corresponding golden checkpoint
-    recorded — so a later rollback restores the same state and charges the
-    same {!Cost.rollback} as a from-scratch run's checkpoint would. *)
-val resume :
-  step:int ->
-  cycles:int ->
-  frames:frame_snap list ->
-  mem:Memory.t ->
-  words:int ->
-  t
-
-(** Live-state words the checkpoint preserved ({!Cost.checkpoint} input). *)
-val words : t -> int
-
-val step : t -> int
-
-(** Does the snapshot predate a fault injected at [inj_step] (i.e. is its
-    state guaranteed clean)?  True iff [sn_step < inj_step]: the injection
-    lands while executing the instruction that advances the counter to
-    [inj_step], and snapshots are taken between instructions. *)
-val predates : t -> inj_step:int -> bool

@@ -49,7 +49,7 @@ let sdc_prone_status = function
     false
 
 let build ~(prog : Ir.Prog.t) ~(cov : Analysis.Coverage.t) ~label ~technique
-    views =
+    ~manifest views =
   (* Register -> defining site, program-wide.  SSA plus program-wide
      register numbering make this total and unambiguous; first definition
      wins defensively. *)
@@ -195,7 +195,7 @@ let build ~(prog : Ir.Prog.t) ~(cov : Analysis.Coverage.t) ~label ~technique
     hm_injected = !injected;
     hm_sites = List.rev !sites;
     hm_static_fraction = cov.Analysis.Coverage.sdc_prone_fraction;
-    hm_measured_sdc = Obs.Stats.wilson ~k:!sdc_trials ~n:!trials }
+    hm_measured_sdc = Store.sdc_interval manifest ~k:!sdc_trials ~n:!trials }
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)

@@ -40,15 +40,19 @@ type t = {
                                  ["(unmapped)"] — last, present only
                                  when nonzero *)
   hm_static_fraction : float;       (** static SDC-prone fraction *)
-  hm_measured_sdc : Obs.Stats.interval;  (** measured SDC rate, Wilson *)
+  hm_measured_sdc : Obs.Stats.interval;
+      (** measured SDC rate ({!Store.sdc_interval}): Wilson, or an
+          adaptive run's mass-reweighted interval *)
 }
 
-(** Build the heatmap for one program from its journal trial views. *)
+(** Build the heatmap for one program from its journal's manifest and
+    trial views. *)
 val build :
   prog:Ir.Prog.t ->
   cov:Analysis.Coverage.t ->
   label:string ->
   technique:string ->
+  manifest:Obs.Json.t ->
   Faults.Journal.view list ->
   t
 

@@ -318,20 +318,19 @@ let tally_journal path =
   in
   (manifest, n, counts, strata)
 
-let sdc_interval manifest ~counts ~n =
+let sdc_interval manifest ~k ~n =
   (* The adaptive mass-reweighted interval is the honest one on v5 runs
      (raw stratified counts are allocation-biased); elsewhere plain
      Wilson on the pooled counts. *)
   match Obs.Json.member "adaptive" manifest with
   | Some a when Obs.Json.member "sdc" a <> None ->
     interval_of_json (Option.get (Obs.Json.member "sdc" a))
-  | _ ->
-    let k =
-      List.fold_left
-        (fun acc (o, k) -> if is_sdc_name o then acc + k else acc)
-        0 counts
-    in
-    Obs.Stats.wilson ~k ~n
+  | _ -> Obs.Stats.wilson ~k ~n
+
+let sdc_count_of counts =
+  List.fold_left
+    (fun acc (o, k) -> if is_sdc_name o then acc + k else acc)
+    0 counts
 
 let entry_of_manifest ?prog_digest ~key ~seq ~path ~n ~counts manifest =
   let trials_per_sec =
@@ -377,7 +376,7 @@ let entry_of_manifest ?prog_digest ~key ~seq ~path ~n ~counts manifest =
     e_ingested_at = Unix.gettimeofday ();
     e_trials_per_sec = trials_per_sec;
     e_counts = counts;
-    e_sdc = sdc_interval manifest ~counts ~n }
+    e_sdc = sdc_interval manifest ~k:(sdc_count_of counts) ~n }
 
 (* ------------------------------------------------------------------ *)
 (* Ingestion                                                           *)
@@ -510,8 +509,8 @@ let diff_row ~name ~old_k ~old_n ~new_k ~new_n =
     dr_significant = Obs.Stats.disjoint old_iv new_iv }
 
 let diff_runs ~old_path ~new_path =
-  let _, old_n, old_counts, old_strata = tally_journal old_path in
-  let _, new_n, new_counts, new_strata = tally_journal new_path in
+  let old_m, old_n, old_counts, old_strata = tally_journal old_path in
+  let new_m, new_n, new_counts, new_strata = tally_journal new_path in
   let get tbl o = Option.value ~default:0 (Hashtbl.find_opt tbl o) in
   let names =
     let all = Hashtbl.create 16 in
@@ -528,13 +527,17 @@ let diff_runs ~old_path ~new_path =
           ~new_k:(get new_counts o) ~new_n)
       names
   in
-  let sdc_k tbl =
-    Hashtbl.fold (fun o k acc -> if is_sdc_name o then acc + k else acc)
-      tbl 0
-  in
+  (* An adaptive run's SDC rate is its mass-reweighted interval, as in
+     the index and the regression gate. *)
   let sdc =
-    diff_row ~name:"SDC" ~old_k:(sdc_k old_counts) ~old_n
-      ~new_k:(sdc_k new_counts) ~new_n
+    let old_k = sdc_count_of (sorted_counts old_counts) in
+    let new_k = sdc_count_of (sorted_counts new_counts) in
+    let old_iv = sdc_interval old_m ~k:old_k ~n:old_n in
+    let new_iv = sdc_interval new_m ~k:new_k ~n:new_n in
+    { (diff_row ~name:"SDC" ~old_k ~old_n ~new_k ~new_n) with
+      dr_old = old_iv;
+      dr_new = new_iv;
+      dr_significant = Obs.Stats.disjoint old_iv new_iv }
   in
   let strata =
     if Hashtbl.length old_strata = 0 || Hashtbl.length new_strata = 0 then []
@@ -606,10 +609,6 @@ let latest_per_identity es =
     es;
   tbl
 
-let sdc_count e =
-  List.fold_left
-    (fun acc (o, k) -> if is_sdc_name o then acc + k else acc)
-    0 e.e_counts
 
 let regress ~baseline ~current =
   let old_tbl = latest_per_identity baseline in
@@ -627,8 +626,8 @@ let regress ~baseline ~current =
            plain runs (where both agree). *)
         let sdc =
           let row =
-            diff_row ~name:"SDC" ~old_k:(sdc_count old_e)
-              ~old_n:old_e.e_trials ~new_k:(sdc_count new_e)
+            diff_row ~name:"SDC" ~old_k:(sdc_count_of old_e.e_counts)
+              ~old_n:old_e.e_trials ~new_k:(sdc_count_of new_e.e_counts)
               ~new_n:new_e.e_trials
           in
           if old_e.e_ci_target = None && new_e.e_ci_target = None then row

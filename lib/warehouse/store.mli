@@ -107,8 +107,8 @@ val resolve : ?dir:string -> string -> string
 
 (** {1 Cross-run diffing} *)
 
-(** One compared rate: [dr_significant] only when the two Wilson
-    intervals are disjoint ({!Obs.Stats.disjoint}) — overlapping
+(** One compared rate: [dr_significant] only when the two intervals
+    (Wilson, or an adaptive run's reweighted SDC interval) are disjoint ({!Obs.Stats.disjoint}) — overlapping
     intervals never flag, so a run diffed against itself reports zero
     significant deltas by construction. *)
 type diff_row = {
@@ -131,8 +131,14 @@ type diff = {
                                    when both runs carry v5 stratum ids *)
 }
 
-(** Diff two journals outcome by outcome. *)
+(** Diff two journals outcome by outcome.  The SDC row of an adaptive
+    run compares its mass-reweighted interval ({!sdc_interval}). *)
 val diff_runs : old_path:string -> new_path:string -> diff
+
+(** A run's SDC interval from its manifest and its pooled SDC count [k]
+    of [n] trials: an adaptive (v5) run's mass-reweighted interval, else
+    Wilson on [k] of [n]. *)
+val sdc_interval : Obs.Json.t -> k:int -> n:int -> Obs.Stats.interval
 
 (** {1 The regression gate} *)
 

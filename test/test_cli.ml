@@ -274,9 +274,7 @@ let test_old_warehouse () =
   (* A warehouse from before the ledger: its index holds a "bench" record
      ahead of a run.  history and regress read it; ingest refuses a
      BENCH_campaign.json-shaped file and leaves the index as it was. *)
-  let dir = Filename.temp_file "softft_cliwh" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+  Test_warehouse.with_tmp_dir ~prefix:"softft_cliwh" @@ fun dir ->
   let index = Filename.concat dir "index.jsonl" in
   Out_channel.with_open_text index (fun oc ->
     output_string oc Test_warehouse.old_bench_record);
@@ -319,9 +317,7 @@ let test_torn_warehouse_index () =
   (* A crash that tears the index's last line costs that one run, not the
      warehouse: history skips it and exits 0.  Filed after, the torn piece
      sits mid-file, and history names its line and exits 1. *)
-  let dir = Filename.temp_file "softft_cliwh" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+  Test_warehouse.with_tmp_dir ~prefix:"softft_cliwh" @@ fun dir ->
   let wh = Filename.quote dir in
   let index = Filename.concat dir "index.jsonl" in
   let campaign seed =
@@ -354,13 +350,7 @@ let test_concurrent_ingest () =
   (* Two ingest processes filing into one warehouse at once, first with
      disjoint journals and then with the same ones: each run is filed
      exactly once, under a seq of its own, on a line of its own. *)
-  let fresh_dir () =
-    let dir = Filename.temp_file "softft_cliwh" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    dir
-  in
-  let jdir = fresh_dir () in
+  Test_warehouse.with_tmp_dir ~prefix:"softft_cliwh" @@ fun jdir ->
   let journals =
     List.init 8 (fun i ->
       let path = Filename.concat jdir (Printf.sprintf "j%d.jsonl" i) in
@@ -375,7 +365,7 @@ let test_concurrent_ingest () =
       Filename.quote path)
   in
   let ingest_pair what a b =
-    let dir = fresh_dir () in
+    Test_warehouse.with_tmp_dir ~prefix:"softft_cliwh" @@ fun dir ->
     let ingest files =
       Printf.sprintf "%s ingest --warehouse %s %s > /dev/null 2>&1" exe
         (Filename.quote dir) (String.concat " " files)
@@ -422,11 +412,7 @@ let test_plan_runs_reingest_as_duplicates () =
   (* A plan-driven run files under a key that covers the plan's program;
      ingest, rebuilding that program from the journal's plan document,
      must land on the same key and file nothing new. *)
-  let dir = Filename.temp_file "softft_planwh" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () ->
-    ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-  @@ fun () ->
+  Test_warehouse.with_tmp_dir ~prefix:"softft_planwh" @@ fun dir ->
   let rc, _ =
     run_exe
       (Printf.sprintf

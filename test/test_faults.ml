@@ -796,6 +796,55 @@ let test_adaptive_deterministic () =
   Alcotest.(check bool) "1 vs 4 domains bit-identical" true
     (Faults.Campaign.trials_equal t1 t4)
 
+let test_adaptive_masses_from_golden () =
+  (* The golden pass measures the stratum masses: they equal, bit for
+     bit, those of a separate fault-free run with the ring observer alone
+     and no fork capture. *)
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (name, checkpoint_interval) ->
+      let what = Printf.sprintf "%s/k=%d" name checkpoint_interval in
+      let subject =
+        Softft.subject
+          (Softft.protect (Workloads.Registry.find name) Softft.Dup_valchk)
+          ~role:Workloads.Workload.Test
+      in
+      let groups, group_names, priors = strata_inputs subject in
+      let obs =
+        Interp.Machine.ring_obs ~groups ~ngroups:(Array.length group_names)
+      in
+      let st = subject.fresh_state () in
+      let r =
+        Interp.Machine.run_compiled
+          ~config:
+            { Interp.Machine.default_config with
+              mode = Interp.Machine.Record; checkpoint_interval;
+              obs = Some obs }
+          (Interp.Compiled.cached subject.prog)
+          ~entry:subject.entry ~args:st.args ~mem:st.mem
+      in
+      let alone =
+        Faults.Campaign.build_strata ~groups ~group_names ~priors ~bands:3
+          ~window:(r.steps - 1) (Interp.Machine.ring_cum obs)
+      in
+      let _, _, ad =
+        Faults.Campaign.run_adaptive ~seed:5 ~checkpoint_interval
+          ~max_trials:40 ~groups ~group_names ~priors ~ci:0.2 subject
+      in
+      Alcotest.(check int) (what ^ ": strata") (Array.length alone.sp_strata)
+        (Array.length ad.Faults.Campaign.ad_strata);
+      Array.iteri
+        (fun i (s : Faults.Campaign.stratum) ->
+          let a = ad.ad_strata.(i).ss_stratum in
+          Alcotest.(check (pair int int)) (what ^ ": band") (s.st_lo, s.st_hi)
+            (a.st_lo, a.st_hi);
+          Alcotest.(check int64) (what ^ ": mass") (bits s.st_mass)
+            (bits a.st_mass))
+        alone.sp_strata;
+      Alcotest.(check int64) (what ^ ": empty-ring mass")
+        (bits alone.sp_mass_empty) (bits ad.ad_mass_empty))
+    [ ("kmeans", 0); ("kmeans", 1000); ("g721enc", 0); ("g721enc", 1000) ]
+
 let test_adaptive_accounting () =
   (* Masses partition the injection space (they sum with the empty-ring
      share to 1 — the unbiasedness precondition), and every executed
@@ -1044,6 +1093,8 @@ let tests =
       `Quick test_run_trial_reference;
     Alcotest.test_case "adaptive: deterministic across reruns and domains"
       `Quick test_adaptive_deterministic;
+    Alcotest.test_case "adaptive: golden pass measures the masses" `Quick
+      test_adaptive_masses_from_golden;
     Alcotest.test_case "adaptive: masses and tallies account for everything"
       `Quick test_adaptive_accounting;
     Alcotest.test_case "adaptive: converges to the target half width" `Quick

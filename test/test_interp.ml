@@ -237,7 +237,7 @@ let test_fork_plan_thins () =
   let snap step =
     { Interp.Fork.fk_step = step; fk_cycles = step; fk_frames = [];
       fk_mem = image; fk_valchk_failures = 0; fk_failed_uids = [];
-      fk_slack_credit = 0; fk_ckpt = None }
+      fk_slack_credit = 0; fk_checkpoints = 0; fk_ckpt = None }
   in
   let plan = Interp.Fork.plan ~stride:1 in
   for step = 1 to 64 do Interp.Fork.add plan (snap step) done;
@@ -268,9 +268,32 @@ let test_fork_plan_thins () =
   done;
   Alcotest.(check bool) "newest snapshot kept" true
     (r.steps - snaps.(n - 1).Interp.Fork.fk_step <= plan.Interp.Fork.fp_stride);
-  match plan.Interp.Fork.fp_final with
-  | Some fin -> Alcotest.(check int) "end state recorded" r.steps fin.fe_steps
-  | None -> Alcotest.fail "fp_final not set"
+  match plan.Interp.Fork.fp_end with
+  | Some (fin, _) ->
+    Alcotest.(check int) "end state recorded" r.steps fin.fk_step;
+    Alcotest.(check int) "end state has no frames" 0
+      (List.length fin.fk_frames)
+  | None -> Alcotest.fail "fp_end not set"
+
+let test_ring_observer_refuses_fault () =
+  (* The observer reads every step's ring, a fault would pin the tick to
+     its own step: the two together are a caller error, not a run that
+     silently never injects. *)
+  let config =
+    { Interp.Machine.default_config with
+      obs = Some (Interp.Machine.ring_obs ~groups:[| 0; 0; 0; 0 |] ~ngroups:1);
+      fault =
+        Some
+          (Interp.Machine.register_fault ~at_step:5 ~fault_rng:(Rng.create 1)
+             ()) }
+  in
+  Alcotest.check_raises "obs with a fault"
+    (Invalid_argument "Machine.run_compiled: a ring observer with a fault")
+    (fun () ->
+      ignore
+        (Interp.Machine.run_compiled ~config
+           (Interp.Compiled.cached (build_counter 50))
+           ~entry:"main" ~args:[] ~mem:(Interp.Memory.create ())))
 
 (* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
 
@@ -288,7 +311,7 @@ let golden_fork (subject : Faults.Campaign.subject) ~checkpoint_interval =
     (Interp.Machine.run_compiled ~config ~fork_capture:plan
        (Interp.Compiled.cached subject.prog)
        ~entry:subject.entry ~args:st.args ~mem:st.mem);
-  match plan.Interp.Fork.fp_final with
+  match plan.Interp.Fork.fp_end with
   | Some final -> (golden, Interp.Fork.finalize plan, final)
   | None -> Alcotest.fail (subject.label ^ ": capture run did not finish")
 
@@ -461,11 +484,7 @@ let test_rejoin_needs_equal_state () =
   alter "failed check uids" (fun s ->
     { s with Interp.Fork.fk_failed_uids = -1 :: s.fk_failed_uids });
   alter "checkpoint count" (fun s ->
-    { s with
-      Interp.Fork.fk_ckpt =
-        Option.map
-          (fun (c : Interp.Fork.ckpt) -> { c with fc_count = c.fc_count + 1 })
-          s.fk_ckpt });
+    { s with Interp.Fork.fk_checkpoints = s.fk_checkpoints + 1 });
   alter "a register" (fun s ->
     match s.Interp.Fork.fk_frames with
     | [] -> s
@@ -564,7 +583,7 @@ let test_settle_calls_and_returns () =
     (Interp.Machine.run_compiled
        ~config:{ Interp.Machine.default_config with mode = Interp.Machine.Record }
        ~fork_capture:plan compiled ~entry:"main" ~args ~mem);
-  let final = Option.get plan.Interp.Fork.fp_final in
+  let final = Option.get plan.Interp.Fork.fp_end in
   let rejoin = (Interp.Fork.finalize plan, final) in
   let run ~reg ~at_step rejoin =
     let groups = Array.make compiled.Interp.Compiled.next_reg 0 in
@@ -683,6 +702,8 @@ let tests =
     Alcotest.test_case "cost: model sanity" `Quick test_cost_model_sanity;
     Alcotest.test_case "fork: plan thins to 32-63 snapshots" `Quick
       test_fork_plan_thins;
+    Alcotest.test_case "obs: a ring observer with a fault is refused" `Quick
+      test_ring_observer_refuses_fault;
     Alcotest.test_case "rejoin: identical result and memory" `Quick
       test_rejoin_identical;
     Alcotest.test_case "rejoin: needs every compared part equal" `Quick

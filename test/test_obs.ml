@@ -810,21 +810,25 @@ let test_progress_heartbeat_jsonl () =
 
 (* ----- Determinism: the flight recorder and statistics are inert ----- *)
 
-(* The recorder saw a campaign's phases: the golden run (which captures
-   the fork snapshots itself, so no capture pass of its own) and the
+(* The recorder saw a campaign's phases: one golden run (which captures
+   the fork snapshots itself, and for an adaptive campaign measures the
+   stratum masses too, so no pass of its own for either) and the
    trials. *)
 let check_campaign_spans what r =
-  let names =
-    List.sort_uniq compare
-      (List.map (fun d -> d.Trace.du_name) (Trace.durs r))
-  in
+  let all = List.map (fun d -> d.Trace.du_name) (Trace.durs r) in
+  let names = List.sort_uniq compare all in
   List.iter
     (fun phase ->
       Alcotest.(check bool) (what ^ ": " ^ phase ^ " span recorded") true
         (List.mem phase names))
     [ "golden_run"; "trials"; "worker" ];
-  Alcotest.(check bool) (what ^ ": no fork_capture span") false
-    (List.mem "fork_capture" names)
+  Alcotest.(check int) (what ^ ": one golden_run span") 1
+    (List.length (List.filter (String.equal "golden_run") all));
+  List.iter
+    (fun pass ->
+      Alcotest.(check bool) (what ^ ": no " ^ pass ^ " span") false
+        (List.mem pass names))
+    [ "fork_capture"; "mass_replay" ]
 
 let check_flight_recorder_inert ~domains () =
   let bare_summary, bare = small_campaign ~domains:1 () in

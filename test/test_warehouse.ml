@@ -7,11 +7,16 @@ module Heatmap = Warehouse.Heatmap
 module Campaign = Faults.Campaign
 module Journal = Faults.Journal
 
-let tmp_dir () =
-  let path = Filename.temp_file "softft_wh" "" in
+(* A fresh directory for [f], removed with its contents when [f] returns
+   or raises. *)
+let with_tmp_dir ?(prefix = "softft_wh") f =
+  let path = Filename.temp_file prefix "" in
   Sys.remove path;
   Sys.mkdir path 0o755;
-  path
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote path)))
+    (fun () -> f path)
 
 let tmp_journal () = Filename.temp_file "softft_whj" ".jsonl"
 
@@ -100,7 +105,7 @@ let test_prog_digest_sensitivity () =
 
 let test_ingest_idempotent () =
   let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let path = write_journal summary results in
   let digest = Store.prog_digest p.Softft.prog in
   let first = Store.ingest ~prog_digest:digest ~dir path in
@@ -124,7 +129,7 @@ let test_ingest_idempotent () =
 
 let test_ingest_records_counts () =
   let summary, results, _ = run_campaign "kmeans" Softft.Dup_valchk in
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let path = write_journal summary results in
   (match Store.ingest ~dir path with
    | `Ingested e ->
@@ -164,6 +169,32 @@ let test_diff_v5_strata_rows () =
       Alcotest.(check bool) "stratum self-delta is not significant" false
         r.Store.dr_significant)
     d.Store.df_strata
+
+let test_v5_sdc_is_reweighted () =
+  (* An adaptive run's pooled SDC count is allocation-biased (1 of 4
+     here, Wilson 25.0%±32.7); diff-runs and the heatmap report the
+     manifest's mass-reweighted interval, as the index does. *)
+  let path = Filename.concat "fixtures" "journal_v5.jsonl" in
+  let manifest, views = Journal.load path in
+  let reweighted = Store.sdc_interval manifest ~k:1 ~n:4 in
+  Alcotest.(check (float 1e-12)) "manifest estimate" 0.2
+    reweighted.Obs.Stats.ci_estimate;
+  let d = Store.diff_runs ~old_path:path ~new_path:path in
+  Alcotest.(check bool) "diff-runs old SDC interval" true
+    (d.Store.df_sdc.Store.dr_old = reweighted);
+  Alcotest.(check bool) "diff-runs new SDC interval" true
+    (d.Store.df_sdc.Store.dr_new = reweighted);
+  Alcotest.(check bool) "self-diff not significant" false
+    d.Store.df_sdc.Store.dr_significant;
+  let p = Softft.protect (Workloads.Registry.find "kmeans") Softft.Dup_valchk in
+  let hm =
+    Heatmap.build ~prog:p.Softft.prog
+      ~cov:(Analysis.Coverage.analyze p.Softft.prog)
+      ~label:"kmeans/Dup + val chks/test" ~technique:"Dup + val chks"
+      ~manifest views
+  in
+  Alcotest.(check bool) "heatmap measured SDC" true
+    (hm.Heatmap.hm_measured_sdc = reweighted)
 
 (* A synthetic journal with a chosen SDC count — rate separation under
    test control, independent of any workload's actual fault response. *)
@@ -262,7 +293,7 @@ let test_regress_unmatched_identities () =
 
 let test_resolve_key_prefix () =
   let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let digest = Store.prog_digest p.Softft.prog in
   let e =
     match
@@ -289,7 +320,7 @@ let old_bench_record =
    \"host\":\"old\",\"host_cores\":1,\"ingested_at\":0.0}\n"
 
 let test_old_index_with_bench_record () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let index = Filename.concat dir "index.jsonl" in
   Out_channel.with_open_text index (fun oc ->
     output_string oc old_bench_record);
@@ -353,7 +384,7 @@ let test_fixture_version_fields () =
     (List.for_all (fun v -> v.Journal.v_stratum <> None) v5)
 
 let test_fixtures_ingest () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   List.iter (fun v ->
       match Store.ingest ~dir (fixture v) with
       | `Ingested _ -> ()
@@ -378,13 +409,13 @@ let test_fixtures_ingest () =
 let heatmap_of name technique =
   let summary, results, p = run_campaign name technique in
   let path = write_journal summary results in
-  let _, views = Journal.load path in
+  let manifest, views = Journal.load path in
   Sys.remove path;
   let cov = Analysis.Coverage.analyze p.Softft.prog in
   ( Heatmap.build ~prog:p.Softft.prog ~cov
       ~label:summary.Campaign.subject_label
       ~technique:(Softft.technique_name technique)
-      views,
+      ~manifest views,
     views )
 
 let test_heatmap_totals () =
@@ -485,7 +516,7 @@ let test_torn_index () =
      is corruption mid-file, named by its line number.  The later run's
      record starts on a line of its own and stays readable. *)
   let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let index = Filename.concat dir "index.jsonl" in
   let file seed =
     ignore
@@ -532,6 +563,8 @@ let tests =
       test_diff_self_zero_significant;
     Alcotest.test_case "diff-runs: v5 strata rows" `Quick
       test_diff_v5_strata_rows;
+    Alcotest.test_case "diff-runs, heatmap: v5 SDC is reweighted" `Quick
+      test_v5_sdc_is_reweighted;
     Alcotest.test_case "diff-runs: disjoint rates flag" `Quick
       test_diff_detects_disjoint_rates;
     Alcotest.test_case "regress: coverage gate" `Quick test_regress_gate;
