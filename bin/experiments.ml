@@ -1151,9 +1151,11 @@ let run_diff_runs dir old_arg new_arg =
         (fun (r : Warehouse.Store.diff_row) -> r.dr_significant)
         ((d.df_sdc :: d.df_outcomes) @ d.df_strata)
     in
-    Printf.printf
-      "\n%d significant delta(s) (disjoint Wilson 95%% intervals)\n"
+    Printf.printf "\n%d significant delta(s) (disjoint %s)\n"
       (List.length significant)
+      (if d.df_reweighted then
+         "95% intervals: Wilson, and mass-reweighted stratified for SDC"
+       else "Wilson 95% intervals")
 
 let diff_old_arg =
   let doc = "Old run: a journal path, or a run key (prefix) resolved in \

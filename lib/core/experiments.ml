@@ -163,7 +163,7 @@ let fig11_row_of_summary label (s : Campaign.summary) =
     Report.pct (p [ Classify.Failure ]);
     Report.pct (p [ Classify.Usdc_large; Classify.Usdc_small ]) ]
 
-let fig11_rows ?(techniques = fig11_techniques) results =
+let fig11_rows results =
   List.concat_map
     (fun r ->
       List.map
@@ -172,7 +172,7 @@ let fig11_rows ?(techniques = fig11_techniques) results =
           fig11_row_of_summary
             (Printf.sprintf "%s/%s" r.workload.name (Api.technique_name t))
             c.summary)
-        techniques)
+        fig11_techniques)
     results
   @ List.map
       (fun t ->
@@ -184,12 +184,12 @@ let fig11_rows ?(techniques = fig11_techniques) results =
           Report.pct (mean [ Classify.Hw_detect ]);
           Report.pct (mean [ Classify.Failure ]);
           Report.pct (mean [ Classify.Usdc_large; Classify.Usdc_small ]) ])
-      techniques
+      fig11_techniques
 
-let print_fig11 ?techniques results =
+let print_fig11 results =
   Report.print
     ~title:"Figure 11: fault-injection outcome classification"
-    ~header:fig11_header ~rows:(fig11_rows ?techniques results)
+    ~header:fig11_header ~rows:(fig11_rows results)
 
 (* ----- Figure 12: performance overhead ----- *)
 
@@ -224,7 +224,7 @@ let print_fig12 results =
 let fig13_header =
   [ "benchmark/technique"; "SDC%"; "ASDC%"; "USDC%" ]
 
-let fig13_rows ?(techniques = fig11_techniques) results =
+let fig13_rows results =
   List.concat_map
     (fun r ->
       List.map
@@ -236,7 +236,7 @@ let fig13_rows ?(techniques = fig11_techniques) results =
               (p [ Classify.Asdc; Classify.Usdc_large; Classify.Usdc_small ]);
             Report.pct (p [ Classify.Asdc ]);
             Report.pct (p [ Classify.Usdc_large; Classify.Usdc_small ]) ])
-        techniques)
+        fig11_techniques)
     results
   @ List.map
       (fun t ->
@@ -247,13 +247,13 @@ let fig13_rows ?(techniques = fig11_techniques) results =
             (mean [ Classify.Asdc; Classify.Usdc_large; Classify.Usdc_small ]);
           Report.pct (mean [ Classify.Asdc ]);
           Report.pct (mean [ Classify.Usdc_large; Classify.Usdc_small ]) ])
-      techniques
+      fig11_techniques
 
-let print_fig13 ?techniques results =
+let print_fig13 results =
   Report.print
     ~title:"Figure 13: silent data corruptions split into acceptable and \
             unacceptable"
-    ~header:fig13_header ~rows:(fig13_rows ?techniques results)
+    ~header:fig13_header ~rows:(fig13_rows results)
 
 (* ----- Table I: benchmark inventory ----- *)
 

@@ -122,6 +122,14 @@ let knee_points ?(n = 2) (front : point list) =
     List.map (fun i -> pts.(i)) chosen
   end
 
+(* Tables keyed by a normalized plan's content: two normalized plans are
+   the same plan exactly when they are structurally equal. *)
+module Plans = Hashtbl.Make (struct
+  type t = Plan.t
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 1000 1000
+end)
+
 (** Search the plan space of [prog] under an overhead [budget] (a
     fraction; [None] = unbounded).  [profile] enables check placement and
     the Opt-2 chain flavors; [exec_counts] weighs blocks by profiled
@@ -136,18 +144,19 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
     Predict.estimate ?exec_counts ?profile ~cost:(cost_model ()) prog
   in
   let explored = ref 0 in
-  let archive : (string, point) Hashtbl.t = Hashtbl.create 64 in
+  let archive : point Plans.t = Plans.create 64 in
   let consider ?(fixed = false) ?label plan =
     let plan = Plan.normalize { plan with Plan.checkpoint } in
-    let key = Plan.slug plan in
-    match Hashtbl.find_opt archive key with
+    match Plans.find_opt archive plan with
     | Some p -> p
     | None ->
       incr explored;
       let est = price plan in
-      let label = match label with Some l -> l | None -> "plan:" ^ key in
+      let label =
+        match label with Some l -> l | None -> "plan:" ^ Plan.slug plan
+      in
       let p = { op_plan = plan; op_label = label; op_fixed = fixed; op_est = est } in
-      Hashtbl.replace archive key p;
+      Plans.replace archive plan p;
       p
   in
   let chains = Plan.candidate_chains prog in
@@ -210,13 +219,13 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
             | c -> c)
           expansions
       in
-      let seen = Hashtbl.create 16 in
+      let seen = Plans.create 16 in
       let kept = ref [] in
       List.iter
         (fun (_, child) ->
-          let key = Plan.slug child.op_plan in
-          if (not (Hashtbl.mem seen key)) && List.length !kept < beam then begin
-            Hashtbl.replace seen key ();
+          if (not (Plans.mem seen child.op_plan)) && List.length !kept < beam
+          then begin
+            Plans.replace seen child.op_plan ();
             kept := child :: !kept
           end)
         sorted;
@@ -226,7 +235,7 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
   (* Greedy stand-alone check placement on the surviving frontier. *)
   if sites <> [] then begin
     let eligible =
-      Hashtbl.fold (fun _ p acc -> p :: acc) archive []
+      Plans.fold (fun _ p acc -> p :: acc) archive []
       |> List.filter (fun p -> overhead p <= budget)
     in
     List.iter
@@ -266,7 +275,7 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
         done)
       (pareto eligible)
   end;
-  let all_points = Hashtbl.fold (fun _ p acc -> p :: acc) archive [] in
+  let all_points = Plans.fold (fun _ p acc -> p :: acc) archive [] in
   let front =
     pareto (List.filter (fun p -> overhead p <= budget) all_points)
   in

@@ -39,10 +39,16 @@ type golden = {
 
 exception Golden_run_failed of string * string
 
-(* The first stride of the golden run's fork capture.  The plan doubles
-   it as the run grows ({!Interp.Fork.add}), so a long golden run ends
-   with 32 to 63 snapshots. *)
-let first_fork_stride = 1024
+(* The first stride of the golden run's fork capture, after snapshot 0.
+   The plan doubles it as the run grows ({!Interp.Fork.add}), so a long
+   golden run ends with snapshot 0 and 32 to 63 stride snapshots. *)
+let first_capture_stride = 1024
+
+(* A golden pass's fork snapshots in ascending step order, snapshot 0
+   (the input state) first, and its end state with the return value: what
+   every unprofiled trial resumes from and rejoins. *)
+type golden_fork =
+  Interp.Fork.snap array * (Interp.Fork.snap * Ir.Value.t option)
 
 (* The last unprofiled fault-free pass (DESIGN.md §12, "One golden pass
    per program and input").  A campaign that follows [golden_run] on the
@@ -50,71 +56,62 @@ let first_fork_stride = 1024
    runs its campaign — takes this pass and its fork snapshots instead of
    running them again.  The pass is a pure function of its key: the
    compiled program (physical identity; an in-place edit recompiles), the
-   entry, the arguments, the initial memory, the checkpoint interval and
-   the fork stride.  One entry only, so the snapshots of at most one pass
-   stay alive between campaigns. *)
+   entry, the arguments, the initial memory (snapshot 0's image) and the
+   checkpoint interval.  One entry only, so the snapshots of at most one
+   pass stay alive between campaigns. *)
 type memo = {
   mo_compiled : Interp.Compiled.t;
   mo_entry : string;
   mo_args : Ir.Value.t list;
   mo_checkpoint_interval : int;
-  mo_stride : int;
-  mo_image0 : Interp.Memory.image;   (** memory before the pass *)
   mo_result : Interp.Machine.result; (** a [Finished] run *)
-  mo_plan : Interp.Fork.plan;        (** [fp_end] holds the end memory *)
+  mo_fork : golden_fork;
 }
 
 let memo_lock = Mutex.create ()
 let memo : memo option ref = ref None
 
-let memo_hit ~compiled ~stride ~checkpoint_interval subject
-    (state : run_state) =
+let memo_hit ~compiled ~checkpoint_interval subject (state : run_state) =
   match Mutex.protect memo_lock (fun () -> !memo) with
-  | Some m
+  | Some ({ mo_fork = snaps, _; _ } as m)
     when m.mo_compiled == compiled && m.mo_entry = subject.entry
          && List.equal Ir.Value.equal m.mo_args state.args
          && m.mo_checkpoint_interval = checkpoint_interval
-         && m.mo_stride = stride
-         && Interp.Memory.equal_image state.mem m.mo_image0 ->
+         && Interp.Memory.equal_image state.mem snaps.(0).fk_mem ->
     Some m
   | Some _ | None -> None
 
-(* One fault-free pass: the golden record, the fork plan the pass
+(* One fault-free pass: the golden record, the fork snapshots the pass
    captured ([None] when profiled: a profiled pass captures nothing and
    neither reads nor writes the memo), and whether the pass was the
    memo's.  Capture only reads state, so the golden record is the same
    with or without it.  A pass with the ring observer [obs] must fill its
    arrays, so it takes no memo hit; it captures and stores its result
    like any other pass. *)
-let golden_pass ?profile ?(stride = first_fork_stride) ~obs
-    ~checkpoint_interval subject =
+let golden_pass ?profile ~obs ~checkpoint_interval subject =
   let state = subject.fresh_state () in
   let compiled = Interp.Compiled.cached subject.prog in
   let hit =
     match profile, obs with
-    | None, None -> memo_hit ~compiled ~stride ~checkpoint_interval subject state
+    | None, None -> memo_hit ~compiled ~checkpoint_interval subject state
     | Some _, _ | _, Some _ -> None
   in
-  let result, plan =
+  let result, fork =
     match hit with
-    | Some m ->
+    | Some ({ mo_fork = _, (fin, _); _ } as m) ->
       (* The caller's own [read_output] reads the end memory below. *)
-      Option.iter
-        (fun ((fin : Interp.Fork.snap), _) ->
-          Interp.Memory.restore_image state.mem fin.fk_mem)
-        m.mo_plan.fp_end;
-      (m.mo_result, Some m.mo_plan)
+      Interp.Memory.restore_image state.mem fin.fk_mem;
+      (m.mo_result, Some m.mo_fork)
     | None ->
-      let capture =
+      let plan =
         match profile with
         | Some _ -> None
         | None ->
           (* Evict first: the old pass's snapshots die before this pass
              captures its own. *)
           Mutex.protect memo_lock (fun () -> memo := None);
-          Some (Interp.Fork.plan ~stride, Interp.Memory.capture state.mem)
+          Some (Interp.Fork.plan ~stride:first_capture_stride)
       in
-      let plan = Option.map fst capture in
       let config =
         { Interp.Machine.default_config with mode = Interp.Machine.Record;
           profile; checkpoint_interval; obs }
@@ -123,18 +120,21 @@ let golden_pass ?profile ?(stride = first_fork_stride) ~obs
         Interp.Machine.run_compiled ~config ?fork_capture:plan compiled
           ~entry:subject.entry ~args:state.args ~mem:state.mem
       in
-      (match capture, result.stop with
-       | Some (p, image0), Interp.Machine.Finished _ ->
-         let m =
-           { mo_compiled = compiled; mo_entry = subject.entry;
-             mo_args = state.args;
-             mo_checkpoint_interval = checkpoint_interval;
-             mo_stride = stride; mo_image0 = image0; mo_result = result;
-             mo_plan = p }
-         in
-         Mutex.protect memo_lock (fun () -> memo := Some m)
-       | _ -> ());
-      (result, plan)
+      let fork =
+        match plan with
+        | Some ({ fp_end = Some final; _ } as p) ->
+          let fork = (Interp.Fork.finalize p, final) in
+          Mutex.protect memo_lock (fun () ->
+            memo :=
+              Some
+                { mo_compiled = compiled; mo_entry = subject.entry;
+                  mo_args = state.args;
+                  mo_checkpoint_interval = checkpoint_interval;
+                  mo_result = result; mo_fork = fork });
+          Some fork
+        | Some { fp_end = None; _ } | None -> None
+      in
+      (result, fork)
   in
   match result.stop with
   | Interp.Machine.Finished ret ->
@@ -143,7 +143,7 @@ let golden_pass ?profile ?(stride = first_fork_stride) ~obs
         cycles = result.cycles;
         false_positives = result.valchk_failures;
         failing_checks = result.failed_check_uids },
-      plan,
+      fork,
       Option.is_some hit )
   | stop ->
     raise
@@ -156,9 +156,9 @@ let golden_pass ?profile ?(stride = first_fork_stride) ~obs
     are unchanged (checkpoints retire no instructions), but the cycle count
     then includes the checkpoint overhead — the fault-free cost a recovery
     deployment actually pays.  An unprofiled run also captures the fork
-    snapshots a campaign with the default stride would, which makes it
-    slower than a plain pass (DESIGN.md §12), and keeps them for the next
-    campaign on the same subject. *)
+    snapshots a campaign would, which makes it slower than a plain pass
+    (DESIGN.md §12), and keeps them for the next campaign on the same
+    subject. *)
 let golden_run ?profile ?(checkpoint_interval = 0) subject =
   let golden, _, _ =
     golden_pass ?profile ~obs:None ~checkpoint_interval subject
@@ -343,14 +343,12 @@ let run_trial ?(fault_kind = Interp.Machine.Register_bit) ?profile
   finish_trial subject ~golden ~hw_window ~seed ~at_step ~state result
 
 (* One worker domain's reusable trial context ({!run}'s hot path): the
-   run state is materialized once per domain, its pristine memory image is
-   captured up front, and every trial either resumes from a fork snapshot
-   (which overwrites memory itself) or blits the pristine image back —
-   never reallocating the region arrays.  The arena recycles the machine's
-   frame and phi scratch across the domain's trials. *)
+   run state is materialized once per domain, and every trial overwrites
+   its memory from a golden snapshot — never reallocating the region
+   arrays.  The arena recycles the machine's frame and phi scratch across
+   the domain's trials. *)
 type worker_ctx = {
   wc_state : run_state;
-  wc_image0 : Interp.Memory.image;
   wc_arena : Interp.Machine.arena;
 }
 
@@ -368,31 +366,31 @@ let rejoins () =
 
 (* The arena/fork trial runner: bit-identical to {!run_trial} by the
    determinism argument of DESIGN.md §12 — the snapshot restores exactly
-   the state a from-scratch run holds at the fork step, the arena and
-   image reset are observation-free, and a trial that rejoins the golden
-   run returns exactly what its full run would have.  A profiled campaign
-   captures no snapshots, so its trials all run from the pristine image. *)
+   the state a from-scratch run holds at the fork step (every [at_step]
+   is at least 1, so snapshot 0 always qualifies), the arena is
+   observation-free, and a trial that rejoins the golden run returns
+   exactly what its full run would have.  A profiled trial must observe
+   its whole run: it starts from the entry on snapshot 0's memory, the
+   input state. *)
 let run_trial_in ?profile ~plan:(at_step, fault) ~compiled
-    ~checkpoint_interval ~taint_trace ~(ctx : worker_ctx) ~golden_fork
-    ~rejoins subject ~(golden : golden) ~disabled ~seed =
+    ~checkpoint_interval ~taint_trace ~(ctx : worker_ctx)
+    ~golden_fork:((snaps, _) as golden_fork : golden_fork) ~rejoins subject
+    ~(golden : golden) ~disabled ~seed =
   let state = ctx.wc_state in
   let resume =
-    match golden_fork with
-    | Some (snaps, _) -> Interp.Fork.best snaps ~at_step
-    | None -> None
+    match profile with
+    | None -> Interp.Fork.best snaps ~at_step
+    | Some _ ->
+      Interp.Memory.restore_image state.mem snaps.(0).fk_mem;
+      None
   in
-  (* A resumed run restores memory from its snapshot; a from-scratch run
-     starts from the pristine image. *)
-  (match resume with
-   | Some _ -> ()
-   | None -> Interp.Memory.restore_image state.mem ctx.wc_image0);
   let config =
     trial_config ~fault ~disabled ~profile ~checkpoint_interval ~taint_trace
       ~golden
   in
   let result =
     Interp.Machine.run_compiled ~config ~arena:ctx.wc_arena ?resume
-      ?rejoin:golden_fork compiled ~entry:subject.entry ~args:state.args
+      ~rejoin:golden_fork compiled ~entry:subject.entry ~args:state.args
       ~mem:state.mem
   in
   (match result.rejoined_at with
@@ -444,10 +442,8 @@ let ctx_table subject =
     match found with
     | Some c -> c
     | None ->
-      let state = subject.fresh_state () in
       let c =
-        { wc_state = state;
-          wc_image0 = Interp.Memory.capture state.mem;
+        { wc_state = subject.fresh_state ();
           wc_arena = Interp.Machine.arena () }
       in
       Mutex.lock ctx_lock;
@@ -482,34 +478,20 @@ type run_stats = {
    batches through [batch n spec], where [spec i] is trial [i]'s (seed,
    fault plan, stratum) — evaluated on the worker — and returns every
    trial in order plus the front-end's extra result, which [warehouse]
-   also receives.
-   [budget] bounds the campaign's trials (0 leaves the fork snapshots
-   unused). *)
-let engine ?trace ~obs ~domains ~checkpoint_interval ~taint_trace
-    ~fork ~fork_stride ~profile ~budget ~stats_out ~warehouse subject ~draw =
+   also receives. *)
+let engine ?trace ~obs ~domains ~checkpoint_interval ~taint_trace ~profile
+    ~stats_out ~warehouse subject ~draw =
   let t_start = Unix.gettimeofday () in
   (* The golden also runs with checkpointing so its cycle count carries the
      fault-free overhead of the recovery configuration; its output and step
      count (the fault window) are interval-independent.  The pass captures
-     the fork snapshots, or takes the memoized ones of the same pass; the
-     trials use them unless profiling: a profiled trial must observe its
-     whole execution. *)
-  let golden, plan, golden_reused =
+     the fork snapshots, or takes the memoized ones of the same pass.  It
+     is unprofiled, so it always has them. *)
+  let golden, golden_fork, golden_reused =
     Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_pass ~stride:(max 1 fork_stride) ~obs ~checkpoint_interval
-        subject)
+      golden_pass ~obs ~checkpoint_interval subject)
   in
-  (* A golden run shorter than the first stride captures nothing, and the
-     trials then run from scratch. *)
-  let golden_fork =
-    Option.bind plan (fun p ->
-      match Interp.Fork.(finalize p, p.fp_end) with
-      | snaps, Some final
-        when fork && Option.is_none profile && budget > 0
-             && Array.length snaps > 0 ->
-        Some (snaps, final)
-      | _ -> None)
-  in
+  let golden_fork = Option.get golden_fork in
   let t_golden = Unix.gettimeofday () in
   let disabled = Hashtbl.create 8 in
   List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
@@ -615,12 +597,11 @@ let engine ?trace ~obs ~domains ~checkpoint_interval ~taint_trace
     without an injection there is nothing to seed. *)
 let run ?(seed = 0xC0FFEE)
     ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
-    ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
-    ?(fork_stride = first_fork_stride) ?profile ?stats_out ?warehouse
-    ?progress ?trace subject ~trials =
+    ?(checkpoint_interval = 0) ?(taint_trace = false) ?profile ?stats_out
+    ?warehouse ?progress ?trace subject ~trials =
   let summary, results, () =
     engine ?trace ~obs:None ~domains ~checkpoint_interval ~taint_trace
-      ~fork ~fork_stride ~profile ~budget:trials ~stats_out
+      ~profile ~stats_out
       ~warehouse:(Option.map (fun file s r st () -> file s r st) warehouse)
       subject
       ~draw:(fun ~golden ->
@@ -1002,9 +983,8 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
     them, [priors] seeds each group's variance estimate with a static
     SDC-proneness guess before any trial has run. *)
 let run_adaptive ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
-    ?(taint_trace = false) ?(fork = true) ?(fork_stride = first_fork_stride)
-    ?stats_out ?warehouse ?progress_for ?trace ?(bands = 3)
-    ?(max_trials = 100_000)
+    ?(taint_trace = false) ?stats_out ?warehouse ?progress_for ?trace
+    ?(bands = 3) ?(max_trials = 100_000)
     ~groups ~group_names ~priors ~ci subject =
   let ci = Float.max 1e-4 ci in
   (* The golden pass fills the observer, so the stratum masses come from
@@ -1013,8 +993,7 @@ let run_adaptive ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
     Interp.Machine.ring_obs ~groups ~ngroups:(Array.length group_names)
   in
   engine ?trace ~obs:(Some obs) ~domains ~checkpoint_interval ~taint_trace
-    ~fork ~fork_stride ~profile:None ~budget:max_trials ~stats_out
-    ~warehouse subject
+    ~profile:None ~stats_out ~warehouse subject
     ~draw:(fun ~golden ->
       let plan =
         build_strata ~groups ~group_names ~priors ~bands

@@ -42,8 +42,8 @@ exception Golden_run_failed of string * string
     output and step count are unchanged, but the cycle count then includes
     the fault-free checkpoint overhead.
 
-    An unprofiled run also captures the fork snapshots of a campaign at
-    the default stride, which makes it slower than a plain pass (17%
+    An unprofiled run also captures the fork snapshots of a campaign,
+    which makes it slower than a plain pass (17%
     summed over the 13 workloads under Dup + val chks; DESIGN.md §12),
     and keeps this one pass: a
     {!run} on the same program, entry, arguments, initial memory and
@@ -185,27 +185,24 @@ type run_stats = {
     bit-identical, each trial just additionally carries [Some] propagation
     summary.  The golden run stays untraced.
 
-    [fork] (default true) enables golden-prefix snapshot forking
-    (DESIGN.md §12): the golden run itself captures resumable machine
-    snapshots, and every trial then starts from the newest snapshot
-    strictly before its injection step instead of re-executing the
-    fault-free prefix.  Trials are bit-identical with forking on or off —
-    outcomes, steps, cycles, everything a {!trial} records.  The first
-    capture comes after [fork_stride] steps (default 1024); each time 64
-    snapshots are held, every other one is dropped and the stride
-    doubles, so a long golden run ends with 32 to 63 evenly spaced
-    snapshots.  A golden run shorter than the first stride captures
-    nothing and the campaign degrades to from-scratch trials; so does a
-    campaign with [profile] set (a profiled trial must observe its whole
-    execution, not just the post-fork suffix). *)
+    Trials fork from the golden run (DESIGN.md §12): the golden run
+    itself captures resumable machine snapshots, and every trial starts
+    from the newest snapshot strictly before its injection step instead
+    of re-executing the fault-free prefix.  Trials are bit-identical to
+    {!run_trial}'s from-scratch ones — outcomes, steps, cycles, everything
+    a {!trial} records.  Snapshot 0 is the input state; then one is taken
+    every 1024 steps, and each time 64 of those are held, every other one
+    is dropped and the stride doubles, so a long golden run ends with
+    snapshot 0 and 32 to 63 evenly spaced snapshots.  A campaign with
+    [profile] set runs every trial from the entry on snapshot 0's memory
+    (a profiled trial must observe its whole execution, not just the
+    post-fork suffix). *)
 val run :
   ?seed:int ->
   ?fault_kind:Interp.Machine.fault_kind ->
   ?domains:int ->
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
-  ?fork:bool ->
-  ?fork_stride:int ->
   ?profile:Interp.Profile.t ->
   ?stats_out:run_stats option ref ->
   ?warehouse:(summary -> trial list -> run_stats option -> unit) ->
@@ -328,8 +325,6 @@ val run_adaptive :
   ?domains:int ->
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
-  ?fork:bool ->
-  ?fork_stride:int ->
   ?stats_out:run_stats option ref ->
   ?warehouse:(summary -> trial list -> run_stats option -> adaptive -> unit) ->
   ?progress_for:(nstrata:int -> total:int -> Progress.t) ->

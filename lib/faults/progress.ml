@@ -67,7 +67,7 @@ let create ?(interval = 0.5) ?(sinks = []) ?(strata = 0) ~total () =
     lock = Mutex.create ();
     last_emit = 0.0 }
 
-let snapshot ?(final = false) t =
+let snapshot t =
   (* [done] is the sum of the outcome counts read here, not [completed]:
      {!note} bumps an outcome before [completed], so a snapshot taken
      between the two would otherwise report counts summing to done + 1.
@@ -115,7 +115,7 @@ let snapshot ?(final = false) t =
     pg_window_rate = window_rate;
     pg_eta = eta;
     pg_strata = Array.map Atomic.get t.strata;
-    pg_final = final }
+    pg_final = false }
 
 let emit t snap = List.iter (fun sink -> sink snap) t.sinks
 
@@ -163,7 +163,7 @@ let finish t =
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
       t.last_emit <- Unix.gettimeofday ();
-      emit t (snapshot ~final:true t))
+      emit t { (snapshot t) with pg_final = true })
 
 let nonzero_counts snap = List.filter (fun (_, n) -> n > 0) snap.pg_counts
 

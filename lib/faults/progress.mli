@@ -46,9 +46,8 @@ val note : ?stratum:int -> t -> Classify.outcome -> unit
 (** Emit the final snapshot ([pg_final = true]) unconditionally. *)
 val finish : t -> unit
 
-(** Read the current counters without emitting; [final] defaults to
-    [false]. *)
-val snapshot : ?final:bool -> t -> snapshot
+(** Read the current counters without emitting ([pg_final = false]). *)
+val snapshot : t -> snapshot
 
 (** Human heartbeat line on stderr, windowed rate with per-outcome Wilson
     95% intervals:

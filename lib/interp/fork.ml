@@ -5,10 +5,11 @@
     inputs and code are the same, and every value check that fails without
     a fault is disabled for trials, so the two executions cannot diverge
     before the flip.  A campaign therefore captures resumable machine
-    snapshots *during its golden run* — at a step stride that doubles as
-    the run grows ({!add}) — and each trial starts from the newest
-    snapshot strictly before its [at_step] instead of re-executing the
-    prefix.
+    snapshots *during its golden run* — the initial state at step 0, then
+    one at a step stride that doubles as the run grows ({!add}) — and each
+    trial starts from the newest snapshot strictly before its [at_step]
+    instead of re-executing the prefix.  Every injection step is at least
+    1, so every trial has one.
 
     A fork snapshot is a deep, immutable copy of everything a resumed run
     needs: the frame stack (register files, rings, control positions), the
@@ -41,16 +42,18 @@ type snap = {
           capture run's undo journal. *)
 }
 
-(** A capture in progress: {!Machine.run_compiled} adds a snapshot
-    whenever the step counter crosses the next stride boundary (at a loop
-    head — or, when checkpointing, exactly at a checkpoint event, so the
-    capture point is a consistent resume position either way), and records
-    the end state when the run finishes.  The run's length is unknown
-    while it runs, so the plan bounds itself: see {!add}. *)
+(** A capture in progress: {!Machine.run_compiled} records the state at
+    its first loop head as snapshot 0, adds a snapshot whenever the step
+    counter crosses the next stride boundary (at a loop head — or, when
+    checkpointing, exactly at a checkpoint event, so the capture point is
+    a consistent resume position either way), and records the end state
+    when the run finishes.  The run's length is unknown while it runs, so
+    the plan bounds itself: see {!add}. *)
 type plan = {
   mutable fp_stride : int;        (** steps between captures; {!add}
                                       doubles it *)
-  mutable fp_snaps : snap list;   (** newest first during capture *)
+  mutable fp_start : snap option; (** snapshot 0, once captured *)
+  mutable fp_snaps : snap list;   (** the stride snapshots, newest first *)
   mutable fp_end : (snap * Ir.Value.t option) option;
       (** once the run has finished: its end state, without frames, and
           the entry function's return value *)
@@ -58,32 +61,36 @@ type plan = {
 
 let plan ~stride =
   if stride <= 0 then invalid_arg "Fork.plan: stride must be positive";
-  { fp_stride = stride; fp_snaps = []; fp_end = None }
+  { fp_stride = stride; fp_start = None; fp_snaps = []; fp_end = None }
 
-(** A plan never holds this many snapshots once {!add} returns. *)
+(** A plan never holds this many stride snapshots once {!add} returns. *)
 let max_snaps = 64
 
-(** Add the newest snapshot.  Reaching {!max_snaps} keeps every other
-    snapshot, the newest included, and doubles the stride, so the kept
-    ones stay evenly spaced at the new stride.  A run that reaches the
-    bound therefore ends with 32 to 63 snapshots, whatever its length. *)
+(** Add the newest snapshot.  The first one is snapshot 0, which is kept
+    apart: it never counts toward {!max_snaps} and is never dropped.
+    Reaching {!max_snaps} stride snapshots keeps every other one, the
+    newest included, and doubles the stride, so the kept ones stay evenly
+    spaced at the new stride.  A run that reaches the bound therefore ends
+    with snapshot 0 and 32 to 63 stride snapshots, whatever its length. *)
 let add plan snap =
-  plan.fp_snaps <- snap :: plan.fp_snaps;
-  if List.length plan.fp_snaps >= max_snaps then begin
-    plan.fp_snaps <- List.filteri (fun i _ -> i mod 2 = 0) plan.fp_snaps;
-    plan.fp_stride <- 2 * plan.fp_stride
-  end
+  match plan.fp_start with
+  | None -> plan.fp_start <- Some snap
+  | Some _ ->
+    plan.fp_snaps <- snap :: plan.fp_snaps;
+    if List.length plan.fp_snaps >= max_snaps then begin
+      plan.fp_snaps <- List.filteri (fun i _ -> i mod 2 = 0) plan.fp_snaps;
+      plan.fp_stride <- 2 * plan.fp_stride
+    end
 
-(** Captured snapshots in ascending step order; a stride larger than the
-    run's step count yields [[||]] (callers then fall back to
-    from-scratch execution). *)
-let finalize plan = Array.of_list (List.rev plan.fp_snaps)
+(** Captured snapshots in ascending step order, snapshot 0 first. *)
+let finalize plan =
+  Array.of_list (Option.to_list plan.fp_start @ List.rev plan.fp_snaps)
 
-(** Newest snapshot strictly before [at_step], or [None] (run from
-    scratch).  Strictly: the injection lands while executing the
-    instruction that advances the counter *to* [at_step], so a snapshot
-    taken at [at_step] would already be past the from-scratch injection
-    point. *)
+(** Newest snapshot strictly before [at_step], or [None] when there is
+    none: a step of 0 or below, or an array without snapshot 0.
+    Strictly: the injection lands while executing the instruction that
+    advances the counter *to* [at_step], so a snapshot taken at [at_step]
+    would already be past the from-scratch injection point. *)
 let best snaps ~at_step =
   let n = Array.length snaps in
   let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in

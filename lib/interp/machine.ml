@@ -280,7 +280,7 @@ type state = {
   phi_vals : Value.t array;       (** scratch for parallel phi copies *)
   phi_set : bool array;
   obs : ring_obs option;          (** ring-occupancy recording, if any *)
-  arena : arena option;           (** frame pool / scratch source, if any *)
+  arena : arena;                  (** frame pool and phi scratch *)
   fork : Fork.plan option;        (** golden-prefix capture plan, if any *)
   mutable next_fork : int;        (** step of the next fork capture;
                                       [max_int] when not capturing *)
@@ -359,50 +359,46 @@ let fresh_frame (st : state) (cfunc : Compiled.cfunc) ~ret_dest =
        | Some _ -> Taint.fresh_regs st.compiled.Compiled.next_reg
        | None -> Taint.no_regs) }
 
-(* Frame allocation goes through the arena when one is attached: a
+(* Frames come from the arena's pool, which holds only frames of the
+   running program's width ({!run_compiled} drops it on a change): a
    recycled frame is reset in place — clear the defined bits, rewind the
    ring — instead of reallocating the register file, which is the dominant
    per-call allocation.  The reset leaves [values] dirty; that is safe
    because every read is gated on [defined] and the fault targeting ring
    only ever holds registers that were written or read. *)
 let alloc_frame (st : state) (cfunc : Compiled.cfunc) ~ret_dest =
-  match st.arena with
-  | Some a when a.ar_width = st.compiled.Compiled.next_reg ->
-    (match a.ar_frames with
-     | fr :: rest ->
-       a.ar_frames <- rest;
-       let width = a.ar_width in
-       fr.cfunc <- cfunc;
-       Array.fill fr.defined 0 width false;
-       fr.recent_n <- 0;
-       fr.recent_pos <- 0;
-       fr.cblock <- cfunc.Compiled.cf_blocks.(cfunc.Compiled.cf_entry);
-       fr.idx <- 0;
-       fr.prev_block <- -1;
-       fr.ret_dest <- ret_dest;
-       (match st.trace with
-        | Some _ ->
-          let t = fr.taint in
-          if t != Taint.no_regs && Array.length t.Taint.bits = width
-          then begin
-            Array.fill t.Taint.bits 0 width false;
-            t.Taint.n <- 0
-          end
-          else fr.taint <- Taint.fresh_regs width
-        | None -> fr.taint <- Taint.no_regs);
-       fr
-     | [] -> fresh_frame st cfunc ~ret_dest)
-  | _ -> fresh_frame st cfunc ~ret_dest
+  let a = st.arena in
+  match a.ar_frames with
+  | fr :: rest ->
+    a.ar_frames <- rest;
+    let width = a.ar_width in
+    fr.cfunc <- cfunc;
+    Array.fill fr.defined 0 width false;
+    fr.recent_n <- 0;
+    fr.recent_pos <- 0;
+    fr.cblock <- cfunc.Compiled.cf_blocks.(cfunc.Compiled.cf_entry);
+    fr.idx <- 0;
+    fr.prev_block <- -1;
+    fr.ret_dest <- ret_dest;
+    (match st.trace with
+     | Some _ ->
+       let t = fr.taint in
+       if t != Taint.no_regs && Array.length t.Taint.bits = width
+       then begin
+         Array.fill t.Taint.bits 0 width false;
+         t.Taint.n <- 0
+       end
+       else fr.taint <- Taint.fresh_regs width
+     | None -> fr.taint <- Taint.no_regs);
+    fr
+  | [] -> fresh_frame st cfunc ~ret_dest
 
 (* Return a frame to the arena once it leaves the stack (function return,
    rollback replacement, end of run).  Snapshots never alias frames —
    {!snap_frame} copies the arrays — so recycling cannot corrupt retained
    checkpoints or fork snapshots. *)
 let recycle_frame (st : state) (fr : frame) =
-  match st.arena with
-  | Some a when a.ar_width = Array.length fr.values ->
-    a.ar_frames <- fr :: a.ar_frames
-  | _ -> ()
+  st.arena.ar_frames <- fr :: st.arena.ar_frames
 
 let note_frame_profile st (cfunc : Compiled.cfunc) =
   match st.profile with
@@ -966,7 +962,7 @@ let snap_frame (fr : frame) : Snapshot.frame_snap =
    taint is not snapshotted: the restored state predates the fault, so the
    frames come back with all-clean shadow registers (the tracer's counters
    are cleared by {!Taint.rollback} alongside).  Goes through the arena
-   pool when one is attached. *)
+   pool. *)
 let restore_frame st (fs : Snapshot.frame_snap) : frame =
   let fr = alloc_frame st fs.fs_cfunc ~ret_dest:fs.fs_ret_dest in
   Array.blit fs.fs_values 0 fr.values 0 (Array.length fs.fs_values);
@@ -980,11 +976,13 @@ let restore_frame st (fs : Snapshot.frame_snap) : frame =
   fr
 
 (* Regions unchanged since the newest snapshot (read-only inputs, mostly)
-   share that snapshot's arrays instead of being copied again. *)
+   share that snapshot's arrays instead of being copied again; only
+   snapshot 0 is a full copy. *)
 let capture_mem st (plan : Fork.plan) =
-  match plan.Fork.fp_snaps with
-  | newest :: _ -> Memory.capture ~like:newest.Fork.fk_mem st.mem
-  | [] -> Memory.capture st.mem
+  match plan.Fork.fp_snaps, plan.Fork.fp_start with
+  | newest :: _, _ | [], Some newest ->
+    Memory.capture ~like:newest.Fork.fk_mem st.mem
+  | [], None -> Memory.capture st.mem
 
 let sorted_failed_uids st =
   Hashtbl.fold (fun uid () acc -> uid :: acc) st.failed_uids []
@@ -1237,28 +1235,19 @@ let try_rejoin st =
        else max_int);
     false
 
-let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
-    ?rejoin compiled ~entry ~args ~mem =
-  (* Phi scratch and the frame pool come from the arena when one is
-     attached; a width change (different program) drops the pool. *)
+let run_compiled ?(config = default_config) ?(arena = arena ()) ?fork_capture
+    ?resume ?rejoin compiled ~entry ~args ~mem =
+  (* Phi scratch and the frame pool come from the arena, the caller's or
+     a private one; a width change (different program) drops the pool. *)
   let nphi = max 1 compiled.Compiled.max_phis in
-  let phi_vals, phi_set =
-    match arena with
-    | Some a ->
-      if Array.length a.ar_phi_vals < nphi then begin
-        a.ar_phi_vals <- Array.make nphi Value.zero;
-        a.ar_phi_set <- Array.make nphi false
-      end;
-      (a.ar_phi_vals, a.ar_phi_set)
-    | None -> (Array.make nphi Value.zero, Array.make nphi false)
-  in
-  (match arena with
-   | Some a ->
-     if a.ar_width <> compiled.Compiled.next_reg then begin
-       a.ar_frames <- [];
-       a.ar_width <- compiled.Compiled.next_reg
-     end
-   | None -> ());
+  if Array.length arena.ar_phi_vals < nphi then begin
+    arena.ar_phi_vals <- Array.make nphi Value.zero;
+    arena.ar_phi_set <- Array.make nphi false
+  end;
+  if arena.ar_width <> compiled.Compiled.next_reg then begin
+    arena.ar_frames <- [];
+    arena.ar_width <- compiled.Compiled.next_reg
+  end;
   if Option.is_some config.obs && Option.is_some config.fault then
     invalid_arg "Machine.run_compiled: a ring observer with a fault";
   (* Rejoining skips the golden suffix, so a run that observes its
@@ -1302,14 +1291,11 @@ let run_compiled ?(config = default_config) ?arena ?fork_capture ?resume
         (if config.checkpoint_interval > 0 then 0 else max_int);
       ckpt_cur = None; ckpt_prev = None; ckpt_count = 0;
       recovered = None; rollback_denied = false;
-      phi_vals; phi_set;
+      phi_vals = arena.ar_phi_vals; phi_set = arena.ar_phi_set;
       arena; fork = fork_capture;
-      (* The first capture waits one full stride: the step-0 state is the
-         input state the caller already has. *)
+      (* The first capture is snapshot 0, at the first loop head. *)
       next_fork =
-        (match fork_capture with
-         | Some p -> p.Fork.fp_stride
-         | None -> max_int);
+        (match fork_capture with Some _ -> 0 | None -> max_int);
       rejoin_snaps; rejoin_final; rejoin_idx = 0; next_rejoin;
       rejoined_at = None; settled = false }
   in

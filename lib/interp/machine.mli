@@ -193,13 +193,15 @@ val arena : unit -> arena
     per-call).
 
     [arena] recycles frame and scratch allocations across runs (one arena
-    per worker domain; observation-free).
+    per worker domain; observation-free).  Without one, the run allocates
+    through a private arena.
 
     [fork_capture] (golden runs only) adds a resumable {!Fork.snap} to
-    the plan ({!Fork.add}, which thins the plan and doubles its stride at
-    64 snapshots) every time the step counter crosses a stride boundary —
-    at a loop head, or exactly at a checkpoint event when
-    [checkpoint_interval] is on, and then holding that checkpoint.  When
+    the plan ({!Fork.add}): snapshot 0 at the first loop head, then one
+    every time the step counter crosses a stride boundary (the plan thins
+    and doubles its stride at 64 stride snapshots) — at a loop head, or
+    exactly at a checkpoint event when [checkpoint_interval] is on, and
+    then holding that checkpoint (snapshot 0 holds the step-0 one).  When
     the run finishes it records its end state in [fp_end]: one more
     snapshot, without frames, and the return value.  Capture is
     observation-free for the capturing run itself, so a campaign captures
@@ -212,8 +214,9 @@ val arena : unit -> arena
     program, same [checkpoint_interval], and a fault landing strictly
     after the snapshot's step; violations raise [Invalid_argument]).
     [args] and [entry] are ignored on resume.  Runs that profile or hook
-    [on_def] observe only the post-fork suffix, so campaigns fall back to
-    from-scratch execution for profiled trials.
+    [on_def] observe only the post-fork suffix (resuming from snapshot 0
+    skips the entry frame's profile note), so profiled campaign trials
+    run from the entry on snapshot 0's memory.
 
     Resume and rejoin install a snapshot the same way: frames, memory
     image, counters and checkpoint count, and on resume in a

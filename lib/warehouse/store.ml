@@ -318,14 +318,17 @@ let tally_journal path =
   in
   (manifest, n, counts, strata)
 
+(* An adaptive (v5) run's mass-reweighted SDC interval, as JSON. *)
+let adaptive_sdc manifest =
+  Option.bind (Obs.Json.member "adaptive" manifest) (Obs.Json.member "sdc")
+
 let sdc_interval manifest ~k ~n =
   (* The adaptive mass-reweighted interval is the honest one on v5 runs
      (raw stratified counts are allocation-biased); elsewhere plain
      Wilson on the pooled counts. *)
-  match Obs.Json.member "adaptive" manifest with
-  | Some a when Obs.Json.member "sdc" a <> None ->
-    interval_of_json (Option.get (Obs.Json.member "sdc" a))
-  | _ -> Obs.Stats.wilson ~k ~n
+  match adaptive_sdc manifest with
+  | Some iv -> interval_of_json iv
+  | None -> Obs.Stats.wilson ~k ~n
 
 let sdc_count_of counts =
   List.fold_left
@@ -493,6 +496,7 @@ type diff = {
   df_new : string;
   df_outcomes : diff_row list;
   df_sdc : diff_row;
+  df_reweighted : bool;
   df_strata : diff_row list;
 }
 
@@ -563,6 +567,9 @@ let diff_runs ~old_path ~new_path =
     df_new = new_path;
     df_outcomes = outcomes;
     df_sdc = sdc;
+    df_reweighted =
+      Option.is_some (adaptive_sdc old_m)
+      || Option.is_some (adaptive_sdc new_m);
     df_strata = strata }
 
 (* ------------------------------------------------------------------ *)

@@ -127,6 +127,8 @@ type diff = {
   df_new : string;
   df_outcomes : diff_row list; (** per outcome, canonical order first *)
   df_sdc : diff_row;           (** the SDC aggregate *)
+  df_reweighted : bool;        (** either run is adaptive, so [df_sdc]
+                                   compares a mass-reweighted interval *)
   df_strata : diff_row list;   (** per-stratum SDC deltas; nonempty only
                                    when both runs carry v5 stratum ids *)
 }

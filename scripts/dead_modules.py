@@ -13,9 +13,10 @@ bare: `x` anywhere counts as a mention of every value called `x`, so the
 check errs towards keeping a value.
 
 Options: an optional argument `?x` of a live top-level value is dead when
-no `~x` or `?x` appears anywhere but in that value's own declaration and
-definition header.  Labels are bare too, so a label any other function
-passes keeps the option.
+no file other than its own module's .ml and .mli passes `~x` or `?x`.  A
+label that the module itself forwards (an inner call passing `~x` on)
+does not keep the option alive.  Labels are bare too, so a label any
+function of another file passes keeps the option.
 
 Comments and string literals are stripped first.  Tests do not count as
 callers: a value or option only tests need goes on ALLOWED_VALUES or
@@ -32,6 +33,9 @@ ALLOWED = {"Parser", "Str_split"}
 # Values and options that only tests use, each with the test that needs it.
 ALLOWED_VALUES = set()
 ALLOWED_OPTIONS = {
+    # api "experiments: evaluate" and "experiments: csv export" run two
+    # techniques to stay fast.
+    "Experiments.evaluate ?techniques",
     # obs "progress: heartbeat jsonl" forces a snapshot per trial (0.0);
     # the others silence the heartbeat (1e9) to count without emitting.
     "Progress.create ?interval",
@@ -125,7 +129,6 @@ for ml in (p for p in texts if p.startswith("lib/") and p.endswith(".ml")):
                for t in tokens[path]}
     passed = {t for path in texts if path not in (ml, mli)
               for t in labels[path]}
-    headers = {v: (s, e) for v, s, e in definitions(texts[ml], "let")}
     text_ml = texts[ml]
     for v, start, end in values:
         qualified = f"{module_name(ml)}.{v}"
@@ -133,15 +136,12 @@ for ml in (p for p in texts if p.startswith("lib/") and p.endswith(".ml")):
             if qualified not in ALLOWED_VALUES:
                 dead_values.append(qualified)
             continue
-        # An option is passed when [~x] or [?x] appears anywhere but in
-        # the value's own declaration and definition header.
-        s, e = headers.get(v, (0, 0))
-        used = passed | set(re.findall(r"[~?]([a-z_][\w']*)",
-                                       text_ml[:s] + text_ml[e:]))
+        # An option is passed when [~x] or [?x] appears in a file other
+        # than the module's own.
         declared = texts.get(mli, text_ml)[start:end]
         for x in re.findall(r"\?\(?\s*([a-z_][\w']*)", declared):
             option = f"{qualified} ?{x}"
-            if x not in used and option not in ALLOWED_OPTIONS:
+            if x not in passed and option not in ALLOWED_OPTIONS:
                 dead_options.append(option)
 
 if dead:

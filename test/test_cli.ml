@@ -270,6 +270,26 @@ let test_report_fixtures_pinned () =
         text)
     [ 1; 2; 3; 4; 5 ]
 
+let test_diff_runs_footer () =
+  (* The footer names the intervals the rows compare: Wilson for uniform
+     runs, and the mass-reweighted one on the SDC row once either run is
+     adaptive (v5). *)
+  let footer a b =
+    let rc, text =
+      run_exe ~stderr:false
+        (Printf.sprintf "diff-runs fixtures/journal_v%d.jsonl \
+                         fixtures/journal_v%d.jsonl" a b)
+    in
+    Alcotest.(check int) (Printf.sprintf "v%d vs v%d exits 0" a b) 0 rc;
+    List.nth (List.rev (String.split_on_char '\n' text)) 1
+  in
+  Alcotest.(check string) "uniform runs: Wilson"
+    "0 significant delta(s) (disjoint Wilson 95% intervals)" (footer 4 4);
+  Alcotest.(check string) "an adaptive run: reweighted SDC"
+    "0 significant delta(s) (disjoint 95% intervals: Wilson, and \
+     mass-reweighted stratified for SDC)"
+    (footer 4 5)
+
 let test_old_warehouse () =
   (* A warehouse from before the ledger: its index holds a "bench" record
      ahead of a run.  history and regress read it; ingest refuses a
@@ -467,6 +487,8 @@ let tests =
       test_all_headline_and_csv;
     Alcotest.test_case "report: fixture journals v1..v5 pinned" `Quick
       test_report_fixtures_pinned;
+    Alcotest.test_case "diff-runs: the footer names the SDC interval" `Quick
+      test_diff_runs_footer;
     Alcotest.test_case "torn warehouse index: exit 0, then 1" `Quick
       test_torn_warehouse_index;
     Alcotest.test_case "concurrent ingest: one filing per run" `Quick

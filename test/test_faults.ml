@@ -434,21 +434,34 @@ let test_recovery_parallel_identical () =
 
 (* ----- Golden-prefix snapshot forking ----- *)
 
-(* The fork determinism contract (DESIGN.md §12): the same campaign with
-   snapshot forking on and off must produce bit-identical trial lists —
-   outcomes, steps, cycles, injections, recovery and taint telemetry. *)
-let check_fork_identical ?fork_stride ~checkpoint_interval ~taint_trace
-    subject ~trials ~seed =
-  let run fork =
-    Faults.Campaign.run subject ~trials ~seed ~fork ?fork_stride
-      ~checkpoint_interval ~taint_trace
+(* The from-scratch reference of a uniform campaign's trials: [run_trial]
+   on each trial's seed, against the campaign's own golden record. *)
+let from_scratch ?(fault_kind = Interp.Machine.Register_bit)
+    ?(checkpoint_interval = 0) ?(taint_trace = false) subject
+    (summary : Faults.Campaign.summary) trials =
+  let golden = summary.golden_info in
+  let disabled = Hashtbl.create 8 in
+  List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
+  List.map
+    (fun (t : Faults.Campaign.trial) ->
+      Faults.Campaign.run_trial ~fault_kind ~checkpoint_interval ~taint_trace
+        subject ~golden ~disabled ~hw_window:Faults.Classify.default_hw_window
+        ~seed:t.trial_seed)
+    trials
+
+(* The fork determinism contract (DESIGN.md §12): a campaign's forked
+   trials equal their from-scratch runs bit for bit — outcomes, steps,
+   cycles, injections, recovery and taint telemetry. *)
+let check_fork_identical ~checkpoint_interval ~taint_trace subject ~trials
+    ~seed =
+  let summary, forked =
+    Faults.Campaign.run subject ~trials ~seed ~checkpoint_interval
+      ~taint_trace
   in
-  let s_on, t_on = run true in
-  let s_off, t_off = run false in
-  Alcotest.(check bool) "summaries identical" true
-    (s_on.Faults.Campaign.counts = s_off.Faults.Campaign.counts);
   Alcotest.(check bool) "trial lists bit-identical" true
-    (Faults.Campaign.trials_equal t_on t_off)
+    (Faults.Campaign.trials_equal
+       (from_scratch ~checkpoint_interval ~taint_trace subject summary forked)
+       forked)
 
 let test_fork_identical_all_workloads () =
   (* Every registered workload under the paper's main technique. *)
@@ -480,14 +493,24 @@ let test_fork_identical_configs () =
           Softft.Dup_valchk_cfc ])
     [ "g721enc"; "kmeans" ]
 
-let test_fork_stride_beyond_run_degrades () =
-  (* A stride past the end of the golden run captures no snapshot at all;
-     the campaign must degrade to from-scratch trials, not fail. *)
+let test_fork_short_golden_run () =
+  (* A golden run shorter than the first stride still has snapshot 0, so
+     its trials resume, rejoin and settle like a long run's, and still
+     equal their from-scratch runs. *)
   let subject = array_sum_subject () in
-  let golden = Faults.Campaign.golden_run subject in
-  check_fork_identical ~fork_stride:(golden.steps + 1)
-    ~checkpoint_interval:0 ~taint_trace:false (array_sum_subject ())
-    ~trials:20 ~seed:7
+  let stats = ref None in
+  let summary, trials =
+    Faults.Campaign.run subject ~trials:40 ~seed:7 ~stats_out:stats
+  in
+  let stats = Option.get !stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "golden run shorter than a stride (%d steps)"
+       summary.golden_info.steps)
+    true (summary.golden_info.steps < 1024);
+  Alcotest.(check bool) (Printf.sprintf "trials settled (%d)" stats.settled)
+    true (stats.settled > 0);
+  Alcotest.(check bool) "trial lists bit-identical" true
+    (Faults.Campaign.trials_equal (from_scratch subject summary trials) trials)
 
 let dupval name =
   Softft.subject
@@ -527,20 +550,19 @@ let test_fork_parallel_identical () =
   Alcotest.(check bool) "trial lists bit-identical" true
     (Faults.Campaign.trials_equal t1 t4);
   (* The same at workload scale: forked campaigns at 2 and 4 domains match
-     the serial from-scratch reference. *)
+     the from-scratch reference. *)
   List.iter
     (fun name ->
       let subject = dupval name in
-      let run ~fork domains =
-        Faults.Campaign.run subject ~trials:60 ~seed:0xC0FFEE ~domains ~fork
+      let run domains =
+        Faults.Campaign.run subject ~trials:60 ~seed:0xC0FFEE ~domains
       in
-      let s_ref, t_ref = run ~fork:false 1 in
+      let s_ref, t_ref = run 1 in
+      let t_ref = from_scratch subject s_ref t_ref in
       List.iter
         (fun domains ->
-          let s, t = run ~fork:true domains in
+          let _, t = run domains in
           let what = Printf.sprintf "%s, %d domains" name domains in
-          Alcotest.(check bool) (what ^ ": summaries identical") true
-            (s.Faults.Campaign.counts = s_ref.Faults.Campaign.counts);
           Alcotest.(check bool) (what ^ ": trial lists bit-identical") true
             (Faults.Campaign.trials_equal t_ref t))
         [ 2; 4 ])
@@ -548,19 +570,19 @@ let test_fork_parallel_identical () =
 
 (* ----- Rejoining the golden run (DESIGN.md §12) ----- *)
 
-let campaign_stats ?(domains = 1) ?(fork = true) ?(checkpoint_interval = 0)
+let campaign_stats ?(domains = 1) ?(checkpoint_interval = 0)
     ?(fault_kind = Interp.Machine.Register_bit) ?(taint_trace = false)
     ?profile subject ~trials =
   let stats = ref None in
   let summary, results =
-    Faults.Campaign.run subject ~trials ~seed:0xC0FFEE ~domains ~fork
+    Faults.Campaign.run subject ~trials ~seed:0xC0FFEE ~domains
       ~checkpoint_interval ~fault_kind ~taint_trace ?profile ~stats_out:stats
   in
   (summary, results, Option.get !stats)
 
 let test_rejoin_campaign_identical () =
-  (* Campaigns whose trials rejoin or settle (forking on, 1 and 2 domains)
-     match the from-scratch campaign trial for trial, and their rejoin
+  (* Campaigns whose trials rejoin or settle (1 and 2 domains) match the
+     from-scratch trials ([run_trial]) trial for trial, and their rejoin
      tallies do not depend on the worker count.  Only register flips
      without checkpointing settle; that configuration runs under every
      paper technique, the others under Dup + val chks. *)
@@ -576,17 +598,20 @@ let test_rejoin_campaign_identical () =
           in
           List.iter
             (fun (checkpoint_interval, fault_kind) ->
-              let run domains fork =
-                campaign_stats ~domains ~fork ~checkpoint_interval ~fault_kind
+              let run domains =
+                campaign_stats ~domains ~checkpoint_interval ~fault_kind
                   subject ~trials:8
               in
               let what =
                 Printf.sprintf "%s/%s/k=%d" name
                   (Softft.technique_name technique) checkpoint_interval
               in
-              let _, reference, _ = run 1 false in
-              let _, t1, s1 = run 1 true in
-              let _, t2, s2 = run 2 true in
+              let summary, t1, s1 = run 1 in
+              let _, t2, s2 = run 2 in
+              let reference =
+                from_scratch ~fault_kind ~checkpoint_interval subject summary
+                  t1
+              in
               Alcotest.(check bool) (what ^ ": 1 domain bit-identical") true
                 (Faults.Campaign.trials_equal reference t1);
               Alcotest.(check bool) (what ^ ": 2 domains bit-identical") true
@@ -777,10 +802,9 @@ let strata_inputs (subject : Faults.Campaign.subject) =
     Analysis.Strata.group_names,
     Analysis.Strata.priors cov )
 
-let run_adaptive ?(ci = 0.08) ?(seed = 41) ?(domains = 1) ?trace
-    ?fork_stride subject =
+let run_adaptive ?(ci = 0.08) ?(seed = 41) ?(domains = 1) ?trace subject =
   let groups, group_names, priors = strata_inputs subject in
-  Faults.Campaign.run_adaptive ~seed ~domains ?trace ?fork_stride ~groups
+  Faults.Campaign.run_adaptive ~seed ~domains ?trace ~groups
     ~group_names ~priors ~ci subject
 
 let test_adaptive_deterministic () =
@@ -996,17 +1020,12 @@ let test_memo_other_input_misses () =
   Alcotest.(check bool) "kmeans records differ too" false
     (golden_equal test_g
        (Softft.golden p ~role:Workloads.Workload.Train));
-  (* The interval and the stride are part of the key as well. *)
+  (* The interval is part of the key as well. *)
   let ga = Faults.Campaign.golden_run a in
   let summary, _, stats = campaign_stats ~checkpoint_interval:100 a ~trials:2 in
   Alcotest.(check bool) "another interval misses" false stats.golden_reused;
   Alcotest.(check bool) "and prices its checkpoints" true
-    (summary.golden_info.cycles > ga.cycles);
-  ignore (Faults.Campaign.golden_run a);
-  let stats = ref None in
-  ignore (Faults.Campaign.run a ~trials:2 ~fork_stride:64 ~stats_out:stats);
-  Alcotest.(check bool) "another stride misses" false
-    (Option.get !stats).golden_reused
+    (summary.golden_info.cycles > ga.cycles)
 
 let test_memo_profiled_untouched () =
   (* A profiled golden run neither takes nor replaces the kept pass, and
@@ -1077,8 +1096,8 @@ let tests =
       test_fork_identical_all_workloads;
     Alcotest.test_case "fork: identical across configs" `Quick
       test_fork_identical_configs;
-    Alcotest.test_case "fork: oversized stride degrades" `Quick
-      test_fork_stride_beyond_run_degrades;
+    Alcotest.test_case "fork: short golden runs resume, rejoin and settle"
+      `Quick test_fork_short_golden_run;
     Alcotest.test_case "fork: parallel identical" `Quick
       test_fork_parallel_identical;
     Alcotest.test_case "rejoin: campaigns identical at 1 and 2 domains" `Quick
@@ -1107,7 +1126,7 @@ let tests =
       test_fork_golden_record;
     Alcotest.test_case "memo: campaign after golden run identical" `Quick
       test_memo_campaign_identical;
-    Alcotest.test_case "memo: another input, interval or stride misses" `Quick
+    Alcotest.test_case "memo: another input or interval misses" `Quick
       test_memo_other_input_misses;
     Alcotest.test_case "memo: profiled golden run leaves the entry" `Quick
       test_memo_profiled_untouched;

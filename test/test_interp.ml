@@ -230,9 +230,12 @@ let build_counter n =
   Builder.finish b;
   prog
 
+let fork_steps snaps =
+  Array.to_list (Array.map (fun s -> s.Interp.Fork.fk_step) snaps)
+
 let test_fork_plan_thins () =
-  (* Sixty-four snapshots thin to every other one, the newest included,
-     and the stride doubles. *)
+  (* After snapshot 0, sixty-four snapshots thin to every other one, the
+     newest included, and the stride doubles; snapshot 0 stays. *)
   let image = Interp.Memory.capture (Interp.Memory.create ()) in
   let snap step =
     { Interp.Fork.fk_step = step; fk_cycles = step; fk_frames = [];
@@ -240,15 +243,15 @@ let test_fork_plan_thins () =
       fk_slack_credit = 0; fk_checkpoints = 0; fk_ckpt = None }
   in
   let plan = Interp.Fork.plan ~stride:1 in
-  for step = 1 to 64 do Interp.Fork.add plan (snap step) done;
-  Alcotest.(check (list int)) "every other snapshot, newest kept"
-    (List.init 32 (fun i -> 2 * (i + 1)))
-    (Array.to_list
-       (Array.map (fun s -> s.Interp.Fork.fk_step) (Interp.Fork.finalize plan)));
+  for step = 0 to 64 do Interp.Fork.add plan (snap step) done;
+  Alcotest.(check (list int)) "snapshot 0, then every other one, newest kept"
+    (0 :: List.init 32 (fun i -> 2 * (i + 1)))
+    (fork_steps (Interp.Fork.finalize plan));
   Alcotest.(check int) "stride doubled" 2 plan.Interp.Fork.fp_stride;
-  (* A capturing run long enough to thin several times ends with 32 to 63
-     snapshots in strictly ascending step order, the newest within one
-     final stride of the end, and its end state recorded. *)
+  (* A capturing run long enough to thin several times ends with snapshot
+     0 and 32 to 63 stride snapshots in strictly ascending step order, the
+     newest within one final stride of the end, and its end state
+     recorded. *)
   let plan = Interp.Fork.plan ~stride:16 in
   let r =
     Interp.Machine.run_compiled
@@ -259,8 +262,8 @@ let test_fork_plan_thins () =
   in
   let snaps = Interp.Fork.finalize plan in
   let n = Array.length snaps in
-  Alcotest.(check bool) (Printf.sprintf "32 to 63 snapshots (%d)" n) true
-    (n >= 32 && n <= 63);
+  Alcotest.(check bool) (Printf.sprintf "32 to 63 stride snapshots (%d)" (n - 1))
+    true (n - 1 >= 32 && n - 1 <= 63);
   Alcotest.(check bool) "stride grew" true (plan.Interp.Fork.fp_stride >= 16 * 4);
   for i = 1 to n - 1 do
     Alcotest.(check bool) "steps strictly ascend" true
@@ -274,6 +277,75 @@ let test_fork_plan_thins () =
     Alcotest.(check int) "end state has no frames" 0
       (List.length fin.fk_frames)
   | None -> Alcotest.fail "fp_end not set"
+
+let test_fork_snapshot_zero () =
+  (* Every capture run's plan starts with the input state at step 0,
+     with and without checkpointing.  Snapshot 0 survives a run that thins
+     its plan several times, and the stride snapshots land exactly where
+     they land in a plan without it. *)
+  let input () =
+    let mem = Interp.Memory.create () in
+    ignore (Interp.Memory.alloc_ints mem [| 3; 1; 4; 1; 5 |]);
+    mem
+  in
+  let capture ~n ~stride ~checkpoint_interval =
+    let plan = Interp.Fork.plan ~stride in
+    let mem = input () in
+    ignore
+      (Interp.Machine.run_compiled
+         ~config:
+           { Interp.Machine.default_config with
+             mode = Interp.Machine.Record; checkpoint_interval }
+         ~fork_capture:plan
+         (Interp.Compiled.cached (build_counter n))
+         ~entry:"main" ~args:[] ~mem);
+    (plan, Interp.Fork.finalize plan)
+  in
+  let check_zero what (plan : Interp.Fork.plan) snaps ~stride =
+    let s0 = snaps.(0) in
+    Alcotest.(check int) (what ^ ": snapshot 0 first") 0 s0.Interp.Fork.fk_step;
+    Alcotest.(check bool) (what ^ ": it holds the input memory") true
+      (Interp.Memory.equal_image (input ()) s0.fk_mem);
+    Alcotest.(check bool) (what ^ ": the plan thinned at least twice") true
+      (plan.fp_stride >= 4 * stride);
+    Alcotest.(check bool) (what ^ ": the next snapshot shares its memory")
+      true
+      (snaps.(1).fk_mem.Interp.Memory.im_regions.(0).cells
+       == s0.fk_mem.Interp.Memory.im_regions.(0).cells)
+  in
+  (* Without checkpointing, captures land at loop heads. *)
+  let plan, snaps = capture ~n:5000 ~stride:16 ~checkpoint_interval:0 in
+  check_zero "interval 0" plan snaps ~stride:16;
+  Alcotest.(check int) "interval 0: no checkpoint" 0 snaps.(0).fk_checkpoints;
+  Alcotest.(check (list int)) "interval 0: stride schedule"
+    [ 520; 1040; 1559; 2079; 2597; 3117; 3637; 4157; 4670; 5183; 5697;
+      6210; 6723; 7237; 7750; 8263; 8775; 9288; 9800; 10313; 10825; 11338;
+      11850; 12363; 12875; 13388; 13900; 14413; 14925; 15438; 15950; 16463;
+      16975; 17487; 17999; 18512; 19024; 19537; 20049; 20562; 21074; 21587;
+      22099; 22612; 23124; 23637; 24149; 24662 ]
+    (List.tl (fork_steps snaps));
+  (* With checkpointing, snapshot 0 holds the checkpoint taken at step 0,
+     and the stride snapshots land on checkpoint events. *)
+  let plan, snaps =
+    capture ~n:40_000 ~stride:16 ~checkpoint_interval:1000
+  in
+  check_zero "interval 1000" plan snaps ~stride:16;
+  let s0 = snaps.(0) in
+  Alcotest.(check int) "interval 1000: one checkpoint so far" 1
+    s0.fk_checkpoints;
+  (match s0.fk_ckpt with
+   | Some c ->
+     Alcotest.(check int) "interval 1000: the step-0 checkpoint" 0
+       c.Interp.Snapshot.sn_step;
+     Alcotest.(check bool) "interval 1000: its frames" true
+       (c.sn_frames == s0.fk_frames)
+   | None -> Alcotest.fail "interval 1000: snapshot 0 holds no checkpoint");
+  Alcotest.(check (list int)) "interval 1000: stride schedule"
+    (List.map (( * ) 1000)
+       [ 32; 64; 80; 96; 104; 112; 120; 128; 132; 136; 140; 144; 148; 152;
+         156; 160; 162; 164; 166; 168; 170; 172; 174; 176; 178; 180; 182;
+         184; 186; 188; 190; 192; 193; 194; 195; 196; 197; 198; 199; 200 ])
+    (List.tl (fork_steps snaps))
 
 let test_ring_observer_refuses_fault () =
   (* The observer reads every step's ring, a fault would pin the tick to
@@ -702,6 +774,8 @@ let tests =
     Alcotest.test_case "cost: model sanity" `Quick test_cost_model_sanity;
     Alcotest.test_case "fork: plan thins to 32-63 snapshots" `Quick
       test_fork_plan_thins;
+    Alcotest.test_case "fork: snapshot 0 starts every plan" `Quick
+      test_fork_snapshot_zero;
     Alcotest.test_case "obs: a ring observer with a fault is refused" `Quick
       test_ring_observer_refuses_fault;
     Alcotest.test_case "rejoin: identical result and memory" `Quick

@@ -150,10 +150,9 @@ let test_pool_serial_exception () =
 
 (* ----- Journal ----- *)
 
-let small_campaign ?profile ?stats_out ?progress ?trace ?fork_stride
-    ~domains () =
-  Faults.Campaign.run ?profile ?stats_out ?progress ?trace
-    ?fork_stride ~domains (Test_faults.array_sum_subject ())
+let small_campaign ?profile ?stats_out ?progress ?trace ~domains () =
+  Faults.Campaign.run ?profile ?stats_out ?progress ?trace ~domains
+    (Test_faults.array_sum_subject ())
     ~trials:30 ~seed:2024
 
 let test_journal_write_load () =
@@ -712,7 +711,7 @@ let prop_progress_counts_exact =
                 i)
               n
           in
-          let snap = Faults.Progress.snapshot ~final:true pg in
+          let snap = Faults.Progress.snapshot pg in
           snap.pg_done = n
           && snap.pg_done <= snap.pg_total
           && List.for_all
@@ -834,9 +833,8 @@ let check_flight_recorder_inert ~domains () =
   let bare_summary, bare = small_campaign ~domains:1 () in
   let r = Obs.Trace.recorder () in
   let pg = Faults.Progress.create ~interval:1e9 ~total:30 () in
-  (* A small first stride so the short subject's golden run captures. *)
   let traced_summary, traced =
-    small_campaign ~progress:pg ~trace:r ~fork_stride:8 ~domains ()
+    small_campaign ~progress:pg ~trace:r ~domains ()
   in
   Alcotest.(check bool) "trials bit-identical under tracing" true
     (Faults.Campaign.trials_equal bare traced);
@@ -846,7 +844,7 @@ let check_flight_recorder_inert ~domains () =
   check_campaign_spans "uniform" r;
   let r = Obs.Trace.recorder () in
   let _ =
-    Test_faults.run_adaptive ~domains ~trace:r ~fork_stride:8
+    Test_faults.run_adaptive ~domains ~trace:r
       (Test_faults.protected_array_sum ())
   in
   check_campaign_spans "adaptive" r
@@ -1069,7 +1067,7 @@ let test_progress_ring_boundary () =
     if (i >= 254 && i <= 260) || (i >= 510 && i <= 516) || i mod 97 = 0 then
       check_snap (Printf.sprintf "serial @%d" i) (Faults.Progress.snapshot pg)
   done;
-  check_snap "serial final" (Faults.Progress.snapshot ~final:true pg);
+  check_snap "serial final" (Faults.Progress.snapshot pg);
   List.iter
     (fun domains ->
       let pg = Faults.Progress.create ~interval:1e9 ~total () in
@@ -1085,7 +1083,7 @@ let test_progress_ring_boundary () =
       Array.iter
         (Option.iter (check_snap (Printf.sprintf "domains=%d" domains)))
         snaps;
-      let snap = Faults.Progress.snapshot ~final:true pg in
+      let snap = Faults.Progress.snapshot pg in
       check_snap (Printf.sprintf "domains=%d final" domains) snap;
       Alcotest.(check int)
         (Printf.sprintf "domains=%d: every note counted" domains)

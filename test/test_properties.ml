@@ -155,49 +155,71 @@ let prop_flip_bit_changes_exactly_one_bit =
       diff = Int64.shift_left 1L bit)
 
 (* Snapshot forking must be unobservable on arbitrary programs, not just
-   the curated workloads: campaigns over random loop programs produce
-   bit-identical trial lists with forking on and off, across random
-   checkpoint/taint configurations and stride choices (including strides
-   past the end of the run, which degrade to from-scratch trials). *)
-let prop_fork_preserves_campaign =
-  QCheck.Test.make ~name:"snapshot forking preserves campaign results"
-    ~count:25
+   the curated workloads: faulted runs of random loop programs that resume
+   from {!Interp.Fork.best} of a capture run, and may rejoin it, equal
+   their from-scratch runs — result and final memory — across random
+   checkpoint/taint configurations and capture strides from 1 to past the
+   end of the run (which leaves snapshot 0 alone). *)
+let prop_fork_preserves_runs =
+  QCheck.Test.make ~name:"snapshot forking preserves faulted runs" ~count:25
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let prog = random_program (Rng.create seed) in
-      let subject =
-        {
-          Faults.Campaign.label = "random";
-          prog;
-          entry = "main";
-          fresh_state =
-            (fun () ->
-              {
-                Faults.Campaign.mem = Interp.Memory.create ();
-                args = [];
-                read_output =
-                  (function
-                  | Some v -> [| Value.to_real v |]
-                  | None -> [| nan |]);
-              });
-          metric = Fidelity.Metric.mismatch_spec 0.0;
-        }
-      in
+      let compiled = Interp.Compiled.of_prog (random_program (Rng.create seed)) in
       let checkpoint_interval = if seed mod 2 = 0 then 0 else 50 + (seed mod 200) in
       let taint_trace = seed mod 3 = 0 in
-      (* Small first strides capture, and thin, snapshots even in short
+      (* Small strides capture, and thin, many snapshots even in short
          programs; large ones may pass the end of the run. *)
-      let fork_stride =
+      let stride =
         if seed mod 5 = 0 then 1 + (seed mod 4000) else 1 + (seed mod 16)
       in
-      let run fork =
-        Faults.Campaign.run subject ~trials:8 ~seed:(seed land 0xFFFF) ~fork
-          ~fork_stride ~checkpoint_interval ~taint_trace
+      let run ?fork_capture ?resume ?rejoin config =
+        let mem = Interp.Memory.create () in
+        let r =
+          Interp.Machine.run_compiled ~config ?fork_capture ?resume ?rejoin
+            compiled ~entry:"main" ~args:[] ~mem
+        in
+        (r, mem)
       in
-      let s_on, t_on = run true in
-      let s_off, t_off = run false in
-      s_on.Faults.Campaign.counts = s_off.Faults.Campaign.counts
-      && Faults.Campaign.trials_equal t_on t_off)
+      let plan = Interp.Fork.plan ~stride in
+      let golden, _ =
+        run ~fork_capture:plan
+          { Interp.Machine.default_config with
+            mode = Interp.Machine.Record; checkpoint_interval }
+      in
+      match golden.stop, plan.fp_end with
+      | Interp.Machine.Finished _, Some final ->
+        let snaps = Interp.Fork.finalize plan in
+        let disabled = Hashtbl.create 8 in
+        List.iter (fun uid -> Hashtbl.replace disabled uid ())
+          golden.failed_check_uids;
+        List.for_all
+          (fun trial ->
+            (* A campaign trial's fault, drawn afresh for each run (the
+               flip consumes its generator). *)
+            let config () =
+              let rng = Rng.create ((seed land 0xFFFF) + trial) in
+              let at_step = 1 + Rng.int rng (max 1 (golden.steps - 1)) in
+              ( at_step,
+                { Interp.Machine.default_config with
+                  fuel = (golden.steps * 8) + 10_000;
+                  mode = Interp.Machine.Detect;
+                  fault =
+                    Some
+                      { Interp.Machine.at_step; fault_rng = Rng.split rng;
+                        kind = Interp.Machine.Register_bit; restrict = None };
+                  disabled_checks = disabled; checkpoint_interval;
+                  taint_trace } )
+            in
+            let at_step, c = config () in
+            let forked, mem_f =
+              run ?resume:(Interp.Fork.best snaps ~at_step)
+                ~rejoin:(snaps, final) c
+            in
+            let scratch, mem_s = run (snd (config ())) in
+            Test_interp.results_equal forked scratch
+            && Interp.Memory.equal_image mem_f (Interp.Memory.capture mem_s))
+          (List.init 8 Fun.id)
+      | _ -> false)
 
 (* ----- Adaptive stratified estimation (DESIGN.md §14) ----- *)
 
@@ -336,7 +358,7 @@ let tests =
       prop_transform_only_grows;
       prop_parser_roundtrip;
       prop_flip_bit_changes_exactly_one_bit;
-      prop_fork_preserves_campaign;
+      prop_fork_preserves_runs;
       prop_stratified_census_matches_uniform;
       prop_early_stop_never_widens;
       prop_build_strata_masses_partition;

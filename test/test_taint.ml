@@ -202,7 +202,7 @@ let test_progress_stderr_format () =
   for _ = 1 to 10 do
     Faults.Progress.note pg Faults.Classify.Masked
   done;
-  let snap = Faults.Progress.snapshot ~final:true pg in
+  let snap = Faults.Progress.snapshot pg in
   Alcotest.(check int) "snapshot sees all notes" 10 snap.pg_done;
   let json = Obs.Json.to_string (Faults.Progress.snapshot_json snap) in
   Alcotest.(check bool) "progress json self-describes" true
