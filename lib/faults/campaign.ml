@@ -402,6 +402,20 @@ let run_trial_in ?profile ~plan:(at_step, fault) ~compiled
   finish_trial subject ~golden ~hw_window:Classify.default_hw_window ~seed
     ~at_step ~state result
 
+(* Draw a trial seed from [rng] and claim it in [used]: the 30-bit draw
+   plus [offset].  Draws can collide (birthday bound: a few-percent chance
+   by ~10^4 trials), and two trials with the same seed are the same trial
+   — a silent loss of statistical power.  Dedup deterministically: keep
+   every non-colliding draw as-is (preserving the historical sequence)
+   and push a collision into the next 30-bit band until unique. *)
+let draw_seed used rng ~offset =
+  let s = ref ((Int64.to_int (Rng.bits rng) land 0x3FFFFFFF) + offset) in
+  while Hashtbl.mem used !s do
+    s := !s + 0x40000000
+  done;
+  Hashtbl.add used !s ();
+  !s
+
 (** All trial seeds, derived from the master RNG *before* any trial runs.
     This is the campaign determinism contract: seed assignment depends only
     on ([seed], trial index), never on worker scheduling, so any [~domains]
@@ -412,18 +426,7 @@ let derive_seeds ~seed ~trials =
   let seeds = Array.make (max trials 0) 0 in
   let used = Hashtbl.create (max 16 (2 * max trials 0)) in
   for i = 0 to trials - 1 do
-    (* The 30-bit draw plus index can collide across indices (birthday
-       bound: a few-percent chance by ~10^4 trials), and two trials with
-       the same seed are the same trial — a silent loss of statistical
-       power.  Dedup deterministically: keep every non-colliding draw
-       as-is (preserving the historical sequence) and push a collision
-       into the next 30-bit band until unique. *)
-    let s = ref ((Int64.to_int (Rng.bits master) land 0x3FFFFFFF) + i) in
-    while Hashtbl.mem used !s do
-      s := !s + 0x40000000
-    done;
-    Hashtbl.add used !s ();
-    seeds.(i) <- !s
+    seeds.(i) <- draw_seed used master ~offset:i
   done;
   seeds
 
@@ -778,9 +781,9 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
   let nstrata = Array.length plan.sp_strata in
   (* Per-stratum deterministic seed streams, split from the master in
      ascending stratum order (an explicit loop: [Array.init]'s evaluation
-     order is unspecified).  Seeds are deduped across *all* strata with
-     the same bump-into-a-higher-band rule as {!derive_seeds}, so no two
-     trials of the campaign silently share a seed. *)
+     order is unspecified).  Seeds are deduped across *all* strata by
+     {!draw_seed}, as in {!derive_seeds}, so no two trials of the
+     campaign silently share a seed. *)
   let master = Rng.create seed in
   let streams =
     Array.init nstrata (fun _ -> master)
@@ -789,14 +792,6 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
     streams.(i) <- Rng.split master
   done;
   let used = Hashtbl.create 1024 in
-  let next_seed sid =
-    let s = ref (Int64.to_int (Rng.bits streams.(sid)) land 0x3FFFFFFF) in
-    while Hashtbl.mem used !s do
-      s := !s + 0x40000000
-    done;
-    Hashtbl.add used !s ();
-    !s
-  in
   let counts = Array.make_matrix (max 1 nstrata) n_outcomes 0 in
   let ns = Array.make (max 1 nstrata) 0 in
   let total = ref 0 in
@@ -837,7 +832,7 @@ let stratified_rounds plan ~seed ~ci ~max_trials batch =
       Array.iteri
         (fun sid a ->
           for _ = 1 to a do
-            draws.(!j) <- (sid, next_seed sid);
+            draws.(!j) <- (sid, draw_seed used streams.(sid) ~offset:0);
             incr j
           done)
         alloc;

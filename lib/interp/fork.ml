@@ -16,30 +16,50 @@
     full memory image, and the counters a from-scratch run would carry at
     that step (steps, cycles, slack credit, recorded check failures,
     checkpoints taken).  When the run checkpoints, snapshots are only
-    taken at checkpoint events and hold the golden checkpoint itself, so
-    a resumed trial holds the checkpoint a from-scratch run would —
-    keeping rollback targets and costs bit-identical.  The run's end
-    state is one more snapshot, without frames.
+    taken at checkpoint events, right after the checkpoint's cost is
+    charged, so a snapshot already holds its checkpoint's step and frames;
+    with the checkpoint's footprint ([fk_ckpt_words]) a resumed trial
+    rebuilds the checkpoint a from-scratch run would hold, keeping
+    rollback targets and costs bit-identical.  The run's end state is one
+    more snapshot, without frames.
 
     Snapshots are read-only after capture and safe to share across
     domains: resuming copies out of them, never into them. *)
+
+(** One frame of a captured call stack, in a fork snapshot or a
+    {!Machine} checkpoint.  [fs_block]/[fs_idx] are the resume position
+    (block index, next body-instruction index); the arrays are private
+    copies, never aliased with live machine state. *)
+type frame = {
+  fs_cfunc : Compiled.cfunc;
+  fs_values : Ir.Value.t array;
+  fs_defined : bool array;
+  fs_recent : int array;
+  fs_recent_n : int;
+  fs_recent_pos : int;
+  fs_block : int;
+  fs_idx : int;
+  fs_prev_block : int;
+  fs_ret_dest : Ir.Instr.reg option;
+}
 
 type snap = {
   fk_step : int;            (** step counter at capture (between instructions) *)
   fk_cycles : int;          (** cycle counter to resume with (after any
                                 checkpoint cost charged at this step) *)
-  fk_frames : Snapshot.frame_snap list;  (** call stack, innermost first;
-                                             [[]] for the end state *)
+  fk_frames : frame list;   (** call stack, innermost first; [[]] for
+                                the end state *)
   fk_mem : Memory.image;    (** deep copy of the whole memory *)
   fk_valchk_failures : int; (** ignored-check failures so far *)
   fk_failed_uids : int list;(** distinct uids of those checks, sorted *)
   fk_slack_credit : int;    (** spare-issue-slot account (see Cost) *)
   fk_checkpoints : int;     (** checkpoints taken so far, inclusive *)
-  fk_ckpt : Snapshot.t option;
-      (** the checkpoint the capture run took at this very step, whose
-          frames are [fk_frames]; [Some] iff the capture run checkpointed
-          (never on the end state).  Its memory mark belongs to the
-          capture run's undo journal. *)
+  fk_ckpt_words : int option;
+      (** [Some w] iff the capture run checkpointed at this very step
+          (never on the end state), [w] being that checkpoint's footprint
+          in words.  The rest of the checkpoint is already here: its step
+          is [fk_step], its frames are [fk_frames], and its cycles are
+          [fk_cycles] less the checkpoint cost of [w] words. *)
 }
 
 (** A capture in progress: {!Machine.run_compiled} records the state at

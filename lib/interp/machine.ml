@@ -237,6 +237,20 @@ type arena = {
 let arena () =
   { ar_frames = []; ar_width = -1; ar_phi_vals = [||]; ar_phi_set = [||] }
 
+(* A rollback checkpoint (DESIGN.md §9).  Its cost is O(live state): the
+   frames are copied eagerly (a frame is a few hundred words), memory is
+   not copied — the undo journal records overwritten cells as stores
+   happen, and {!Memory.rollback} replays it backwards to [ck_mem]. *)
+type checkpoint = {
+  ck_step : int;                (** step counter at capture *)
+  ck_cycles : int;              (** cycle counter at capture, before the
+                                    checkpoint's own cost *)
+  ck_frames : Fork.frame list;  (** call stack, innermost first *)
+  ck_mem : Memory.mark;         (** this run's undo-journal position *)
+  ck_words : int;               (** live-state footprint, for cost
+                                    accounting *)
+}
+
 type state = {
   compiled : Compiled.t;
   imms : Value.t array;             (** the compiled immediate pool *)
@@ -272,8 +286,8 @@ type state = {
   mutable next_checkpoint : int;  (** step of the next scheduled checkpoint;
                                       [max_int] when recovery is disabled, so
                                       the loop-head check is one compare *)
-  mutable ckpt_cur : Snapshot.t option;   (** most recent checkpoint *)
-  mutable ckpt_prev : Snapshot.t option;  (** the one before it *)
+  mutable ckpt_cur : checkpoint option;   (** most recent checkpoint *)
+  mutable ckpt_prev : checkpoint option;  (** the one before it *)
   mutable ckpt_count : int;
   mutable recovered : recovery option;
   mutable rollback_denied : bool;
@@ -944,7 +958,7 @@ let exec_terminator st (fr : frame) =
 
 (* ----- Checkpoint / rollback recovery (DESIGN.md §9) ----- *)
 
-let snap_frame (fr : frame) : Snapshot.frame_snap =
+let snap_frame (fr : frame) : Fork.frame =
   { fs_cfunc = fr.cfunc;
     fs_values = Array.copy fr.values;
     fs_defined = Array.copy fr.defined;
@@ -963,7 +977,7 @@ let snap_frame (fr : frame) : Snapshot.frame_snap =
    frames come back with all-clean shadow registers (the tracer's counters
    are cleared by {!Taint.rollback} alongside).  Goes through the arena
    pool. *)
-let restore_frame st (fs : Snapshot.frame_snap) : frame =
+let restore_frame st (fs : Fork.frame) : frame =
   let fr = alloc_frame st fs.fs_cfunc ~ret_dest:fs.fs_ret_dest in
   Array.blit fs.fs_values 0 fr.values 0 (Array.length fs.fs_values);
   Array.blit fs.fs_defined 0 fr.defined 0 (Array.length fs.fs_defined);
@@ -989,7 +1003,7 @@ let sorted_failed_uids st =
   |> List.sort compare
 
 (* The machine's state as a fork snapshot, with the given frames. *)
-let fork_snap st plan ~frames ~ckpt =
+let fork_snap st plan ~frames ~ckpt_words =
   { Fork.fk_step = st.steps;
     fk_cycles = st.cycles;
     fk_frames = frames;
@@ -998,60 +1012,72 @@ let fork_snap st plan ~frames ~ckpt =
     fk_failed_uids = sorted_failed_uids st;
     fk_slack_credit = st.slack_credit;
     fk_checkpoints = st.ckpt_count;
-    fk_ckpt = ckpt }
+    fk_ckpt_words = ckpt_words }
 
 (* Capture one golden-prefix fork snapshot ({!Fork}): the current loop
    head is a consistent resume position (same argument as checkpoints:
    the fast path retires whole blocks, so the head only ever sees block
    boundaries or slow-path steps).  [ckpt] is the checkpoint the run took
    at this very step, when checkpointing is on — captures then coincide
-   with checkpoint events, and the snapshot holds that checkpoint and
-   shares its frames, so a resumed trial holds the checkpoint a
-   from-scratch run would. *)
+   with checkpoint events, and the snapshot shares its frames and keeps
+   its footprint, so a resumed trial rebuilds the checkpoint a
+   from-scratch run would hold (see {!install}). *)
 let capture_fork st ~ckpt =
   match st.fork with
   | None -> ()
   | Some plan ->
-    let frames =
+    let frames, ckpt_words =
       match ckpt with
-      | Some (c : Snapshot.t) -> c.sn_frames
-      | None -> List.map snap_frame st.stack
+      | Some c -> c.ck_frames, Some c.ck_words
+      | None -> List.map snap_frame st.stack, None
     in
-    Fork.add plan (fork_snap st plan ~frames ~ckpt);
+    Fork.add plan (fork_snap st plan ~frames ~ckpt_words);
     st.next_fork <- st.steps + plan.Fork.fp_stride
+
+(* One frame's live-state footprint: the register file (values + defined
+   bits, the latter packed one word per 64) plus the 16-entry recent ring
+   and a constant of control state. *)
+let frame_words (fs : Fork.frame) =
+  Array.length fs.fs_values
+  + (Array.length fs.fs_defined + 63) / 64
+  + Array.length fs.fs_recent + 4
 
 (* Checkpoints are taken at the interpreter loop head, where [fr.idx] is a
    consistent resume position (the call-free fast path retires a whole
    block's worth of [idx] up front, so mid-body state is not resumable).
-   The snapshot may therefore land up to a block length after the scheduled
+   A checkpoint may therefore land up to a block length after the scheduled
    step — deterministically, since the trigger is the step counter. *)
 let take_checkpoint st =
+  (* The stores since the previous checkpoint are charged as the
+     copy-on-checkpoint cost of the memory state. *)
   let dirty =
     match st.ckpt_cur with
-    | Some c -> Memory.undo_since st.mem c.Snapshot.sn_mem
+    | Some c -> Memory.undo_since st.mem c.ck_mem
     | None -> Memory.undo_length st.mem
   in
-  let snap =
-    Snapshot.create ~step:st.steps ~cycles:st.cycles
-      ~frames:(List.map snap_frame st.stack) ~mem:st.mem ~dirty_words:dirty
+  let frames = List.map snap_frame st.stack in
+  let ckpt =
+    { ck_step = st.steps; ck_cycles = st.cycles; ck_frames = frames;
+      ck_mem = Memory.mark st.mem;
+      ck_words =
+        List.fold_left (fun acc fs -> acc + frame_words fs) dirty frames }
   in
   (* The checkpoint before the previous one is now unreachable: its part of
      the memory undo journal can be dropped. *)
   (match st.ckpt_cur with
-   | Some c -> Memory.retire st.mem c.Snapshot.sn_mem
+   | Some c -> Memory.retire st.mem c.ck_mem
    | None -> ());
   st.ckpt_prev <- st.ckpt_cur;
-  st.ckpt_cur <- Some snap;
+  st.ckpt_cur <- Some ckpt;
   st.ckpt_count <- st.ckpt_count + 1;
-  st.cycles <- st.cycles + Cost.checkpoint ~words:snap.Snapshot.sn_words;
+  st.cycles <- st.cycles + Cost.checkpoint ~words:ckpt.ck_words;
   st.next_checkpoint <- st.steps + st.config.checkpoint_interval;
   (* When a checkpointing golden run is also capturing fork snapshots, the
      capture happens exactly here, after the checkpoint cost is charged:
-     the snapshot's resume cycles include that cost, and the checkpoint
-     itself, with its pre-cost cycles and footprint, rides along so a
-     resumed trial reproduces both the rollback target and its
-     accounting. *)
-  if st.steps >= st.next_fork then capture_fork st ~ckpt:(Some snap)
+     the snapshot's resume cycles include that cost, and its step and
+     frames are the checkpoint's, so with the footprint a resumed trial
+     reproduces both the rollback target and its accounting. *)
+  if st.steps >= st.next_fork then capture_fork st ~ckpt:(Some ckpt)
 
 (** A software check fired: try to roll back to the newest retained
     checkpoint that predates the injected fault and replay.  Returns false
@@ -1070,7 +1096,7 @@ let try_recover st (d : detection) =
     | Some inj ->
       (* Strictly before: the injection lands while executing the
          instruction that advances the counter to its step. *)
-      let clean (c : Snapshot.t) = c.sn_step < inj.inj_step in
+      let clean c = c.ck_step < inj.inj_step in
       let pick =
         match st.ckpt_cur with
         | Some c when clean c -> Some c
@@ -1083,20 +1109,20 @@ let try_recover st (d : detection) =
        | None ->
          st.rollback_denied <- true;
          false
-       | Some snap ->
+       | Some ckpt ->
          let detect_step = st.steps and detect_cycles = st.cycles in
-         Memory.rollback st.mem snap.Snapshot.sn_mem;
+         Memory.rollback st.mem ckpt.ck_mem;
          (* The wasted segment's frames go back to the pool; the restore
             below blits the snapshot's private copies into them. *)
          List.iter (recycle_frame st) st.stack;
-         st.stack <- List.map (restore_frame st) snap.Snapshot.sn_frames;
+         st.stack <- List.map (restore_frame st) ckpt.ck_frames;
          st.slack_credit <- 0;               (* the rollback flushes the pipe *)
          (* The restore erased the transient fault's architectural effects;
             the shadow taint dies with them. *)
          (match st.trace with
           | Some tr -> Taint.rollback tr ~step:st.steps
           | None -> ());
-         let rollback_cycles = Cost.rollback ~words:snap.Snapshot.sn_words in
+         let rollback_cycles = Cost.rollback ~words:ckpt.ck_words in
          st.cycles <- st.cycles + rollback_cycles;
          (* The fault was transient: its architectural effects are erased by
             the restore and the replay runs clean, so nothing is re-armed.
@@ -1106,14 +1132,14 @@ let try_recover st (d : detection) =
          st.recovered <-
            Some { rec_detection = d;
                   rec_detect_step = detect_step;
-                  rec_checkpoint_step = snap.Snapshot.sn_step;
-                  rec_replayed_steps = detect_step - snap.Snapshot.sn_step;
-                  rec_wasted_cycles = detect_cycles - snap.Snapshot.sn_cycles;
+                  rec_checkpoint_step = ckpt.ck_step;
+                  rec_replayed_steps = detect_step - ckpt.ck_step;
+                  rec_wasted_cycles = detect_cycles - ckpt.ck_cycles;
                   rec_rollback_cycles = rollback_cycles };
          (* Checkpoints taken inside the wasted segment are gone with it;
             keep checkpointing from the restored one on the usual cadence. *)
          st.ckpt_prev <- None;
-         st.ckpt_cur <- Some snap;
+         st.ckpt_cur <- Some ckpt;
          st.next_checkpoint <- st.steps + st.config.checkpoint_interval;
          true)
 
@@ -1124,7 +1150,7 @@ let try_recover st (d : detection) =
    stale contents of an undefined register are never observed.  The
    recent-register ring is not compared — only fault injection reads it,
    and the fault has already landed. *)
-let frame_matches (fr : frame) (fs : Snapshot.frame_snap) =
+let frame_matches (fr : frame) (fs : Fork.frame) =
   fr.cfunc == fs.fs_cfunc
   && fr.cblock.Compiled.cb_index = fs.fs_block
   && fr.idx = fs.fs_idx
@@ -1163,7 +1189,7 @@ let state_matches st (s : Fork.snap) =
   && Hashtbl.length st.failed_uids = List.length s.Fork.fk_failed_uids
   && List.for_all (Hashtbl.mem st.failed_uids) s.Fork.fk_failed_uids
   && st.ckpt_count = s.Fork.fk_checkpoints
-  && (match s.Fork.fk_ckpt with
+  && (match s.Fork.fk_ckpt_words with
       | None -> st.config.checkpoint_interval = 0
       | Some _ ->
         (* The checkpoint just taken at this loop head: the next one's
@@ -1175,11 +1201,13 @@ let state_matches st (s : Fork.snap) =
 
 (* Make a golden snapshot the machine's state: its frames (the stack's
    frames go back to the arena first), memory image and counters.  A
-   checkpointing run also takes the snapshot's checkpoint, its memory mark
-   rebased onto this run's own just-reset undo journal: rolling back to
-   position 0 restores the state at the snapshot, which is the state the
-   golden checkpoint preserved, and the golden footprint keeps rollback
-   costs bit-identical.  Resume and rejoin both install through here. *)
+   checkpointing run also holds the checkpoint the capture run took at the
+   snapshot's step: its step and frames are the snapshot's, its cycles
+   the snapshot's less the checkpoint cost (charged just before the
+   capture), and its mark is this run's own just-reset undo journal, so
+   rolling back restores the state at the snapshot.  The golden footprint
+   keeps checkpoint and rollback costs bit-identical.  Resume and rejoin
+   both install through here. *)
 let install st (s : Fork.snap) =
   List.iter (recycle_frame st) st.stack;
   st.stack <- List.map (restore_frame st) s.Fork.fk_frames;
@@ -1194,9 +1222,13 @@ let install st (s : Fork.snap) =
   st.ckpt_count <- s.Fork.fk_checkpoints;
   if st.config.checkpoint_interval > 0 then begin
     Memory.enable_undo st.mem;
-    match s.Fork.fk_ckpt with
-    | Some ck ->
-      st.ckpt_cur <- Some { ck with Snapshot.sn_mem = Memory.mark st.mem };
+    match s.Fork.fk_ckpt_words with
+    | Some words ->
+      st.ckpt_cur <-
+        Some { ck_step = s.Fork.fk_step;
+               ck_cycles = s.Fork.fk_cycles - Cost.checkpoint ~words;
+               ck_frames = s.Fork.fk_frames; ck_mem = Memory.mark st.mem;
+               ck_words = words };
       st.next_checkpoint <- s.Fork.fk_step + st.config.checkpoint_interval
     | None -> ()
   end
@@ -1305,7 +1337,8 @@ let run_compiled ?(config = default_config) ?(arena = arena ()) ?fork_capture
     st.stack <- [];
     (match st.fork, stop with
      | Some plan, Finished ret ->
-       plan.Fork.fp_end <- Some (fork_snap st plan ~frames:[] ~ckpt:None, ret)
+       plan.Fork.fp_end <-
+         Some (fork_snap st plan ~frames:[] ~ckpt_words:None, ret)
      | _ -> ());
     (match st.obs with
      | Some o ->
@@ -1411,7 +1444,7 @@ let run_compiled ?(config = default_config) ?(arena = arena ()) ?fork_capture
           invalid_arg
             "Machine.run_compiled: resume snapshot does not predate the fault"
         | Some _ | None -> ());
-       if config.checkpoint_interval > 0 && Option.is_none snap.fk_ckpt then
+       if config.checkpoint_interval > 0 && Option.is_none snap.fk_ckpt_words then
          invalid_arg
            "Machine.run_compiled: checkpointing run resumed from a \
             snapshot captured without checkpoint state";

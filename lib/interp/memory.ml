@@ -23,7 +23,7 @@ type t = {
   mutable last : int;               (** index of the most recently hit region;
                                         accesses cluster, so checking it first
                                         skips the binary search almost always *)
-  (* Undo journal for checkpoint/rollback recovery (see Snapshot): when
+  (* Undo journal for checkpoint/rollback recovery (see Machine): when
      enabled, every store appends (address, previous value) so any earlier
      memory state can be rebuilt by replaying the log backwards.  Off by
      default: the only hot-path cost when off is one boolean test per

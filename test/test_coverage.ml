@@ -155,7 +155,7 @@ let test_ranked_regs_unprotected_first () =
    parameter keeps a zero row. *)
 let test_exposure_rows () =
   let prog =
-    Ir.Parser.parse
+    Parser.parse
       "func @main(%r0, %r1) {\n\
        entry:\n\
       \  %r2 = add %r0, 1\n\

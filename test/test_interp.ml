@@ -240,7 +240,7 @@ let test_fork_plan_thins () =
   let snap step =
     { Interp.Fork.fk_step = step; fk_cycles = step; fk_frames = [];
       fk_mem = image; fk_valchk_failures = 0; fk_failed_uids = [];
-      fk_slack_credit = 0; fk_checkpoints = 0; fk_ckpt = None }
+      fk_slack_credit = 0; fk_checkpoints = 0; fk_ckpt_words = None }
   in
   let plan = Interp.Fork.plan ~stride:1 in
   for step = 0 to 64 do Interp.Fork.add plan (snap step) done;
@@ -333,13 +333,18 @@ let test_fork_snapshot_zero () =
   let s0 = snaps.(0) in
   Alcotest.(check int) "interval 1000: one checkpoint so far" 1
     s0.fk_checkpoints;
-  (match s0.fk_ckpt with
-   | Some c ->
-     Alcotest.(check int) "interval 1000: the step-0 checkpoint" 0
-       c.Interp.Snapshot.sn_step;
-     Alcotest.(check bool) "interval 1000: its frames" true
-       (c.sn_frames == s0.fk_frames)
-   | None -> Alcotest.fail "interval 1000: snapshot 0 holds no checkpoint");
+  (* No store precedes step 0, so the step-0 checkpoint's footprint is
+     its frames': each register file, its defined bits packed one word per
+     64, its recent ring and four words of control state. *)
+  let frame_words (fs : Interp.Fork.frame) =
+    Array.length fs.fs_values
+    + (Array.length fs.fs_defined + 63) / 64
+    + Array.length fs.fs_recent + 4
+  in
+  Alcotest.(check (option int)) "interval 1000: the step-0 checkpoint's words"
+    (Some (List.fold_left (fun acc fs -> acc + frame_words fs) 0
+             s0.fk_frames))
+    s0.fk_ckpt_words;
   Alcotest.(check (list int)) "interval 1000: stride schedule"
     (List.map (( * ) 1000)
        [ 32; 64; 80; 96; 104; 112; 120; 128; 132; 136; 140; 144; 148; 152;
@@ -561,7 +566,7 @@ let test_rejoin_needs_equal_state () =
     match s.Interp.Fork.fk_frames with
     | [] -> s
     | fs :: rest ->
-      let values = Array.copy fs.Interp.Snapshot.fs_values in
+      let values = Array.copy fs.Interp.Fork.fs_values in
       Array.iteri
         (fun r d ->
           if d then values.(r) <- Value.flip_bit values.(r) 0)
